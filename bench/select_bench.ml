@@ -17,7 +17,9 @@
    streaming bounded-heap select), with a peak-memory column. The two
    paths must select identically at every refit; at 10^7 the PR 2 path
    is skipped (materializing the pool alone needs ~1.7 GB) and the new
-   path is asserted sequential == parallel instead.
+   path is asserted sequential == parallel instead. Each pool also
+   times one select that must skip 200 evaluated rows
+   (select_ms_excluded), a campaign's steady state.
 
    The production path is timed through the telemetry spans the code
    itself emits rather than an external stopwatch where spans exist;
@@ -167,6 +169,8 @@ type large_row = {
   lp_incremental_ns : float;
   lp_parallel_ns : float option;  (* virtual-pool parallel scan, informational *)
   lp_sampled_ns : float;
+  lp_excluded_ms : float;  (* one streaming select excluding [n_excluded] evaluated rows *)
+  lp_excluded_ok : bool;  (* no excluded row selected; parallel = sequential *)
   lp_boxed_seq_ns : float option;  (* linear chunked scan over the materialized pool *)
   lp_boxed_par_ns : float option;
   lp_heap_bytes : int;  (* new path, Gc heap after the campaign *)
@@ -179,6 +183,10 @@ type large_row = {
   lp_parallel_matches : bool option;
   lp_boxed_par_matches : bool option;
 }
+
+(* Evaluated rows excluded by the [select_ms_excluded] rows: about a
+   campaign's budget. *)
+let n_excluded = 200
 
 let ulp_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -278,6 +286,34 @@ let large_pool_row ~reps n_params =
         Hiperbot.Strategy.select_many_encoded ~candidates:(`Sampled 4096) ~compiled ~k
           ~rng:(Prng.Rng.create 7) ~surrogate ~encoded:virt ~evaluated ())
   in
+  (* A campaign's steady state: one select that must skip
+     [n_excluded] evaluated rows. The exclusion set is built from the
+     evaluated side, so the cost must not grow with the pool beyond the
+     scan itself. *)
+  let excluded_ms, excluded_ok =
+    let engine = Hiperbot.Surrogate.Refit.create ~options virt in
+    let surrogate, compiled =
+      Hiperbot.Surrogate.Refit.update engine obs_steps.(n_refits - 1)
+    in
+    let evaluated = Param.Config.Table.create n_excluded in
+    let draw = Prng.Rng.create 99 in
+    while Param.Config.Table.length evaluated < n_excluded do
+      Param.Config.Table.replace evaluated (Param.Space.random_config space draw) ()
+    done;
+    let select ?workers () =
+      Hiperbot.Strategy.select_many_encoded ?workers ~compiled ~k ~rng ~surrogate ~encoded:virt
+        ~evaluated ()
+    in
+    let sequential = select () in
+    let ok =
+      List.length sequential = k
+      && List.for_all (fun c -> not (Param.Config.Table.mem evaluated c)) sequential
+      && (n < Hiperbot.Strategy.default_parallel_threshold
+         || Parallel.Pool.with_pool ~num_domains:bench_domains (fun workers ->
+                same_selection (select ~workers ()) sequential))
+    in
+    (time_ns ~reps (fun () -> select ()) /. 1e6, ok)
+  in
   (* Memory of the new path, captured before the PR 2 pool is ever
      materialized: the virtual pool plus score tables must stay tiny
      however large the space is. *)
@@ -367,6 +403,8 @@ let large_pool_row ~reps n_params =
     lp_incremental_ns = incremental_ns;
     lp_parallel_ns = parallel_ns;
     lp_sampled_ns = sampled_ns;
+    lp_excluded_ms = excluded_ms;
+    lp_excluded_ok = excluded_ok;
     lp_boxed_seq_ns = boxed_seq_ns;
     lp_boxed_par_ns = boxed_par_ns;
     lp_heap_bytes = heap_bytes;
@@ -399,6 +437,8 @@ let print_large_row r =
     (match r.lp_reference_heap_bytes with
     | Some b -> Printf.sprintf "; PR2 live %.1f MB" (mb b)
     | None -> "");
+  Printf.printf "          select excluding %d evaluated rows: %.4f ms\n" n_excluded
+    r.lp_excluded_ms;
   (match (r.lp_boxed_seq_ns, r.lp_boxed_par_ns) with
   | Some seq, Some par ->
       Printf.printf "          linear (materialized) scan: seq %12.0f ns  par %12.0f ns  (%.1fx)\n"
@@ -539,6 +579,11 @@ let run ~reps () =
   Printf.bprintf buf "  \"cores\": %d,\n" cores;
   Printf.bprintf buf "  \"parallel_threshold\": %d,\n"
     Hiperbot.Strategy.default_parallel_threshold;
+  Printf.bprintf buf "  \"parallel_floors\": \"%s\",\n"
+    (if not can_assert_parallel then Printf.sprintf "skipped: %d core(s)" cores
+     else if budget_override <> None then "skipped: budget override"
+     else "asserted");
+  Printf.bprintf buf "  \"n_excluded\": %d,\n" n_excluded;
   Printf.bprintf buf "  \"naive_select_ns\": %.1f,\n" naive_select_ns;
   Printf.bprintf buf "  \"compiled_select_ns\": %.1f,\n" compiled_select_ns;
   Printf.bprintf buf "  \"select_speedup\": %.2f,\n" select_speedup;
@@ -569,15 +614,15 @@ let run ~reps () =
       Printf.bprintf buf
         "    { \"pool_size\": %d, \"n_params\": %d, \"virtual\": true, \
          \"reference_refit_ns\": %s, \"incremental_refit_ns\": %.1f, \"refit_speedup\": %s, \
-         \"parallel_refit_ns\": %s, \"sampled_suggest_ns\": %.1f, \"boxed_seq_select_ns\": \
-         %s, \"boxed_par_select_ns\": %s, \"heap_bytes\": %d, \"live_bytes\": %d, \
-         \"table_bytes\": %d, \"codes_bytes\": %d, \"reference_heap_bytes\": %s, \"deltas\": \
+         \"parallel_refit_ns\": %s, \"sampled_suggest_ns\": %.1f, \"select_ms_excluded\": \
+         %.4f, \"boxed_seq_select_ns\": %s, \"boxed_par_select_ns\": %s, \"heap_bytes\": %d, \
+         \"live_bytes\": %d, \"table_bytes\": %d, \"codes_bytes\": %d, \"reference_heap_bytes\": %s, \"deltas\": \
          { \"unchanged\": %d, \"appended\": %d, \"rebuilt\": %d }, \"matches_reference\": \
          %s, \"parallel_matches\": %s, \"boxed_par_matches\": %s }%s\n"
         r.lp_size r.lp_params (opt_f r.lp_reference_ns) r.lp_incremental_ns
         (opt_f
            (Option.map (fun ref_ns -> ref_ns /. r.lp_incremental_ns) r.lp_reference_ns))
-        (opt_f r.lp_parallel_ns) r.lp_sampled_ns (opt_f r.lp_boxed_seq_ns)
+        (opt_f r.lp_parallel_ns) r.lp_sampled_ns r.lp_excluded_ms (opt_f r.lp_boxed_seq_ns)
         (opt_f r.lp_boxed_par_ns) r.lp_heap_bytes r.lp_live_bytes r.lp_table_bytes
         r.lp_codes_bytes
         (opt_i r.lp_reference_heap_bytes)
@@ -613,6 +658,10 @@ let run ~reps () =
             (Printf.sprintf "BENCH select: new path diverges from PR 2 path at pool %d"
                r.lp_size)
       | Some true | None -> ());
+      if not r.lp_excluded_ok then
+        failwith
+          (Printf.sprintf
+             "BENCH select: selection excluding evaluated rows is wrong at pool %d" r.lp_size);
       (match r.lp_parallel_matches with
       | Some false ->
           failwith

@@ -256,48 +256,32 @@ let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
   in
   (encoded, candidates, n_init)
 
-(* Once a finite pool is fully covered, every draw is a duplicate:
-   each would spin [max_init_redraws] hash probes for nothing, so
-   initialization exits early instead. The coverage scan decodes pool
-   rows on demand (it works identically for virtual pools), only runs
-   when the submitted count could plausibly cover the pool, and its
-   positive answer is latched. *)
-let pool_coverage_check ~encoded ~table =
-  let covered = ref false in
-  fun () ->
-    match encoded with
-    | None -> false
-    | Some e ->
-        let n = Surrogate.Pool.length e in
-        !covered
-        || Param.Config.Table.length table >= n
-           && (let rec all i =
-                 i >= n
-                 || (Param.Config.Table.mem table (Surrogate.Pool.config e i) && all (i + 1))
-               in
-               all 0)
-           && begin
-                covered := true;
-                true
-              end
-
 (* Guided selection: Ranking campaigns always rank over the encoded
    pool, reusing the refit engine's compiled scorer, with
    [options.sampled_candidates] switching the exhaustive scan to
    pg-sampled candidate draws; Proposal samples from pg and never
    looks at a pool. *)
 let select_batch ~telemetry ~options ?workers ?schedule ~encoded ~compiled ~k ~rng ~surrogate
-    ~evaluated () =
+    ~evaluated ~excluded () =
   match (options.strategy, encoded) with
   | Strategy.Ranking, Some e ->
       let candidates =
         match options.sampled_candidates with Some n -> `Sampled n | None -> `Exhaustive
       in
-      Strategy.select_many_encoded ~telemetry ?workers ?schedule ~candidates ?compiled ~k ~rng
-        ~surrogate ~encoded:e ~evaluated ()
+      Strategy.select_many_excluding ~telemetry ?workers ?schedule ~candidates ?compiled ~k ~rng
+        ~surrogate ~encoded:e ~evaluated ~excluded ()
   | Strategy.Ranking, None -> assert false (* campaign_setup always encodes for Ranking *)
   | (Strategy.Proposal _ as strategy), _ ->
       Strategy.select_many ~telemetry strategy ~k ~rng ~surrogate ~pool:[||] ~evaluated
+
+(* A configuration joins the seen set when it is issued or
+   warm-started, and its pool rows join the exclusion set at the same
+   moment, so the two always describe the same configurations. *)
+let mark_seen ~seen ~excluded ~encoded config =
+  Param.Config.Table.replace seen config ();
+  match encoded with
+  | Some e -> Strategy.Exclusion.add_config excluded e config
+  | None -> ()
 
 let divergence_msg =
   "Tuner.resume: run log diverges from the replayed trajectory (were the seed, options, or \
@@ -367,7 +351,9 @@ type t = {
      configurations the old core's evaluated-at-report table did at
      every read point. *)
   seen : unit Param.Config.Table.t;
-  pool_exhausted : unit -> bool;
+  (* [seen] in pool-index space, kept alongside it: the rows guided
+     ranking skips. Empty when there is no pool (Proposal). *)
+  excluded : Strategy.Exclusion.t;
   campaign_t0 : float;
   mutable phase : phase;
   mutable init_drawn : int;
@@ -416,13 +402,13 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
   let gate = gate_state_of ~options in
   let emit_gate = gate_emitter ?on_gate ?gate ~recorded:recorded_gates () in
   let seen = Param.Config.Table.create (budget + Array.length warm_start) in
+  let excluded = Strategy.Exclusion.create () in
   Array.iter
     (fun (c, _) ->
       if not (Param.Space.validate space c) then
         invalid_arg "Tuner.run: invalid warm-start configuration";
-      Param.Config.Table.replace seen c ())
+      mark_seen ~seen ~excluded ~encoded c)
     warm_start;
-  let pool_exhausted = pool_coverage_check ~encoded ~table:seen in
   if Telemetry.Trace.enabled telemetry then
     Telemetry.Trace.emit telemetry
       (Telemetry.Event.Campaign_start
@@ -452,7 +438,7 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
     replay;
     n_init;
     seen;
-    pool_exhausted;
+    excluded;
     campaign_t0;
     phase = Initializing;
     init_drawn = 0;
@@ -519,6 +505,15 @@ let random_candidate t =
   | Some c -> c.(Prng.Rng.int t.rng (Array.length c))
   | None -> Param.Space.random_config t.c_space t.rng
 
+(* Once a finite pool is fully covered, every draw is a duplicate:
+   each would spin [max_init_redraws] hash probes for nothing, so
+   initialization exits early instead. The pool is covered exactly
+   when every one of its rows is excluded. *)
+let pool_exhausted t =
+  match t.encoded with
+  | None -> false
+  | Some e -> Strategy.Exclusion.cardinal t.excluded >= Surrogate.Pool.length e
+
 let draw_fresh t =
   let rec attempt i =
     let c = random_candidate t in
@@ -528,7 +523,7 @@ let draw_fresh t =
   attempt 0
 
 let issue t ~at ~guided config =
-  Param.Config.Table.replace t.seen config ();
+  mark_seen ~seen:t.seen ~excluded:t.excluded ~encoded:t.encoded config;
   let id = t.submitted in
   t.submitted <- id + 1;
   let sug = { id; config; guided } in
@@ -553,14 +548,14 @@ let refit_and_select t ~k ~extra_bad =
   t.final_surrogate <- Some surrogate;
   select_batch ~telemetry:t.telemetry ~options:t.options ?workers:t.workers
     ?schedule:t.schedule ~encoded:t.encoded ~compiled ~k ~rng:t.rng ~surrogate
-    ~evaluated:t.seen ()
+    ~evaluated:t.seen ~excluded:t.excluded ()
 
 let rec suggest_sync t ~at =
   if t.pend <> [] then Wait
   else
     match t.phase with
     | Initializing ->
-        if t.init_drawn < t.n_init && not (t.pool_exhausted ()) then begin
+        if t.init_drawn < t.n_init && not (pool_exhausted t) then begin
           let c, redraws = draw_fresh t in
           let duplicate = Param.Config.Table.mem t.seen c in
           if Telemetry.Trace.enabled t.telemetry then
@@ -602,7 +597,7 @@ let rec suggest_sync t ~at =
                     suggest_sync t ~at
               end)
 
-let init_exhausted t = t.init_drawn >= t.n_init || t.pool_exhausted ()
+let init_exhausted t = t.init_drawn >= t.n_init || pool_exhausted t
 
 let rec suggest_async t ~at ~k =
   if t.no_more || List.length t.pend >= k || t.submitted >= t.c_budget || stale t then
@@ -788,6 +783,7 @@ let best t = t.best_so_far
 let space t = t.c_space
 let budget t = t.c_budget
 let mode t = t.mode
+let excluded t = Strategy.Exclusion.elements t.excluded
 
 (* Retrace a recorded prefix: keep the in-flight set full (consuming
    the rng exactly like a live campaign) and complete pending

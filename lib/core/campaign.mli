@@ -183,6 +183,12 @@ val space : t -> Param.Space.t
 val budget : t -> int
 val mode : t -> mode
 
+val excluded : t -> int list
+(** The candidate-pool rows guided ranking skips, ascending: the pool
+    indices ({!Surrogate.Pool.indices_of}) of every configuration
+    issued or warm-started so far. Empty for [Proposal] campaigns,
+    which have no pool. *)
+
 (** {2 Resume} *)
 
 val divergence_msg : string

@@ -171,8 +171,10 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
     let top = n_rungs - 1 in
     (* Campaign-wide state. [seen] deduplicates cohort entry only:
        promotions legitimately resubmit a configuration at a higher
-       rung, so they bypass it. *)
+       rung, so they bypass it. [excluded] holds the same
+       configurations as pool rows, for guided ranking. *)
     let seen = Param.Config.Table.create budget in
+    let excluded = Strategy.Exclusion.create () in
     let submitted = ref 0 in
     let completed = ref 0 in
     let total_cost = ref 0. in
@@ -285,13 +287,14 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
             | Some n -> `Sampled n
             | None -> `Exhaustive
           in
-          Strategy.select_many_encoded ~telemetry ?workers ?schedule ~candidates:cand
-            ~k:plan.cohort ~rng ~surrogate ~encoded ~evaluated:seen ()
+          Strategy.select_many_excluding ~telemetry ?workers ?schedule ~candidates:cand
+            ~k:plan.cohort ~rng ~surrogate ~encoded ~evaluated:seen ~excluded ()
         end
       in
       let enqueue c =
         if not (Param.Config.Table.mem seen c) then begin
           Param.Config.Table.replace seen c ();
+          Strategy.Exclusion.add_config excluded encoded c;
           Queue.push c queues.(0);
           expected.(0) <- expected.(0) + 1
         end

@@ -163,40 +163,70 @@ let schedule_label workers schedule =
       | Some (Parallel.Pool.Dynamic c) -> Printf.sprintf "dynamic:%d" c
       | Some Parallel.Pool.Guided -> "guided")
 
+(* The set of pool rows guided ranking must skip, in pool-index
+   space. Campaigns own one and add each configuration's row indices
+   once, when it joins their seen set, so no ranking step rebuilds it
+   or allocates anything proportional to the pool. The scans consult
+   it only for rows that already pass the top-k admission test, which
+   almost no row does. *)
+module Exclusion = struct
+  type t = (int, unit) Hashtbl.t
+
+  let create () : t = Hashtbl.create 64
+  let add t i = Hashtbl.replace t i ()
+  let mem t i = Hashtbl.mem t i
+  let cardinal = Hashtbl.length
+  let add_config t pool c = List.iter (add t) (Surrogate.Pool.indices_of pool c)
+
+  let of_table pool table =
+    let t = create () in
+    Param.Config.Table.iter (fun c () -> add_config t pool c) table;
+    t
+
+  let elements t = List.sort Int.compare (Hashtbl.fold (fun i () acc -> i :: acc) t [])
+end
+
 (* Score rows [lo, hi) through the compiled table into [buf] and fold
    the unexcluded ones into [top]. The admission pre-check repeats
    {!Topk_stream.offer}'s comparison inline against plain record
    fields so the overwhelming majority of rows — everything that
    cannot enter the top-k — never crosses a (float-boxing) call
-   boundary; the scan allocates nothing per row. *)
-let scan_range compiled keep buf top ~lo ~hi =
+   boundary or touches the exclusion set; the scan allocates nothing
+   per row. Checking exclusion after admission selects exactly what
+   checking it first would: admission depends only on [top], which
+   only kept rows change. *)
+let scan_range compiled excluded buf top visited ~lo ~hi =
   Surrogate.Compiled.scores_into compiled ~lo ~hi buf;
+  visited := !visited + (hi - lo);
   for j = 0 to hi - lo - 1 do
     let i = lo + j in
-    if keep i then begin
-      let s = Array.unsafe_get buf j in
-      if
-        (not top.Topk_stream.full)
-        || s > top.Topk_stream.worst_score
-        || (s = top.Topk_stream.worst_score && -i > top.Topk_stream.worst_tie)
-      then Topk_stream.offer top s i
-    end
+    let s = Array.unsafe_get buf j in
+    if
+      ((not top.Topk_stream.full)
+      || s > top.Topk_stream.worst_score
+      || (s = top.Topk_stream.worst_score && -i > top.Topk_stream.worst_tie))
+      && not (Exclusion.mem excluded i)
+    then Topk_stream.offer top s i
   done
 
 (* Exact branch-and-bound scan of a virtual pool's digit tree. A
    node at depth p fixes digits 0..p; its subtree's scores are all
-   bounded by the node's left-to-right prefix sum plus the sum of
-   per-parameter table maxima over the remaining digits, so any
-   subtree whose bound is STRICTLY below the worst kept score can be
+   bounded by the node's left-to-right prefix sum [v] plus each
+   remaining parameter's table maximum, added one at a time left to
+   right — the order {!Surrogate.Compiled.log_ratio} adds a row's
+   entries in. Round-to-nearest addition is monotone, so this bound
+   dominates every row of the subtree in floating point too (a bound
+   summed in any other order can fall an ulp below a row's score).
+   Any subtree whose bound is STRICTLY below the worst kept score is
    skipped without visiting a row. Strict comparison keeps the scan
    exact under the (score desc, index asc) total order: a row tying
    the final k-th score is never pruned, and every skipped row scores
    strictly below the k-th — pruning changes which rows are offered,
    never which k survive, so the result is bit-identical to the full
-   scan (admitted scores are the same left-to-right prefix sums
-   {!Surrogate.Compiled.log_ratio} computes). Both comparisons fail
-   on NaN bounds/thresholds, so poisoned table entries disable
-   pruning rather than mis-pruning.
+   scan. Both comparisons fail on NaN bounds/thresholds, so poisoned
+   table entries disable pruning rather than mis-pruning. Excluded
+   rows are never offered, so the threshold only ever comes from kept
+   rows.
 
    [shared] is the parallel scan's cross-chunk threshold: each chunk
    publishes its local worst (a lower bound on the final k-th score,
@@ -204,33 +234,48 @@ let scan_range compiled keep buf top ~lo ~hi =
    against the best bound any chunk has published. The shared value
    evolves racily, but every pruned row still scores strictly below
    the final k-th, so the merged result is exact — identical to the
-   sequential scan — for every domain count, schedule, and timing. *)
-let scan_radix compiled keep top ?shared ~radices ~lo ~hi () =
+   sequential scan — for every domain count, schedule, and timing.
+
+   The walk allocates nothing per node: prefix sums live in a float
+   array indexed by depth and the threshold in a one-cell float
+   array, so no float crosses a call boundary. [visited] counts the
+   leaf rows reached, one addition per leaf group. *)
+let scan_radix compiled excluded top visited ?shared ~radices ~lo ~hi () =
   let table = Surrogate.Compiled.table compiled in
   let off = Surrogate.Compiled.offsets compiled in
   let np = Array.length radices in
   if np = 0 then begin
-    if lo <= 0 && hi > 0 && keep 0 then Topk_stream.offer top 0. 0
+    if lo <= 0 && hi > 0 then begin
+      incr visited;
+      if not (Exclusion.mem excluded 0) then Topk_stream.offer top 0. 0
+    end
   end
   else begin
     let strides = Array.make np 1 in
     for p = np - 2 downto 0 do
       strides.(p) <- strides.(p + 1) * radices.(p + 1)
     done;
-    (* suffix_max.(p) = max achievable sum of table entries over
-       parameters p..np-1. *)
-    let suffix_max = Array.make (np + 1) 0. in
-    for p = np - 1 downto 0 do
-      let m = ref neg_infinity in
-      for d = 0 to radices.(p) - 1 do
-        let v = Bigarray.Array1.unsafe_get table (off.(p) + d) in
-        if v > !m then m := v
-      done;
-      suffix_max.(p) <- !m +. suffix_max.(p + 1)
-    done;
-    let threshold () =
-      let local = if top.Topk_stream.full then top.Topk_stream.worst_score else neg_infinity in
-      match shared with None -> local | Some a -> Stdlib.max local (Atomic.get a)
+    let table_max =
+      Array.init np (fun p ->
+          let m = ref neg_infinity in
+          for d = 0 to radices.(p) - 1 do
+            let v = Bigarray.Array1.unsafe_get table (off.(p) + d) in
+            if v > !m then m := v
+          done;
+          !m)
+    in
+    (* prefix.(p): the current path's left-to-right sum over digits
+       0..p. *)
+    let prefix = Array.make np 0. in
+    let thr = [| neg_infinity |] in
+    let refresh_threshold () =
+      Array.unsafe_set thr 0
+        (if top.Topk_stream.full then top.Topk_stream.worst_score else neg_infinity);
+      match shared with
+      | None -> ()
+      | Some a ->
+          let g = Atomic.get a in
+          if g > Array.unsafe_get thr 0 then Array.unsafe_set thr 0 g
     in
     let publish () =
       match shared with
@@ -245,43 +290,52 @@ let scan_radix compiled keep top ?shared ~radices ~lo ~hi () =
             bump ()
           end
     in
-    let rec go p base acc =
+    let rec go p base =
+      let acc = if p = 0 then 0. else Array.unsafe_get prefix (p - 1) in
       let toff = Array.unsafe_get off p in
       if p = np - 1 then begin
         let d_lo = Stdlib.max 0 (lo - base) in
         let d_hi = Stdlib.min radices.(p) (hi - base) in
+        visited := !visited + (d_hi - d_lo);
         (* A stale (lower) threshold only admits extra offers, which
            re-check; exactness is unaffected. *)
-        let thr = threshold () in
+        refresh_threshold ();
         for d = d_lo to d_hi - 1 do
-          let i = base + d in
-          if keep i then begin
-            let s = acc +. Bigarray.Array1.unsafe_get table (toff + d) in
-            if (not top.Topk_stream.full) || s >= thr then begin
-              Topk_stream.offer top s i;
-              publish ()
-            end
+          let s = acc +. Bigarray.Array1.unsafe_get table (toff + d) in
+          if
+            ((not top.Topk_stream.full) || s >= Array.unsafe_get thr 0)
+            && not (Exclusion.mem excluded (base + d))
+          then begin
+            Topk_stream.offer top s (base + d);
+            publish ()
           end
         done
       end
       else begin
         let stride = Array.unsafe_get strides p in
-        let bound_tail = Array.unsafe_get suffix_max (p + 1) in
         for d = 0 to radices.(p) - 1 do
           let b = base + (d * stride) in
           if b < hi && b + stride > lo then begin
             let v = acc +. Bigarray.Array1.unsafe_get table (toff + d) in
-            if not (v +. bound_tail < threshold ()) then go (p + 1) b v
+            let bound = ref v in
+            for q = p + 1 to np - 1 do
+              bound := !bound +. Array.unsafe_get table_max q
+            done;
+            refresh_threshold ();
+            if not (!bound < Array.unsafe_get thr 0) then begin
+              Array.unsafe_set prefix p v;
+              go (p + 1) b
+            end
           end
         done
       end
     in
-    go 0 0 0.
+    go 0 0
   end
 
-let scan_indices compiled keep top ?shared ~n ~lo ~hi buf =
+let scan_indices compiled excluded top visited ?shared ~n ~lo ~hi buf =
   match Surrogate.Pool.radices (Surrogate.Compiled.pool compiled) with
-  | Some radices -> scan_radix compiled keep top ?shared ~radices ~lo ~hi ()
+  | Some radices -> scan_radix compiled excluded top visited ?shared ~radices ~lo ~hi ()
   | None ->
       let buf =
         match buf with Some b -> b | None -> Array.make (Stdlib.min n scan_chunk) 0.
@@ -289,22 +343,26 @@ let scan_indices compiled keep top ?shared ~n ~lo ~hi buf =
       let at = ref lo in
       while !at < hi do
         let chunk_hi = Stdlib.min hi (!at + scan_chunk) in
-        scan_range compiled keep buf top ~lo:!at ~hi:chunk_hi;
+        scan_range compiled excluded buf top visited ~lo:!at ~hi:chunk_hi;
         at := chunk_hi
       done
 
-let select_indices_seq compiled keep ~k ~n =
+(* Both return the ranked (score, index) pairs and the leaf rows the
+   scan reached. *)
+let select_indices_seq compiled excluded ~k ~n =
   let top = Topk_stream.create k in
-  scan_indices compiled keep top ~n ~lo:0 ~hi:n None;
-  Topk_stream.to_desc top
+  let visited = ref 0 in
+  scan_indices compiled excluded top visited ~n ~lo:0 ~hi:n None;
+  (Topk_stream.to_desc top, !visited)
 
-let select_indices_par compiled keep ~k ~n ~workers ?schedule () =
+let select_indices_par compiled excluded ~k ~n ~workers ?schedule () =
   let n_chunks = (n + scan_chunk - 1) / scan_chunk in
   let shared =
     match Surrogate.Pool.radices (Surrogate.Compiled.pool compiled) with
     | Some _ -> Some (Atomic.make neg_infinity)
     | None -> None
   in
+  let total_visited = Atomic.make 0 in
   let best =
     Parallel.Pool.parallel_for_reduce workers ?schedule ~lo:0 ~hi:n_chunks ~init:[]
       ~combine:(fun a b -> merge_desc k a b)
@@ -312,22 +370,22 @@ let select_indices_par compiled keep ~k ~n ~workers ?schedule () =
         let lo = ci * scan_chunk in
         let hi = Stdlib.min n (lo + scan_chunk) in
         let top = Topk_stream.create k in
-        scan_indices compiled keep top ?shared ~n ~lo ~hi None;
+        let visited = ref 0 in
+        scan_indices compiled excluded top visited ?shared ~n ~lo ~hi None;
+        ignore (Atomic.fetch_and_add total_visited !visited);
         List.map
           (fun (score, index) -> { Topk.value = index; score; index })
           (Topk_stream.to_desc top))
   in
-  List.map (fun e -> (e.Topk.score, e.Topk.index)) best
+  (List.map (fun e -> (e.Topk.score, e.Topk.index)) best, Atomic.get total_visited)
 
 (* Exhaustive ranking over an encoded pool: stream every row's
    compiled score through a bounded heap, never materializing a
-   per-candidate score array. The evaluated-set check is inverted
-   into a per-refit exclusion mask (hashing every candidate per refit
-   would dominate the scan; the evaluated side is small). The mask is
-   written before the scan and only read during it, so the parallel
-   loop touches no shared mutable state. *)
+   per-candidate score array, and skip the rows in [excluded]. The
+   set is only read during the scan, so the parallel loop shares no
+   mutable state but the pruning threshold and the visited count. *)
 let select_ranking_exhaustive ~telemetry ~workers ~schedule ~parallel_threshold ~compiled ~k
-    ~surrogate ~encoded ~evaluated =
+    ~surrogate ~encoded ~excluded =
   let compiled =
     match compiled with
     | Some c ->
@@ -338,25 +396,11 @@ let select_ranking_exhaustive ~telemetry ~workers ~schedule ~parallel_threshold 
   in
   let t0 = Telemetry.Trace.now telemetry in
   let n = Surrogate.Pool.length encoded in
-  let keep =
-    (* Nothing evaluated yet (the first guided refit after seeding can
-       hit this via resume, and benches do): skip allocating and
-       zeroing an n-byte mask entirely. *)
-    if Param.Config.Table.length evaluated = 0 then fun _ -> true
-    else begin
-      let excluded = Bytes.make n '\000' in
-      Param.Config.Table.iter
-        (fun c () ->
-          List.iter (fun i -> Bytes.set excluded i '\001') (Surrogate.Pool.indices_of encoded c))
-        evaluated;
-      fun i -> Bytes.unsafe_get excluded i = '\000'
-    end
-  in
   let workers = match workers with Some w when n >= parallel_threshold -> Some w | _ -> None in
-  let ranked =
+  let ranked, visited =
     match workers with
-    | None -> select_indices_seq compiled keep ~k ~n
-    | Some w -> select_indices_par compiled keep ~k ~n ~workers:w ?schedule ()
+    | None -> select_indices_seq compiled excluded ~k ~n
+    | Some w -> select_indices_par compiled excluded ~k ~n ~workers:w ?schedule ()
   in
   let selected = List.map (fun (_, i) -> Surrogate.Pool.config encoded i) ranked in
   if Telemetry.Trace.enabled telemetry then
@@ -368,6 +412,8 @@ let select_ranking_exhaustive ~telemetry ~workers ~schedule ~parallel_threshold 
            selected = List.length selected;
            workers = (match workers with None -> 1 | Some w -> Parallel.Pool.size w);
            schedule = schedule_label workers schedule;
+           excluded = Exclusion.cardinal excluded;
+           visited;
            dur_ms = (Telemetry.Trace.now telemetry -. t0) *. 1000.;
          });
   selected
@@ -404,21 +450,36 @@ let select_ranking_sampled ~telemetry ~n ~k ~rng ~surrogate ~evaluated =
            selected = List.length selected;
            workers = 1;
            schedule = "sampled";
+           excluded = Param.Config.Table.length evaluated;
+           visited = n;
            dur_ms = (Telemetry.Trace.now telemetry -. t0) *. 1000.;
          });
   selected
 
-let select_many_encoded ?(telemetry = Telemetry.Trace.disabled) ?workers ?schedule
-    ?(parallel_threshold = default_parallel_threshold) ?(candidates = `Exhaustive) ?compiled
-    ~k ~rng ~surrogate ~encoded ~evaluated () =
+(* [excluded] is only forced on the exhaustive path: the sampled path
+   checks its draws against [evaluated] directly. *)
+let select_encoded ~telemetry ~workers ~schedule ~parallel_threshold ~candidates ~compiled ~k
+    ~rng ~surrogate ~encoded ~evaluated ~excluded =
   if k < 1 then invalid_arg "Strategy.select_many: k must be at least 1";
   if parallel_threshold < 0 then
     invalid_arg "Strategy.select_many: negative parallel_threshold";
   match candidates with
   | `Exhaustive ->
       select_ranking_exhaustive ~telemetry ~workers ~schedule ~parallel_threshold ~compiled ~k
-        ~surrogate ~encoded ~evaluated
+        ~surrogate ~encoded ~excluded:(excluded ())
   | `Sampled n -> select_ranking_sampled ~telemetry ~n ~k ~rng ~surrogate ~evaluated
+
+let select_many_excluding ?(telemetry = Telemetry.Trace.disabled) ?workers ?schedule
+    ?(parallel_threshold = default_parallel_threshold) ?(candidates = `Exhaustive) ?compiled
+    ~k ~rng ~surrogate ~encoded ~evaluated ~excluded () =
+  select_encoded ~telemetry ~workers ~schedule ~parallel_threshold ~candidates ~compiled ~k ~rng
+    ~surrogate ~encoded ~evaluated ~excluded:(fun () -> excluded)
+
+let select_many_encoded ?(telemetry = Telemetry.Trace.disabled) ?workers ?schedule
+    ?(parallel_threshold = default_parallel_threshold) ?(candidates = `Exhaustive) ?compiled
+    ~k ~rng ~surrogate ~encoded ~evaluated () =
+  select_encoded ~telemetry ~workers ~schedule ~parallel_threshold ~candidates ~compiled ~k ~rng
+    ~surrogate ~encoded ~evaluated ~excluded:(fun () -> Exclusion.of_table encoded evaluated)
 
 let select_many_proposal ~k ~rng ~surrogate ~evaluated ~n_candidates =
   let chosen = Param.Config.Table.create k in

@@ -71,6 +71,35 @@ module Topk_stream : sig
       Drains the heap: the accumulator is empty afterwards. *)
 end
 
+(** The pool rows guided ranking skips: a set of pool indices.
+    Campaigns keep one for their whole life and add a configuration's
+    rows ({!Surrogate.Pool.indices_of}) once, when it is first issued
+    or warm-started, so a ranking step never rebuilds the evaluated
+    set and never allocates memory proportional to the pool. The
+    ranking scan consults it only for rows that already pass the
+    top-k admission test. *)
+module Exclusion : sig
+  type t
+
+  val create : unit -> t
+  val add : t -> int -> unit
+  (** [add t i] excludes pool row [i]. *)
+
+  val mem : t -> int -> bool
+  val cardinal : t -> int
+
+  val add_config : t -> Surrogate.Pool.t -> Param.Config.t -> unit
+  (** Exclude every row of the pool holding this configuration (none
+      when it is not in the pool). *)
+
+  val of_table : Surrogate.Pool.t -> unit Param.Config.Table.t -> t
+  (** The rows of every configuration in the table: the set a
+      campaign whose seen set is the table would hold. *)
+
+  val elements : t -> int list
+  (** Ascending. *)
+end
+
 val default_parallel_threshold : int
 (** Pool size below which the ranking scan ignores [?workers] and
     runs sequentially (32768). Fanning chunks out to a domain pool
@@ -142,8 +171,16 @@ val select_many :
     draws collapse onto evaluated configurations, and the Rank span
     records schedule ["sampled"] with [pool_size = n].
 
+    The evaluated set is turned into an {!Exclusion} set once per
+    call ({!Exclusion.of_table}: one {!Surrogate.Pool.indices_of} per
+    evaluated configuration, nothing per pool row). Campaigns that
+    rank repeatedly keep that set incrementally and call
+    {!select_many_excluding} instead; both run the same scan and
+    select identically.
+
     [telemetry] receives a [Compile] span (table build) and a [Rank]
-    span (the scoring scan, with worker count and schedule label) per
+    span (the scoring scan, with worker count, schedule label, the
+    exclusion set's size and the leaf rows the scan reached) per
     [Ranking] call; tracing never affects which candidates are
     selected. *)
 
@@ -168,3 +205,25 @@ val select_many_encoded :
     it must wrap [encoded] or [Invalid_argument] is raised, and when
     present no [Compile] span is emitted here (the refit engine
     already emitted it). All other options as in {!select_many}. *)
+
+val select_many_excluding :
+  ?telemetry:Telemetry.Trace.t ->
+  ?workers:Parallel.Pool.t ->
+  ?schedule:Parallel.Pool.schedule ->
+  ?parallel_threshold:int ->
+  ?candidates:[ `Exhaustive | `Sampled of int ] ->
+  ?compiled:Surrogate.Compiled.t ->
+  k:int ->
+  rng:Prng.Rng.t ->
+  surrogate:Surrogate.t ->
+  encoded:Surrogate.Pool.t ->
+  evaluated:unit Param.Config.Table.t ->
+  excluded:Exclusion.t ->
+  unit ->
+  Param.Config.t list
+(** {!select_many_encoded} against a caller-kept exclusion set, which
+    must equal [Exclusion.of_table encoded evaluated]: the exhaustive
+    scan skips the rows in [excluded], and [`Sampled] checks its
+    draws against [evaluated]. The selection is the same as
+    {!select_many_encoded}'s; only the per-call rebuild of the set is
+    saved. *)

@@ -130,9 +130,10 @@ module Pool : sig
 
   val indices_of : t -> Param.Config.t -> int list
   (** Every pool position holding this configuration ([[]] when
-      absent) — lets the evaluated-set scan hash the small evaluated
-      side instead of every candidate on each refit. On a virtual
-      pool this is the configuration's enumeration rank. *)
+      absent) — how a campaign maps each issued configuration into
+      its ranking exclusion set once, without touching any other
+      candidate. On a virtual pool this is the configuration's
+      enumeration rank. *)
 
   val codes_bytes : t -> int
   (** Off-heap bytes held by the encoded code matrix (0 for virtual

@@ -19,6 +19,8 @@ type t =
       selected : int;
       workers : int;
       schedule : string;
+      excluded : int;
+      visited : int;
       dur_ms : float;
     }
   | Trust of {
@@ -101,13 +103,15 @@ let to_fields ev =
       ]
   | Compile { pool_size; n_params; dur_ms } ->
       [ ("pool_size", int_ pool_size); ("n_params", int_ n_params); ("dur_ms", num dur_ms) ]
-  | Rank { pool_size; k; selected; workers; schedule; dur_ms } ->
+  | Rank { pool_size; k; selected; workers; schedule; excluded; visited; dur_ms } ->
       [
         ("pool_size", int_ pool_size);
         ("k", int_ k);
         ("selected", int_ selected);
         ("workers", int_ workers);
         ("schedule", Jsonl.String schedule);
+        ("excluded", int_ excluded);
+        ("visited", int_ visited);
         ("dur_ms", num dur_ms);
       ]
   | Trust { refit; source; agreement; trust; weight; state } ->
@@ -246,6 +250,9 @@ let of_fields fields =
   | "compile" ->
       Compile { pool_size = i "pool_size"; n_params = i "n_params"; dur_ms = f "dur_ms" }
   | "rank" ->
+      (* The exclusion counters postdate the first trace schema;
+         default them so older traces still decode. *)
+      let count key = match fo key with Some v -> int_of_float v | None -> 0 in
       Rank
         {
           pool_size = i "pool_size";
@@ -253,6 +260,8 @@ let of_fields fields =
           selected = i "selected";
           workers = i "workers";
           schedule = s "schedule";
+          excluded = count "excluded";
+          visited = count "visited";
           dur_ms = f "dur_ms";
         }
   | "trust" ->

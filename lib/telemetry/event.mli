@@ -42,6 +42,14 @@ type t =
       selected : int;
       workers : int;  (** loop participants; 1 for the sequential scan *)
       schedule : string;  (** "seq", "static", "dynamicN", or "guided" *)
+      excluded : int;
+          (** size of the exclusion set the scan skipped (evaluated and
+              in-flight pool rows; for schedule "sampled", the
+              evaluated set); 0 when decoded from an older trace *)
+      visited : int;
+          (** leaf rows the scan reached — the rest were pruned by
+              branch and bound (for "sampled", the draws); 0 when
+              decoded from an older trace *)
       dur_ms : float;
     }
   | Trust of {

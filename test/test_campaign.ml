@@ -221,6 +221,109 @@ let prop_resume_any_cut =
       in
       run_outcomes_identical full resumed)
 
+(* ---- property: the exclusion set tracks the seen set ---- *)
+
+(* Guided ranking skips the pool rows in the campaign's exclusion set,
+   which is kept incrementally. At every step it must hold exactly the
+   rows of every configuration warm-started or issued so far. *)
+let rows_of space configs =
+  let pool = Hiperbot.Surrogate.Pool.of_space space in
+  List.sort_uniq Int.compare (List.concat_map (Hiperbot.Surrogate.Pool.indices_of pool) configs)
+
+let ok_verdict c =
+  {
+    Resilience.Evaluator.outcome = Resilience.Outcome.Value (Gen.hash_objective c);
+    attempts = 1;
+    retry_cost = 0.;
+  }
+
+(* Drive to completion, reporting the newest outstanding suggestion
+   first, and check the exclusion set after every transition. [seen]
+   starts as what the campaign has seen before driving begins. *)
+let drive_checking_exclusion campaign ~space ~seen =
+  let seen = ref seen and ok = ref true in
+  let check_now () =
+    if Hiperbot.Campaign.excluded campaign <> rows_of space !seen then ok := false
+  in
+  check_now ();
+  let rec loop outstanding =
+    match Hiperbot.Campaign.suggest campaign with
+    | Hiperbot.Campaign.Suggest s ->
+        seen := s.Hiperbot.Campaign.config :: !seen;
+        check_now ();
+        loop (s :: outstanding)
+    | Hiperbot.Campaign.Wait | Hiperbot.Campaign.Finished -> (
+        match outstanding with
+        | [] -> ()
+        | s :: rest ->
+            Hiperbot.Campaign.report campaign ~id:s.Hiperbot.Campaign.id
+              (ok_verdict s.Hiperbot.Campaign.config);
+            check_now ();
+            loop rest)
+  in
+  loop (Hiperbot.Campaign.pending campaign);
+  !ok
+
+let exclusion_gen =
+  let open QCheck2.Gen in
+  let* space = Gen.space_gen ~max_params:3 ~allow_continuous:false () in
+  let* seed = Gen.seed_gen in
+  let* n_init = int_range 1 6 in
+  let* budget = int_range 1 16 in
+  let* async = bool in
+  let+ warm = Gen.configs_gen ~min_n:0 ~max_n:3 space in
+  (space, seed, n_init, budget, async, warm)
+
+(* Sync and async k=4, with and without a warm start; then the
+   recorded run is cut at every point and rebuilt with [of_log], whose
+   exclusion set must hold the warm start, the replayed prefix and the
+   refilled in-flight slots, and keep tracking the resumed run. *)
+let prop_exclusion_tracks_seen =
+  QCheck2.Test.make
+    ~name:"campaign: exclusion set = rows of every issued or warm-started config, resume included"
+    ~count:40
+    ~print:(fun (space, seed, n_init, budget, async, warm) ->
+      Printf.sprintf "%s seed=%d n_init=%d budget=%d async=%b warm=%d"
+        (Gen.space_to_string space) seed n_init budget async (Array.length warm))
+    exclusion_gen
+    (fun (space, seed, n_init, budget, async, warm) ->
+      let options = { Hiperbot.Tuner.default_options with n_init } in
+      let warm_start = Array.map (fun c -> (c, Gen.hash_objective c)) warm in
+      let mode = if async then Hiperbot.Campaign.Async 4 else Hiperbot.Campaign.Sync in
+      let recorded = ref [] in
+      let campaign =
+        Hiperbot.Campaign.create ~options ~warm_start
+          ~on_outcome:(fun i c v -> recorded := (i, c, v) :: !recorded)
+          ~mode ~rng:(Prng.Rng.create seed) ~space ~budget ()
+      in
+      let live = drive_checking_exclusion campaign ~space ~seen:(Array.to_list warm) in
+      let recorded = List.rev !recorded in
+      let entries =
+        List.map
+          (fun (i, c, (v : Resilience.Evaluator.verdict)) ->
+            {
+              Dataset.Runlog.index = i;
+              config = c;
+              status = Gen.status_of_outcome v.Resilience.Evaluator.outcome;
+              attempts = v.Resilience.Evaluator.attempts;
+            })
+          recorded
+      in
+      let resumed_at cut =
+        let prefix = List.filteri (fun i _ -> i < cut) entries in
+        let log = Dataset.Runlog.create ~name:"cut" ~seed ~space prefix in
+        let campaign =
+          Hiperbot.Campaign.of_log ~options ~warm_start ~mode ~log ~budget ()
+        in
+        let seen =
+          Array.to_list warm
+          @ List.map (fun e -> e.Dataset.Runlog.config) prefix
+          @ List.map (fun s -> s.Hiperbot.Campaign.config) (Hiperbot.Campaign.pending campaign)
+        in
+        drive_checking_exclusion campaign ~space ~seen
+      in
+      live && List.for_all resumed_at (List.init (List.length entries + 1) Fun.id))
+
 (* ---- report rejection: duplicates, unknown ids, finished ---- *)
 
 let rejects f =
@@ -452,4 +555,5 @@ let suite =
       QCheck_alcotest.to_alcotest (prop_async_conformance 1);
       QCheck_alcotest.to_alcotest (prop_async_conformance 4);
       QCheck_alcotest.to_alcotest prop_resume_any_cut;
+      QCheck_alcotest.to_alcotest prop_exclusion_tracks_seen;
     ] )

@@ -412,6 +412,111 @@ let test_virtual_pool_matches_materialized () =
            (Hiperbot.Strategy.select_many_encoded ~workers ~parallel_threshold:0 ~k:5 ~rng
               ~surrogate ~encoded:virt ~evaluated ())))
 
+(* ---- branch and bound is exact in floating point ---- *)
+
+(* Virtual pools of 5-7 parameters whose compiled tables are
+   overwritten with values from {-0.2, -0.1, 0, 0.1, 0.2}: not exactly
+   representable, so sums taken in different orders round
+   differently, and so heavily tied that the best score recurs across
+   parallel chunks. A subtree bound summed in any order other than a
+   row's own can fall an ulp below that row; once another chunk has
+   published the row's score as the shared threshold, the
+   smaller-index tie is pruned (the right-to-left bound failed ~4% of
+   these cases). Every row in a random exclusion set must be skipped.
+   At configuration level, the sequential and parallel scans must both
+   equal a naive scan of every unexcluded row. *)
+let prop_branch_and_bound_exact =
+  let gen =
+    let open QCheck2.Gen in
+    let* radices = list_size (int_range 5 7) (int_range 2 6) in
+    let n = List.fold_left ( * ) 1 radices in
+    let* tenths = list_repeat (List.fold_left ( + ) 0 radices) (int_range (-2) 2) in
+    let* excluded = list_size (int_range 1 40) (int_range 0 (n - 1)) in
+    let+ k = int_range 1 5 in
+    (radices, tenths, excluded, k)
+  in
+  QCheck2.Test.make
+    ~name:"strategy: branch and bound = naive scan on tie-heavy tables, sequential and parallel"
+    ~count:300
+    ~print:(fun (radices, tenths, excluded, k) ->
+      Printf.sprintf "radices=[%s] tenths=[%s] excluded=[%s] k=%d"
+        (String.concat ";" (List.map string_of_int radices))
+        (String.concat ";" (List.map string_of_int tenths))
+        (String.concat ";" (List.map string_of_int excluded))
+        k)
+    gen
+    (fun (radices, tenths, excluded, k) ->
+      let space =
+        Param.Space.make
+          (List.mapi
+             (fun p r ->
+               Param.Spec.ordinal_ints (Printf.sprintf "p%d" p) (List.init r (fun j -> j + 1)))
+             radices)
+      in
+      let encoded = Hiperbot.Surrogate.Pool.of_space space in
+      let obs = Array.init 4 (fun i -> (Hiperbot.Surrogate.Pool.config encoded i, float_of_int i)) in
+      let surrogate = Hiperbot.Surrogate.fit space obs in
+      let compiled = Hiperbot.Surrogate.compile surrogate encoded in
+      let table = Hiperbot.Surrogate.Compiled.table compiled in
+      List.iteri (fun j t -> Bigarray.Array1.set table j (0.1 *. float_of_int t)) tenths;
+      let evaluated = Param.Config.Table.create 8 in
+      List.iter
+        (fun i -> Param.Config.Table.replace evaluated (Hiperbot.Surrogate.Pool.config encoded i) ())
+        excluded;
+      let select ?workers () =
+        Hiperbot.Strategy.select_many_encoded ?workers ~parallel_threshold:0 ~compiled ~k
+          ~rng:(Prng.Rng.create 1) ~surrogate ~encoded ~evaluated ()
+      in
+      let naive =
+        let top = Hiperbot.Strategy.Topk.create k in
+        for i = 0 to Hiperbot.Surrogate.Pool.length encoded - 1 do
+          let c = Hiperbot.Surrogate.Pool.config encoded i in
+          if not (Param.Config.Table.mem evaluated c) then
+            Hiperbot.Strategy.Topk.offer_indexed top c
+              (Hiperbot.Surrogate.Compiled.log_ratio compiled i)
+              i
+        done;
+        Hiperbot.Strategy.Topk.to_list_desc top
+      in
+      let sequential = select () in
+      let parallel = Parallel.Pool.with_pool ~num_domains:1 (fun workers -> select ~workers ()) in
+      same_configs naive sequential && same_configs naive parallel)
+
+(* One ranking call over a 10^7-row virtual pool with 200 evaluated
+   rows must not allocate anything proportional to the pool: the
+   exclusion set is built from the evaluated side and the scan keeps
+   its prefix sums and threshold in preallocated float arrays. *)
+let test_rank_allocation_bounded () =
+  let space =
+    Param.Space.make
+      (List.init 7 (fun p ->
+           Param.Spec.ordinal_ints (Printf.sprintf "p%d" p) (List.init 10 (fun j -> j + 1))))
+  in
+  let encoded = Hiperbot.Surrogate.Pool.of_space space in
+  check Alcotest.int "pool size" 10_000_000 (Hiperbot.Surrogate.Pool.length encoded);
+  let rng = Prng.Rng.create 5 in
+  let obs =
+    Array.init 200 (fun _ ->
+        let c = Param.Space.random_config space rng in
+        (c, objective3 c))
+  in
+  let evaluated = Param.Config.Table.create 256 in
+  Array.iter (fun (c, _) -> Param.Config.Table.replace evaluated c ()) obs;
+  let engine = Hiperbot.Surrogate.Refit.create encoded in
+  let surrogate, compiled = Hiperbot.Surrogate.Refit.update engine obs in
+  let select () =
+    Hiperbot.Strategy.select_many_encoded ~compiled ~k:1 ~rng ~surrogate ~encoded ~evaluated ()
+  in
+  ignore (select ());
+  let before = Gc.allocated_bytes () in
+  let selected = select () in
+  let allocated = Gc.allocated_bytes () -. before in
+  check Alcotest.int "one configuration selected" 1 (List.length selected);
+  check Alcotest.bool "selection is unevaluated" false
+    (Param.Config.Table.mem evaluated (List.hd selected));
+  if allocated >= 1e6 then
+    Alcotest.failf "one ranking call allocated %.0f bytes (limit 1 MB)" allocated
+
 (* ---- sampled-candidate mode ---- *)
 
 let test_sampled_mode_deterministic () =
@@ -495,6 +600,9 @@ let suite =
         test_virtual_pool_matches_materialized;
       Alcotest.test_case "sampled candidates deterministic from seed" `Quick
         test_sampled_mode_deterministic;
+      Alcotest.test_case "ranking a 10^7 pool allocates under 1 MB" `Quick
+        test_rank_allocation_bounded;
+      QCheck_alcotest.to_alcotest prop_branch_and_bound_exact;
       QCheck_alcotest.to_alcotest prop_compiled_matches_naive;
       QCheck_alcotest.to_alcotest prop_stream_topk_matches_topk;
       QCheck_alcotest.to_alcotest prop_incremental_refit_matches_full;

@@ -353,6 +353,63 @@ let test_resume_divergence_fails () =
   expect_failure "single-rung plan" (fun () ->
       resume_with ~plan:{ three_rung_plan with costs = [| 1. |] } events)
 
+(* Guided bracket seeding ranks against an exclusion set that must
+   hold the pool row of every configuration that entered rung 0
+   earlier: each Rank event's [excluded] count equals the distinct
+   rung-0 entrants of the brackets before it, in an uninterrupted run
+   and in runs resumed from cut logs. *)
+let test_exclusion_tracks_rung0 () =
+  let seed = 13 and space = Gen.wide_space in
+  let plan = { three_rung_plan with brackets = 3 } in
+  let traced ?log () =
+    let sink, collected = Telemetry.Trace.memory_sink () in
+    let telemetry = Telemetry.Trace.make [ sink ] in
+    let fids = ref [] in
+    let on_fid f = fids := f :: !fids in
+    ignore
+      (fid_result
+         (match log with
+         | None ->
+             Fidelity.run ~telemetry ~on_fid ~plan ~k:3 ~rng:(Prng.Rng.create seed) ~space
+               ~objective:scaled_objective ~budget:200 ()
+         | Some log ->
+             Fidelity.resume ~telemetry ~on_fid ~plan ~k:3 ~log ~objective:scaled_objective
+               ~budget:200 ()));
+    let excluded =
+      List.filter_map
+        (function _, Telemetry.Event.Rank { excluded; _ } -> Some excluded | _ -> None)
+        (collected ())
+    in
+    (excluded, List.rev !fids)
+  in
+  let excluded, fids = traced () in
+  Alcotest.check Alcotest.int "one guided ranking per later bracket" (plan.Fidelity.brackets - 1)
+    (List.length excluded);
+  List.iteri
+    (fun i got ->
+      let entrants = Param.Config.Table.create 32 in
+      List.iter
+        (fun (f : Dataset.Runlog.fid) ->
+          if f.Dataset.Runlog.f_rung = 0 && f.Dataset.Runlog.f_bracket <= i then
+            Param.Config.Table.replace entrants f.Dataset.Runlog.f_config ())
+        fids;
+      Alcotest.check Alcotest.int
+        (Printf.sprintf "ranking %d excludes every earlier rung-0 entrant" i)
+        (Param.Config.Table.length entrants) got)
+    excluded;
+  let _, events =
+    record_run ~plan ~k:3 ~seed ~space ~objective:scaled_objective ~budget:200 ()
+  in
+  let n = List.length events in
+  List.iter
+    (fun cut ->
+      let log = log_of_events ~seed ~space (List.filteri (fun i _ -> i < cut) events) in
+      Alcotest.check (Alcotest.list Alcotest.int)
+        (Printf.sprintf "cut=%d: resumed rankings exclude the same rows" cut)
+        excluded
+        (fst (traced ~log ())))
+    [ 0; n / 3; 2 * n / 3; n ]
+
 let prop_resume_bitexact =
   QCheck2.Test.make ~name:"resume from any cut point is bit-identical" ~count:25
     ~print:(fun (seed, cut) -> Printf.sprintf "seed=%d cut=%d" seed cut)
@@ -383,6 +440,7 @@ let suite =
       tc "two brackets: guided seeding, dedup, exact history" `Quick test_multi_bracket;
       tc "interrupt/resume is bit-exact at every cut" `Slow test_interrupt_resume_bitexact;
       tc "resume fails loudly on divergence" `Quick test_resume_divergence_fails;
+      tc "exclusion set tracks rung-0 entrants" `Quick test_exclusion_tracks_rung0;
       QCheck_alcotest.to_alcotest prop_degenerate_matches_async;
       QCheck_alcotest.to_alcotest prop_resume_bitexact;
     ] )

@@ -44,7 +44,17 @@ let all_events : Telemetry.Event.t list =
     Promote { bracket = 0; rung = 1; kept = 4; total = 12; best = 3.0625 };
     Demote { bracket = 2; rung = 0; dropped = 8; total = 12 };
     Compile { pool_size = 1620; n_params = 6; dur_ms = 0.125 };
-    Rank { pool_size = 1620; k = 2; selected = 2; workers = 4; schedule = "dynamic:64"; dur_ms = 1.5 };
+    Rank
+      {
+        pool_size = 1620;
+        k = 2;
+        selected = 2;
+        workers = 4;
+        schedule = "dynamic:64";
+        excluded = 37;
+        visited = 1583;
+        dur_ms = 1.5;
+      };
     Submit { index = 0; in_flight = 1; sim_time = 0. };
     Submit { index = 5; in_flight = 4; sim_time = 12.25 };
     Complete { index = 3; in_flight = 3; sim_time = 14.5; kind = "ok" };
@@ -356,6 +366,24 @@ let test_trust_decodes_with_defaults () =
   | Telemetry.Event.Gate { refit = 3; source = -1; action = "fallback"; trust = 0. } -> ()
   | _ -> Alcotest.fail "minimal gate event must decode as Gate"
 
+(* Rank events written before the exclusion counters existed carry
+   neither field; both decode as 0. *)
+let test_rank_decodes_with_defaults () =
+  match
+    Telemetry.Event.of_fields
+      [
+        ("ev", Telemetry.Jsonl.String "rank");
+        ("pool_size", Telemetry.Jsonl.Number 1620.);
+        ("k", Telemetry.Jsonl.Number 1.);
+        ("selected", Telemetry.Jsonl.Number 1.);
+        ("workers", Telemetry.Jsonl.Number 1.);
+        ("schedule", Telemetry.Jsonl.String "seq");
+        ("dur_ms", Telemetry.Jsonl.Number 0.25);
+      ]
+  with
+  | Telemetry.Event.Rank { pool_size = 1620; excluded = 0; visited = 0; _ } -> ()
+  | _ -> Alcotest.fail "a rank event without exclusion counters must decode with zeros"
+
 let test_summary_gate_lines () =
   let s = Telemetry.Summary.create () in
   let feed ts ev = Telemetry.Summary.observe s ~ts ev in
@@ -442,6 +470,7 @@ let suite =
       tc "kripke campaign trace" `Quick test_kripke_campaign_trace;
       tc "resume with trace parity" `Quick test_resume_with_trace_parity;
       tc "trust/gate decode with defaults" `Quick test_trust_decodes_with_defaults;
+      tc "rank decodes with defaults" `Quick test_rank_decodes_with_defaults;
       tc "summary gate lines" `Quick test_summary_gate_lines;
       tc "summary fidelity lines" `Quick test_summary_fidelity_lines;
       tc "summary golden file" `Quick test_summary_golden;
