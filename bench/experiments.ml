@@ -26,7 +26,9 @@ let fig1 ~reps:_ () =
   let stages = [ (1, "after iteration 1"); (9, "after iteration 10") ] in
   let snapshot budget label =
     let rng = Prng.Rng.copy rng in
-    let result = Hiperbot.Tuner.run ~options ~rng ~space ~objective:toy_objective ~budget:(10 + budget) () in
+    let result =
+      Harness.tune ~options ~rng ~space ~objective:toy_objective ~budget:(10 + budget) ()
+    in
     Harness.subsection (Printf.sprintf "Samples %s" label);
     Printf.printf "best f=%.3f at x=%.3f\n" result.Hiperbot.Tuner.best_value
       (Param.Value.to_float_raw result.Hiperbot.Tuner.best_config.(0));
@@ -117,7 +119,7 @@ let sensitivity ~reps ~title ~values ~value_label ~options_of =
           let summary =
             Metrics.Runner.replicate ~reps ~base_seed:2000 (fun ~rng ->
                 let r =
-                  Hiperbot.Tuner.run ~options:(options_of v) ~rng ~space ~objective
+                  Harness.tune ~options:(options_of v) ~rng ~space ~objective
                     ~budget:sensitivity_budget ()
                 in
                 r.Hiperbot.Tuner.best_value /. exhaustive)
@@ -200,7 +202,9 @@ let transfer_figure ~reps ~title ~src_name ~trgt_name =
       ( "HiPerBOt",
         fun ~rng ~budget ->
           Baselines.Outcome.of_tuner_result
-            (Hiperbot.Transfer.run ~rng ~space ~source ~objective ~budget ()) );
+            (Harness.tune
+               ~options:(Hiperbot.Transfer.options ~space [ (source, 1.) ])
+               ~rng ~space ~objective ~budget ()) );
     ]
   in
   Printf.printf "%-22s" "threshold (good cases)";
@@ -330,7 +334,7 @@ let ablation_bandwidth ~reps () =
       in
       let s =
         Metrics.Runner.replicate ~reps ~base_seed:5000 (fun ~rng ->
-            (Hiperbot.Tuner.run ~options ~rng ~space ~objective:toy_objective ~budget:60 ())
+            (Harness.tune ~options ~rng ~space ~objective:toy_objective ~budget:60 ())
               .Hiperbot.Tuner.best_value)
       in
       Printf.printf "%-12s %10.4f+-%6.4f\n%!" label s.Metrics.Runner.mean s.Metrics.Runner.std)
@@ -355,8 +359,11 @@ let ablation_transfer_weight ~reps () =
       let s =
         Metrics.Runner.replicate ~reps ~base_seed:6000 (fun ~rng ->
             let r =
-              if weight = 0. then Hiperbot.Tuner.run ~rng ~space ~objective ~budget ()
-              else Hiperbot.Transfer.run ~weight ~rng ~space ~source ~objective ~budget ()
+              if weight = 0. then Harness.tune ~rng ~space ~objective ~budget ()
+              else
+                Harness.tune
+                  ~options:(Hiperbot.Transfer.options ~space [ (source, weight) ])
+                  ~rng ~space ~objective ~budget ()
             in
             Metrics.Recall.recall good r.Hiperbot.Tuner.history)
       in
@@ -399,7 +406,7 @@ let ablation_early_stop ~reps () =
       for r = 0 to reps - 1 do
         let rng = Prng.Rng.create (7000 + r) in
         let options = { Hiperbot.Tuner.default_options with early_stop = patience } in
-        let result = Hiperbot.Tuner.run ~options ~rng ~space ~objective ~budget:192 () in
+        let result = Harness.tune ~options ~rng ~space ~objective ~budget:192 () in
         Stats.Running.add bests result.Hiperbot.Tuner.best_value;
         Stats.Running.add evals (float_of_int (Array.length result.Hiperbot.Tuner.history));
         if result.Hiperbot.Tuner.stopped_early then incr stopped

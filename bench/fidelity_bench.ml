@@ -168,7 +168,7 @@ let run ~reps () =
         for rep = 0 to reps - 1 do
           let seed = 100 + rep in
           let flat =
-            Hiperbot.Tuner.run ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
+            Harness.tune ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
           in
           Stats.Running.add row.flat_best flat.Hiperbot.Tuner.best_value;
           Stats.Running.add row.flat_recall

@@ -7,6 +7,16 @@ type tuner = {
   run : rng:Prng.Rng.t -> budget:int -> Baselines.Outcome.t;
 }
 
+(* Tune a total objective with the synchronous driver. *)
+let tune ?options ~rng ~space ~objective ~budget () =
+  match
+    Hiperbot.Tuner.run_with_policy ?options ~rng ~space
+      ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (objective c))
+      ~budget ()
+  with
+  | Ok r -> r
+  | Error _ -> failwith "every evaluation failed"
+
 let hiperbot_tuner ?(options = Hiperbot.Tuner.default_options) ?(label = "HiPerBOt") table =
   let space = Dataset.Table.space table in
   let objective = Dataset.Table.objective_fn table in
@@ -14,8 +24,7 @@ let hiperbot_tuner ?(options = Hiperbot.Tuner.default_options) ?(label = "HiPerB
     label;
     run =
       (fun ~rng ~budget ->
-        Baselines.Outcome.of_tuner_result
-          (Hiperbot.Tuner.run ~options ~rng ~space ~objective ~budget ()));
+        Baselines.Outcome.of_tuner_result (tune ~options ~rng ~space ~objective ~budget ()));
   }
 
 let random_tuner table =

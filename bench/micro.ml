@@ -89,7 +89,7 @@ let lulesh_timing () =
   let objective = Dataset.Table.objective_fn table in
   let rng = Prng.Rng.create 11 in
   let t0 = Sys.time () in
-  let result = Hiperbot.Tuner.run ~rng ~space ~objective ~budget:150 () in
+  let result = Harness.tune ~rng ~space ~objective ~budget:150 () in
   let dt = Sys.time () -. t0 in
   Printf.printf "budget=150 evaluations: %.0f ms tuner time, best %.3f s (exhaustive %.3f s)\n%!"
     (1000. *. dt) result.Hiperbot.Tuner.best_value (Dataset.Table.best_value table)

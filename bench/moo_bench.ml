@@ -152,8 +152,7 @@ let run ~reps () =
        front as the informational column. *)
     let single objective =
       let r =
-        Hiperbot.Tuner.run ~rng:(Prng.Rng.create seed) ~space ~objective ~budget:total_budget
-          ()
+        Harness.tune ~rng:(Prng.Rng.create seed) ~space ~objective ~budget:total_budget ()
       in
       let returned = front_of_configs [ r.Hiperbot.Tuner.best_config ] in
       let visited =

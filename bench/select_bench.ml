@@ -168,7 +168,6 @@ type large_row = {
   lp_reference_ns : float option;  (* None: PR 2 path skipped *)
   lp_incremental_ns : float;
   lp_parallel_ns : float option;  (* virtual-pool parallel scan, informational *)
-  lp_sampled_ns : float;
   lp_excluded_ms : float;  (* one streaming select excluding [n_excluded] evaluated rows *)
   lp_excluded_ok : bool;  (* no excluded row selected; parallel = sequential *)
   lp_boxed_seq_ns : float option;  (* linear chunked scan over the materialized pool *)
@@ -274,17 +273,6 @@ let large_pool_row ~reps n_params =
             /. float_of_int n_refits *. 1e9
           in
           (Some ns, Some matches))
-  in
-  (* Sampled-candidate mode: per-suggest cost is O(draws), independent
-     of the pool size — the escape hatch beyond exhaustive scans. *)
-  let sampled_ns =
-    let engine = Hiperbot.Surrogate.Refit.create ~options virt in
-    let surrogate, compiled =
-      Hiperbot.Surrogate.Refit.update engine obs_steps.(n_refits - 1)
-    in
-    time_ns ~reps (fun () ->
-        Hiperbot.Strategy.select_many_encoded ~candidates:(`Sampled 4096) ~compiled ~k
-          ~rng:(Prng.Rng.create 7) ~surrogate ~encoded:virt ~evaluated ())
   in
   (* A campaign's steady state: one select that must skip
      [n_excluded] evaluated rows. The exclusion set is built from the
@@ -402,7 +390,6 @@ let large_pool_row ~reps n_params =
     lp_reference_ns = reference_ns;
     lp_incremental_ns = incremental_ns;
     lp_parallel_ns = parallel_ns;
-    lp_sampled_ns = sampled_ns;
     lp_excluded_ms = excluded_ms;
     lp_excluded_ok = excluded_ok;
     lp_boxed_seq_ns = boxed_seq_ns;
@@ -429,9 +416,8 @@ let print_large_row r =
     | None -> "-")
     (fmt_opt r.lp_parallel_ns);
   Printf.printf
-    "          sampled-4096 %12.0f ns/suggest  mem live %.1f MB (heap %.1f MB, tables %.1f \
-     KB, codes %.1f KB%s)\n"
-    r.lp_sampled_ns (mb r.lp_live_bytes) (mb r.lp_heap_bytes)
+    "          mem live %.1f MB (heap %.1f MB, tables %.1f KB, codes %.1f KB%s)\n"
+    (mb r.lp_live_bytes) (mb r.lp_heap_bytes)
     (float_of_int r.lp_table_bytes /. 1024.)
     (float_of_int r.lp_codes_bytes /. 1024.)
     (match r.lp_reference_heap_bytes with
@@ -614,15 +600,15 @@ let run ~reps () =
       Printf.bprintf buf
         "    { \"pool_size\": %d, \"n_params\": %d, \"virtual\": true, \
          \"reference_refit_ns\": %s, \"incremental_refit_ns\": %.1f, \"refit_speedup\": %s, \
-         \"parallel_refit_ns\": %s, \"sampled_suggest_ns\": %.1f, \"select_ms_excluded\": \
-         %.4f, \"boxed_seq_select_ns\": %s, \"boxed_par_select_ns\": %s, \"heap_bytes\": %d, \
+         \"parallel_refit_ns\": %s, \"select_ms_excluded\": %.4f, \"boxed_seq_select_ns\": \
+         %s, \"boxed_par_select_ns\": %s, \"heap_bytes\": %d, \
          \"live_bytes\": %d, \"table_bytes\": %d, \"codes_bytes\": %d, \"reference_heap_bytes\": %s, \"deltas\": \
          { \"unchanged\": %d, \"appended\": %d, \"rebuilt\": %d }, \"matches_reference\": \
          %s, \"parallel_matches\": %s, \"boxed_par_matches\": %s }%s\n"
         r.lp_size r.lp_params (opt_f r.lp_reference_ns) r.lp_incremental_ns
         (opt_f
            (Option.map (fun ref_ns -> ref_ns /. r.lp_incremental_ns) r.lp_reference_ns))
-        (opt_f r.lp_parallel_ns) r.lp_sampled_ns r.lp_excluded_ms (opt_f r.lp_boxed_seq_ns)
+        (opt_f r.lp_parallel_ns) r.lp_excluded_ms (opt_f r.lp_boxed_seq_ns)
         (opt_f r.lp_boxed_par_ns) r.lp_heap_bytes r.lp_live_bytes r.lp_table_bytes
         r.lp_codes_bytes
         (opt_i r.lp_reference_heap_bytes)

@@ -105,11 +105,13 @@ let run ~reps () =
             Stats.Running.add best r.Hiperbot.Tuner.best_value;
             Stats.Running.add recall (Metrics.Recall.recall good r.Hiperbot.Tuner.history)
           in
-          Hiperbot.Transfer.run ~rng:(Prng.Rng.create seed) ~space ~source ~objective ~budget ()
-          |> add row.transfer_best row.transfer_recall;
-          Hiperbot.Transfer.run ~gate:None ~rng:(Prng.Rng.create seed) ~space ~source ~objective
-            ~budget ()
-          |> add row.ungated_best row.ungated_recall;
+          let transfer ?gate () =
+            Harness.tune
+              ~options:(Hiperbot.Transfer.options ?gate ~space [ (source, 1.) ])
+              ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
+          in
+          transfer () |> add row.transfer_best row.transfer_recall;
+          transfer ~gate:None () |> add row.ungated_best row.ungated_recall;
           let copula =
             Baselines.Copula_transfer.run ~rng:(Prng.Rng.create seed) ~space ~source ~objective
               ~budget ()
@@ -117,7 +119,7 @@ let run ~reps () =
           Stats.Running.add row.copula_best copula.Baselines.Outcome.best_value;
           Stats.Running.add row.copula_recall
             (Metrics.Recall.recall good copula.Baselines.Outcome.history);
-          Hiperbot.Tuner.run ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
+          Harness.tune ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
           |> add row.noprior_best row.noprior_recall;
           let random =
             Baselines.Random_search.run ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()

@@ -206,15 +206,6 @@ let proposal_arg =
   let doc = "Use the Proposal selection strategy with $(docv) sampled candidates instead of exhaustive Ranking." in
   Arg.(value & opt (some int) None & info [ "proposal" ] ~docv:"K" ~doc)
 
-let sampled_arg =
-  let doc =
-    "Keep the Ranking strategy but rank only $(docv) candidates drawn from the good density per \
-     guided step instead of scanning the whole pool — O($(docv)) per suggestion regardless of \
-     the pool size. Deterministic from --seed, but not bit-identical to the exhaustive scan. \
-     Hiperbot method only; incompatible with --proposal."
-  in
-  Arg.(value & opt (some int) None & info [ "sampled-candidates" ] ~docv:"N" ~doc)
-
 let verbose_arg =
   let doc = "Print every evaluation, not just improvements." in
   Arg.(value & flag & info [ "verbose" ] ~doc)
@@ -287,6 +278,21 @@ let with_jobs jobs f =
   if jobs > 1 then Parallel.Pool.with_pool ~num_domains:(jobs - 1) (fun p -> f (Some p))
   else f None
 
+(* Invalid options surface as [Invalid_argument] from the engine's
+   setup, before the first evaluation; report them as a CLI error. *)
+let engine_setup f = try Ok (f ()) with Invalid_argument msg -> Error msg
+
+(* Tune a dataset objective, a table lookup that never fails, with the
+   synchronous driver. *)
+let tune_total ?options ?candidates ?on_gate ~rng ~space ~objective ~budget () =
+  match
+    Hiperbot.Tuner.run_with_policy ?options ?candidates ?on_gate ~rng ~space
+      ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (objective c))
+      ~budget ()
+  with
+  | Stdlib.Ok r -> r
+  | Stdlib.Error _ -> failwith "every evaluation failed"
+
 let status_of_outcome = function
   | Resilience.Outcome.Value y -> Dataset.Runlog.Ok y
   | Resilience.Outcome.Transient _ -> Dataset.Runlog.Failed Dataset.Runlog.Transient
@@ -304,7 +310,7 @@ let tune_cmd =
     in
     Arg.(value & opt_all string [] & info [ "transfer-from" ] ~docv:"FILE[:W]" ~doc)
   in
-  let run dataset seed budget method_ alpha n_init proposal sampled verbose trace_file
+  let run dataset seed budget method_ alpha n_init proposal verbose trace_file
       trace_summary save resume faults fault_seed retries timeout jobs async transfer_from
       transfer_weighting transfer_decay transfer_gate no_transfer_gate fidelity brackets eta =
     match find_table dataset with
@@ -314,15 +320,25 @@ let tune_cmd =
         let space = Dataset.Table.space table in
         let objective = Dataset.Table.objective_fn table in
         let rng = Prng.Rng.create seed in
-        let resilient = resume || faults > 0. || async <> None in
         let gate_opts = resolve_gate transfer_gate no_transfer_gate in
+        let base_options =
+          {
+            Hiperbot.Tuner.default_options with
+            n_init;
+            strategy =
+              (match proposal with
+              | Some k -> Hiperbot.Strategy.Proposal { n_candidates = k }
+              | None -> Hiperbot.Strategy.Ranking);
+            surrogate = { Hiperbot.Surrogate.default_options with alpha };
+          }
+        in
         (* Resolve --transfer-from eagerly so a bad source log fails
            before any tuning starts; the resulting prior rides in the
-           options, so every engine path (plain, resilient, resume,
-           async) picks it up without further wiring. *)
-        let transfer_prior =
+           options, so every engine path (plain, resume, async) picks
+           it up without further wiring. *)
+        let hiperbot_options =
           match (transfer_from, gate_opts) with
-          | [], _ | _, Error _ -> Ok None
+          | [], _ | _, Error _ -> Ok base_options
           | files, Ok gate -> (
               match check_source_specs files with
               | Error e -> Error e
@@ -332,16 +348,12 @@ let tune_cmd =
                   | Ok sources -> (
                       try
                         Ok
-                          (Some
-                             (Hiperbot.Tuner.prior_of
-                                ~decay:(Hiperbot.Transfer.decay_of_schedule transfer_decay)
-                                ?gate
-                                (Hiperbot.Transfer.prior_of_sources
-                                   ~options:{ Hiperbot.Surrogate.default_options with alpha }
-                                   ~weighting:transfer_weighting space sources)))
+                          (Hiperbot.Transfer.options ~options:base_options
+                             ~weighting:transfer_weighting ~schedule:transfer_decay ~gate ~space
+                             sources)
                       with Invalid_argument msg -> Error msg)))
         in
-        if resilient && method_ <> `Hiperbot then
+        if (resume || faults > 0. || async <> None) && method_ <> `Hiperbot then
           `Error (false, "--resume, --faults, and --async are only supported with --method hiperbot")
         else if (match async with Some k -> k < 1 | None -> false) then
           `Error (false, "--async K must be at least 1")
@@ -351,12 +363,6 @@ let tune_cmd =
         else if retries < 1 then `Error (false, "--retries must be at least 1")
         else if (match timeout with Some t -> t <= 0. | None -> false) then
           `Error (false, "--timeout must be positive")
-        else if (match sampled with Some n -> n < 1 | None -> false) then
-          `Error (false, "--sampled-candidates N must be at least 1")
-        else if sampled <> None && proposal <> None then
-          `Error (false, "--sampled-candidates is incompatible with --proposal")
-        else if sampled <> None && method_ <> `Hiperbot then
-          `Error (false, "--sampled-candidates is only supported with --method hiperbot")
         else if jobs < 1 then `Error (false, "--jobs must be at least 1")
         else if jobs > 1 && method_ <> `Hiperbot then
           `Error (false, "--jobs is only supported with --method hiperbot")
@@ -367,8 +373,8 @@ let tune_cmd =
         else if (transfer_gate <> None || no_transfer_gate) && transfer_from = [] then
           `Error (false, "--transfer-gate and --no-transfer-gate require --transfer-from")
         else if Result.is_error gate_opts then `Error (false, Result.get_error gate_opts)
-        else if Result.is_error transfer_prior then
-          `Error (false, Result.get_error transfer_prior)
+        else if Result.is_error hiperbot_options then
+          `Error (false, Result.get_error hiperbot_options)
         else if (match fidelity with Some r -> r < 1 | None -> false) then
           `Error (false, "--fidelity R must be at least 1")
         else if fidelity <> None && method_ <> `Hiperbot then
@@ -435,21 +441,7 @@ let tune_cmd =
                 result.Hiperbot.Tuner.n_attempts result.Hiperbot.Tuner.retry_cost;
             Baselines.Outcome.of_tuner_result result
           in
-          let hiperbot_options () =
-            let strategy =
-              match proposal with
-              | Some k -> Hiperbot.Strategy.Proposal { n_candidates = k }
-              | None -> Hiperbot.Strategy.Ranking
-            in
-            {
-              Hiperbot.Tuner.default_options with
-              n_init;
-              strategy;
-              surrogate = { Hiperbot.Surrogate.default_options with alpha };
-              prior = (match transfer_prior with Ok p -> p | Error _ -> None);
-              sampled_candidates = sampled;
-            }
-          in
+          let options = Result.get_ok hiperbot_options in
           if fidelity <> None then begin
             (* Multi-fidelity path: successive-halving brackets over the
                dataset's natural fidelity ladder, rung state persisted as
@@ -524,8 +516,8 @@ let tune_cmd =
                     rg.Dataset.Runlog.r_evaluated rg.Dataset.Runlog.r_promoted
                     rg.Dataset.Runlog.r_best
                 in
-                let options = hiperbot_options () in
                 let fid_result =
+                  engine_setup @@ fun () ->
                   with_jobs jobs (fun pool ->
                       match existing_log with
                       | Some log ->
@@ -543,14 +535,15 @@ let tune_cmd =
                 (match writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
                 finish_trace ();
                 match fid_result with
-                | Stdlib.Error err ->
+                | Error msg -> `Error (false, msg)
+                | Ok (Stdlib.Error err) ->
                     `Error
                       ( false,
                         Printf.sprintf
                           "no full-fidelity evaluation completed (%d low-fidelity evaluations \
                            spent); raise --budget or lower --fidelity"
                           err.Hiperbot.Tuner.error_attempts )
-                | Stdlib.Ok fres ->
+                | Ok (Stdlib.Ok fres) ->
                     let outcome = print_tuner_result fres.Hiperbot.Fidelity.run in
                     let rungs =
                       String.concat "/"
@@ -573,9 +566,9 @@ let tune_cmd =
                     `Ok ()
               end
           end
-          else if resilient then begin
-            (* Resilient path: outcome-taxonomy objective, retry policy,
-               flush-per-entry v2 run log, optional resume. *)
+          else if method_ = `Hiperbot then begin
+            (* Outcome-taxonomy objective, retry policy, flush-per-entry
+               v2 run log, optional resume and async engine. *)
             let policy =
               { Resilience.Policy.default with max_attempts = retries; timeout }
             in
@@ -631,7 +624,6 @@ let tune_cmd =
                           (Resilience.Outcome.kind failure)
                           (Param.Space.to_string space config)
                 in
-                let options = hiperbot_options () in
                 (* Gate decisions join the run log as #gate lines, so
                    an interrupted gated campaign resumes with its
                    trust verdicts verified against the record. *)
@@ -641,6 +633,7 @@ let tune_cmd =
                   | None -> ()
                 in
                 let tuner_result =
+                  engine_setup @@ fun () ->
                   with_jobs jobs (fun pool ->
                       match existing_log with
                       | Some log -> begin
@@ -671,7 +664,8 @@ let tune_cmd =
                 (match writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
                 finish_trace ();
                 match tuner_result with
-                | Stdlib.Error err ->
+                | Error msg -> `Error (false, msg)
+                | Ok (Stdlib.Error err) ->
                     `Error
                       ( false,
                         Printf.sprintf
@@ -679,7 +673,7 @@ let tune_cmd =
                            configuration"
                           (Array.length err.Hiperbot.Tuner.error_failures)
                           err.Hiperbot.Tuner.error_attempts )
-                | Stdlib.Ok result ->
+                | Ok (Stdlib.Ok result) ->
                     let outcome = print_tuner_result result in
                     Printf.printf "best after %d evaluations: %.4g\n"
                       (Array.length outcome.Baselines.Outcome.history)
@@ -700,36 +694,13 @@ let tune_cmd =
                   Dataset.Runlog.writer_create ~path ~name:("tune:" ^ dataset) ~seed ~space)
                 save
             in
-            let on_evaluation i config y =
-              (match writer with
-              | Some w ->
-                  Dataset.Runlog.writer_record w
-                    {
-                      Dataset.Runlog.index = i;
-                      config;
-                      status = Dataset.Runlog.Ok y;
-                      attempts = 1;
-                    }
-              | None -> ());
-              print_evaluation i config y
-            in
             let outcome =
               match method_ with
               | `Random -> Baselines.Random_search.run ~rng ~space ~objective ~budget ()
               | `Geist -> Baselines.Geist.run ~rng ~space ~objective ~budget ()
               | `Gp -> Baselines.Gp_tuner.run ~rng ~space ~objective ~budget ()
               | `Gbt -> Baselines.Gbt_tuner.run ~rng ~space ~objective ~budget ()
-              | `Hiperbot ->
-                  let options = hiperbot_options () in
-                  let on_gate g =
-                    match writer with
-                    | Some w -> Dataset.Runlog.writer_record_gate w g
-                    | None -> ()
-                  in
-                  print_tuner_result
-                    (with_jobs jobs (fun pool ->
-                         Hiperbot.Tuner.run ~telemetry ~options ~on_evaluation ~on_gate ?pool ~rng
-                           ~space ~objective ~budget ()))
+              | `Hiperbot -> assert false (* tuned by the branch above *)
             in
             (match writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
             finish_trace ();
@@ -750,7 +721,7 @@ let tune_cmd =
     Term.(
       ret
         (const run $ dataset_arg $ seed_arg $ budget_arg 150 $ method_arg $ alpha_arg $ n_init_arg
-       $ proposal_arg $ sampled_arg $ verbose_arg $ trace_file_arg $ trace_summary_arg $ save_arg
+       $ proposal_arg $ verbose_arg $ trace_file_arg $ trace_summary_arg $ save_arg
        $ resume_arg $ faults_arg $ fault_seed_arg $ retries_arg $ timeout_arg $ jobs_arg
        $ async_arg $ transfer_from_arg $ weighting_arg $ decay_arg $ gate_thresh_arg
        $ no_gate_arg $ fidelity_arg $ brackets_arg $ eta_arg))
@@ -825,9 +796,12 @@ let transfer_cmd =
                 names.(g.Dataset.Runlog.g_source)
                 g.Dataset.Runlog.g_refit g.Dataset.Runlog.g_trust
           in
+          let options =
+            Hiperbot.Transfer.options ~weighting ~schedule:decay ~gate ~space source_obs
+          in
           let result =
-            Hiperbot.Transfer.run_multi ~gate ~on_gate ~weighting ~schedule:decay ~rng ~space
-              ~sources:source_obs ~objective:(Dataset.Table.objective_fn trgt) ~budget ()
+            tune_total ~options ~on_gate ~rng ~space ~objective:(Dataset.Table.objective_fn trgt)
+              ~budget ()
           in
           Printf.printf "best after %d evaluations: %.4g\n"
             (Array.length result.Hiperbot.Tuner.history)
@@ -877,7 +851,7 @@ let tune_csv_cmd =
           }
         in
         let result =
-          Hiperbot.Tuner.run ~options
+          tune_total ~options
             ~candidates:(Dataset.Table.configs table)
             ~rng:(Prng.Rng.create seed) ~space
             ~objective:(Dataset.Table.objective_fn table)
@@ -1107,8 +1081,7 @@ let compare_cmd =
             ("gbt", fun ~rng ~budget -> Baselines.Gbt_tuner.run ~rng ~space ~objective ~budget ());
             ( "hiperbot",
               fun ~rng ~budget ->
-                Baselines.Outcome.of_tuner_result
-                  (Hiperbot.Tuner.run ~rng ~space ~objective ~budget ()) );
+                Baselines.Outcome.of_tuner_result (tune_total ~rng ~space ~objective ~budget ()) );
           ]
         in
         List.iter

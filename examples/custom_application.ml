@@ -39,10 +39,16 @@ let () =
     }
   in
   let trace = ref [] in
-  let on_evaluation i config y = trace := (i, config, y) :: !trace in
+  let on_outcome i config (v : Resilience.Evaluator.verdict) =
+    match v.Resilience.Evaluator.outcome with
+    | Resilience.Outcome.Value y -> trace := (i, config, y) :: !trace
+    | _ -> ()
+  in
   let result =
-    Hiperbot.Tuner.run ~options ~on_evaluation ~rng:(Prng.Rng.create 5) ~space
-      ~objective:run_application ~budget:80 ()
+    Result.get_ok
+      (Hiperbot.Tuner.run_with_policy ~options ~on_outcome ~rng:(Prng.Rng.create 5) ~space
+         ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (run_application c))
+         ~budget:80 ())
   in
   Printf.printf "best %.4f with %s\n" result.Hiperbot.Tuner.best_value
     (Param.Space.to_string space result.Hiperbot.Tuner.best_config);

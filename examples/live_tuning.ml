@@ -18,14 +18,19 @@ let () =
         (match Param.Space.cardinality space with Some n -> string_of_int n | None -> "?")
         budget;
       let best = ref infinity in
-      let on_evaluation i config t =
-        if t < !best then begin
-          best := t;
-          Printf.printf "%3d  %8.2f ms  %s\n%!" i (1000. *. t) (Param.Space.to_string space config)
-        end
+      let on_outcome i config (v : Resilience.Evaluator.verdict) =
+        match v.Resilience.Evaluator.outcome with
+        | Resilience.Outcome.Value t when t < !best ->
+            best := t;
+            Printf.printf "%3d  %8.2f ms  %s\n%!" i (1000. *. t)
+              (Param.Space.to_string space config)
+        | _ -> ()
       in
       let result =
-        Hiperbot.Tuner.run ~on_evaluation ~rng:(Prng.Rng.create 1) ~space ~objective ~budget ()
+        Result.get_ok
+          (Hiperbot.Tuner.run_with_policy ~on_outcome ~rng:(Prng.Rng.create 1) ~space
+             ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (objective c))
+             ~budget ())
       in
       Printf.printf "\nbest: %.2f ms with %s\n" (1000. *. result.Hiperbot.Tuner.best_value)
         (Param.Space.to_string space result.Hiperbot.Tuner.best_config);

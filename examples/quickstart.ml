@@ -27,9 +27,15 @@ let () =
     let cache_penalty = 1. +. (0.002 *. ((tile -. 64.) ** 2.) /. 64.) in
     parallel *. compiler_factor *. cache_penalty
   in
-  (* 3. Run the tuner: 20 random samples, then 20 guided ones. *)
+  (* 3. Run the tuner: 20 random samples, then 20 guided ones. The
+     tuner takes objectives that may fail (crashed builds, timeouts);
+     this one always yields a value, so the run cannot end in [Error]
+     (every evaluation failed). *)
   let rng = Prng.Rng.create 2024 in
-  let result = Hiperbot.Tuner.run ~rng ~space ~objective:runtime ~budget:40 () in
+  let objective ~attempt:_ config = Resilience.Outcome.Value (runtime config) in
+  let result =
+    Result.get_ok (Hiperbot.Tuner.run_with_policy ~rng ~space ~objective ~budget:40 ())
+  in
   Printf.printf "best runtime %.2f with %s\n" result.Hiperbot.Tuner.best_value
     (Param.Space.to_string space result.Hiperbot.Tuner.best_config);
   (* 4. Which parameters mattered? *)

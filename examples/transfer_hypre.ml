@@ -36,13 +36,16 @@ let () =
         Printf.printf "  [gate] refit %d: source %d %s (trust %.3f)\n" g.Dataset.Runlog.g_refit
           g.Dataset.Runlog.g_source action g.Dataset.Runlog.g_trust
   in
-  let gated =
-    Hiperbot.Transfer.run ~on_gate ~rng:(Prng.Rng.create 3) ~space ~source ~objective ~budget ()
+  let tune ?options ?on_gate () =
+    Result.get_ok
+      (Hiperbot.Tuner.run_with_policy ?options ?on_gate ~rng:(Prng.Rng.create 3) ~space
+         ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (objective c))
+         ~budget ())
   in
-  let ungated =
-    Hiperbot.Transfer.run ~gate:None ~rng:(Prng.Rng.create 3) ~space ~source ~objective ~budget ()
-  in
-  let no_prior = Hiperbot.Tuner.run ~rng:(Prng.Rng.create 3) ~space ~objective ~budget () in
+  (* The source rows become a prior with weight 1 (the paper's w). *)
+  let gated = tune ~options:(Hiperbot.Transfer.options ~space [ (source, 1.) ]) ~on_gate () in
+  let ungated = tune ~options:(Hiperbot.Transfer.options ~gate:None ~space [ (source, 1.) ]) () in
+  let no_prior = tune () in
 
   let good = Metrics.Recall.tolerance_good_set trgt 0.10 in
   let report label (r : Hiperbot.Tuner.result) =

@@ -16,7 +16,10 @@ let () =
     (Param.Space.to_string space exhaustive_config);
 
   let result =
-    Hiperbot.Tuner.run ~rng:(Prng.Rng.create 7) ~space ~objective ~budget ()
+    Result.get_ok
+      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 7) ~space
+         ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (objective c))
+         ~budget ())
   in
   Printf.printf "HiPerBOt after %d evaluations: %.2f s (%.1f%% above exhaustive best)\n" budget
     result.Hiperbot.Tuner.best_value

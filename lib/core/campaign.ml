@@ -28,7 +28,6 @@ type options = {
   prior : prior option;
   batch_size : int;
   early_stop : int option;
-  sampled_candidates : int option;
 }
 
 let default_options =
@@ -39,7 +38,6 @@ let default_options =
     prior = None;
     batch_size = 1;
     early_stop = None;
-    sampled_candidates = None;
   }
 
 type result = {
@@ -71,7 +69,7 @@ let priors_at ~options n_obs =
   | Some { sources; decay; _ } ->
       let m = decay n_obs in
       if not (Float.is_finite m) || m < 0. then
-        invalid_arg "Tuner.run: prior decay multiplier must be finite and non-negative";
+        invalid_arg "Campaign.suggest: prior decay multiplier must be finite and non-negative";
       Array.to_list (Array.map (fun (p, w) -> (p, w *. m)) sources)
 
 (* ---- safeguarded transfer: gate plumbing ---- *)
@@ -187,20 +185,18 @@ let fit_gated ~telemetry ~options ~gate ~emit_gate ~refit ~space ~anchor ~extra_
    the role of an explicit candidate set. [n_init] is capped by the
    budget and the candidate count. *)
 let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
-  if budget < 1 then invalid_arg "Tuner.run: budget must be at least 1";
-  if options.n_init < 1 then invalid_arg "Tuner.run: n_init must be at least 1";
-  if options.batch_size < 1 then invalid_arg "Tuner.run: batch_size must be at least 1";
+  if budget < 1 then invalid_arg "Campaign.create: budget must be at least 1";
+  if options.n_init < 1 then invalid_arg "Campaign.create: n_init must be at least 1";
+  if options.batch_size < 1 then invalid_arg "Campaign.create: batch_size must be at least 1";
   (match options.early_stop with
-  | Some k when k < 1 -> invalid_arg "Tuner.run: early_stop must be at least 1"
+  | Some k when k < 1 -> invalid_arg "Campaign.create: early_stop must be at least 1"
   | Some _ | None -> ());
-  (match options.sampled_candidates with
-  | Some n when n < 1 -> invalid_arg "Tuner.run: sampled_candidates must be at least 1"
-  | Some _ ->
-      (match options.strategy with
-      | Strategy.Ranking -> ()
-      | Strategy.Proposal _ ->
-          invalid_arg "Tuner.run: sampled_candidates requires the Ranking strategy")
-  | None -> ());
+  if not (options.surrogate.Surrogate.alpha > 0. && options.surrogate.Surrogate.alpha < 1.) then
+    invalid_arg "Campaign.create: alpha outside (0, 1)";
+  (match options.strategy with
+  | Strategy.Proposal { n_candidates } when n_candidates < 1 ->
+      invalid_arg "Campaign.create: Proposal n_candidates must be at least 1"
+  | Strategy.Proposal _ | Strategy.Ranking -> ());
   (match shared_pool with
   | None -> ()
   | Some p ->
@@ -229,15 +225,15 @@ let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
   in
   (match (candidates, shared_pool) with
   | Some c, None ->
-      if Array.length c = 0 then invalid_arg "Tuner.run: empty candidate set";
+      if Array.length c = 0 then invalid_arg "Campaign.create: empty candidate set";
       (match options.strategy with
       | Strategy.Ranking -> ()
       | Strategy.Proposal _ ->
-          invalid_arg "Tuner.run: candidates require the Ranking strategy");
+          invalid_arg "Campaign.create: candidates require the Ranking strategy");
       Array.iter
         (fun config ->
           if not (Param.Space.validate space config) then
-            invalid_arg "Tuner.run: invalid candidate configuration")
+            invalid_arg "Campaign.create: invalid candidate configuration")
         c
   | _ -> ());
   let encoded =
@@ -246,7 +242,7 @@ let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
     | None, Some c, _ -> Some (Surrogate.Pool.encode space c)
     | None, None, Strategy.Ranking ->
         if not (Param.Space.is_finite space) then
-          invalid_arg "Tuner.run: Ranking strategy requires a finite space";
+          invalid_arg "Campaign.create: Ranking strategy requires a finite space";
         Some (Surrogate.Pool.of_space space)
     | None, None, Strategy.Proposal _ -> None
   in
@@ -257,19 +253,14 @@ let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
   (encoded, candidates, n_init)
 
 (* Guided selection: Ranking campaigns always rank over the encoded
-   pool, reusing the refit engine's compiled scorer, with
-   [options.sampled_candidates] switching the exhaustive scan to
-   pg-sampled candidate draws; Proposal samples from pg and never
-   looks at a pool. *)
+   pool, reusing the refit engine's compiled scorer; Proposal samples
+   from pg and never looks at a pool. *)
 let select_batch ~telemetry ~options ?workers ?schedule ~encoded ~compiled ~k ~rng ~surrogate
     ~evaluated ~excluded () =
   match (options.strategy, encoded) with
   | Strategy.Ranking, Some e ->
-      let candidates =
-        match options.sampled_candidates with Some n -> `Sampled n | None -> `Exhaustive
-      in
-      Strategy.select_many_excluding ~telemetry ?workers ?schedule ~candidates ?compiled ~k ~rng
-        ~surrogate ~encoded:e ~evaluated ~excluded ()
+      Strategy.select_many_excluding ~telemetry ?workers ?schedule ?compiled ~k ~surrogate
+        ~encoded:e ~excluded ()
   | Strategy.Ranking, None -> assert false (* campaign_setup always encodes for Ranking *)
   | (Strategy.Proposal _ as strategy), _ ->
       Strategy.select_many ~telemetry strategy ~k ~rng ~surrogate ~pool:[||] ~evaluated
@@ -388,7 +379,7 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
   | Async k when k < 1 -> invalid_arg "Tuner.run_async: k must be at least 1"
   | Async _ | Sync -> ());
   (* The step API holds its inputs across turns, so copy every caller
-     array: with the one-shot [run] loops these were consumed within
+     array: with the one-shot driver loops these were consumed within
      a single call, and mutating them afterwards was harmless — here
      the aliasing would silently corrupt a parked campaign. *)
   let warm_start = Array.copy warm_start in
@@ -406,7 +397,7 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
   Array.iter
     (fun (c, _) ->
       if not (Param.Space.validate space c) then
-        invalid_arg "Tuner.run: invalid warm-start configuration";
+        invalid_arg "Campaign.create: invalid warm-start configuration";
       mark_seen ~seen ~excluded ~encoded c)
     warm_start;
   if Telemetry.Trace.enabled telemetry then

@@ -1,9 +1,9 @@
 (** The campaign state machine: one tuning run as an explicit,
     reentrant suggest/report step process.
 
-    Every engine in the library — the synchronous core behind
-    {!Tuner.run}/[run_with_policy], the asynchronous k-in-flight
-    engine behind {!Tuner.run_async}, and the multi-tenant
+    Every engine in the library — the synchronous driver
+    {!Tuner.run_with_policy}/[resume], the asynchronous k-in-flight
+    driver {!Tuner.run_async}, and the multi-tenant
     {!Serve} front end — is a {e driver} over this module: a thin
     loop that asks the campaign what to evaluate next ({!suggest}),
     obtains a verdict however it likes (inline call, worker domain,
@@ -21,7 +21,7 @@
     over unchanged: a campaign created from a run log retraces the
     recorded prefix bit-for-bit and then continues live.
 
-    Reentrancy note: unlike the one-shot [run] entry points, a
+    Reentrancy note: unlike the one-shot {!Tuner} drivers, a
     campaign holds its inputs across steps, so [create] copies the
     [warm_start], [candidates], [replay] and [recorded_gates] arrays
     it is given — mutating the originals between steps cannot
@@ -50,7 +50,6 @@ type options = {
   prior : prior option;
   batch_size : int;
   early_stop : int option;
-  sampled_candidates : int option;
 }
 
 val default_options : options
@@ -131,9 +130,12 @@ val create :
     - [replay]/[recorded_gates]: recorded verdicts and gate
       decisions to retrace; see {!of_log} for the usual way in.
 
-    Raises [Invalid_argument] on invalid options ([Async k] needs
-    [k >= 1]) — same checks and messages as the [Tuner] entry
-    points. *)
+    Raises [Invalid_argument], before anything is evaluated, on
+    invalid options: [budget], [n_init], [batch_size] and
+    [early_stop] below 1, [surrogate.alpha] outside (0, 1), a
+    [Proposal] with fewer than 1 candidate, an [Async k] with
+    [k < 1], or an invalid candidate set or warm start. Every
+    {!Tuner} driver inherits these checks. *)
 
 val suggest : ?at:float -> t -> step
 (** Advance the campaign to its next suggestion: random-init draws

@@ -151,6 +151,8 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
     | Strategy.Ranking -> ()
     | Strategy.Proposal _ ->
         invalid_arg "Fidelity.run: multi-rung plans require the Ranking strategy");
+    (let alpha = options.Tuner.surrogate.Surrogate.alpha in
+     if not (alpha > 0. && alpha < 1.) then invalid_arg "Fidelity.run: alpha outside (0, 1)");
     let encoded =
       match candidates with
       | Some c ->
@@ -282,13 +284,8 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
             Surrogate.fit ~telemetry ~options:options.Tuner.surrogate ~priors space full_obs
           in
           final_surrogate := Some surrogate;
-          let cand =
-            match options.Tuner.sampled_candidates with
-            | Some n -> `Sampled n
-            | None -> `Exhaustive
-          in
-          Strategy.select_many_excluding ~telemetry ?workers ?schedule ~candidates:cand
-            ~k:plan.cohort ~rng ~surrogate ~encoded ~evaluated:seen ~excluded ()
+          Strategy.select_many_excluding ~telemetry ?workers ?schedule ~k:plan.cohort ~surrogate
+            ~encoded ~excluded ()
         end
       in
       let enqueue c =

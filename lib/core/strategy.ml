@@ -384,8 +384,12 @@ let select_indices_par compiled excluded ~k ~n ~workers ?schedule () =
    per-candidate score array, and skip the rows in [excluded]. The
    set is only read during the scan, so the parallel loop shares no
    mutable state but the pruning threshold and the visited count. *)
-let select_ranking_exhaustive ~telemetry ~workers ~schedule ~parallel_threshold ~compiled ~k
-    ~surrogate ~encoded ~excluded =
+let select_many_excluding ?(telemetry = Telemetry.Trace.disabled) ?workers ?schedule
+    ?(parallel_threshold = default_parallel_threshold) ?compiled ~k ~surrogate ~encoded ~excluded
+    () =
+  if k < 1 then invalid_arg "Strategy.select_many: k must be at least 1";
+  if parallel_threshold < 0 then
+    invalid_arg "Strategy.select_many: negative parallel_threshold";
   let compiled =
     match compiled with
     | Some c ->
@@ -418,68 +422,11 @@ let select_ranking_exhaustive ~telemetry ~workers ~schedule ~parallel_threshold 
          });
   selected
 
-(* Sampled-candidate mode: instead of scanning the pool, draw exactly
-   [n] candidates from pg through the caller's rng and rank the
-   distinct unevaluated ones by the naive scorer. The rng consumption
-   is a function of the surrogate and [n] alone (every draw costs the
-   same rng stream whether or not it is kept), so runs are
-   reproducible from the seed like every other path. Duplicate draws
-   and already-evaluated configurations are skipped, so fewer than
-   [k] results can come back even on a non-exhausted pool. *)
-let select_ranking_sampled ~telemetry ~n ~k ~rng ~surrogate ~evaluated =
-  if n < 1 then invalid_arg "Strategy.select_many: sampled candidate count must be at least 1";
-  let t0 = Telemetry.Trace.now telemetry in
-  let top = Topk.create k in
-  let drawn = Param.Config.Table.create n in
-  for _ = 1 to n do
-    let c = Surrogate.sample_good surrogate rng in
-    if not (Param.Config.Table.mem evaluated c || Param.Config.Table.mem drawn c) then begin
-      Param.Config.Table.replace drawn c ();
-      (* Insertion-counter ties: among equal scores the earliest draw
-         ranks first. *)
-      Topk.offer top c (Surrogate.log_ratio surrogate c)
-    end
-  done;
-  let selected = Topk.to_list_desc top in
-  if Telemetry.Trace.enabled telemetry then
-    Telemetry.Trace.emit telemetry
-      (Telemetry.Event.Rank
-         {
-           pool_size = n;
-           k;
-           selected = List.length selected;
-           workers = 1;
-           schedule = "sampled";
-           excluded = Param.Config.Table.length evaluated;
-           visited = n;
-           dur_ms = (Telemetry.Trace.now telemetry -. t0) *. 1000.;
-         });
-  selected
-
-(* [excluded] is only forced on the exhaustive path: the sampled path
-   checks its draws against [evaluated] directly. *)
-let select_encoded ~telemetry ~workers ~schedule ~parallel_threshold ~candidates ~compiled ~k
-    ~rng ~surrogate ~encoded ~evaluated ~excluded =
-  if k < 1 then invalid_arg "Strategy.select_many: k must be at least 1";
-  if parallel_threshold < 0 then
-    invalid_arg "Strategy.select_many: negative parallel_threshold";
-  match candidates with
-  | `Exhaustive ->
-      select_ranking_exhaustive ~telemetry ~workers ~schedule ~parallel_threshold ~compiled ~k
-        ~surrogate ~encoded ~excluded:(excluded ())
-  | `Sampled n -> select_ranking_sampled ~telemetry ~n ~k ~rng ~surrogate ~evaluated
-
-let select_many_excluding ?(telemetry = Telemetry.Trace.disabled) ?workers ?schedule
-    ?(parallel_threshold = default_parallel_threshold) ?(candidates = `Exhaustive) ?compiled
-    ~k ~rng ~surrogate ~encoded ~evaluated ~excluded () =
-  select_encoded ~telemetry ~workers ~schedule ~parallel_threshold ~candidates ~compiled ~k ~rng
-    ~surrogate ~encoded ~evaluated ~excluded:(fun () -> excluded)
-
-let select_many_encoded ?(telemetry = Telemetry.Trace.disabled) ?workers ?schedule
-    ?(parallel_threshold = default_parallel_threshold) ?(candidates = `Exhaustive) ?compiled
-    ~k ~rng ~surrogate ~encoded ~evaluated () =
-  select_encoded ~telemetry ~workers ~schedule ~parallel_threshold ~candidates ~compiled ~k ~rng
-    ~surrogate ~encoded ~evaluated ~excluded:(fun () -> Exclusion.of_table encoded evaluated)
+(* [rng] is unused (ranking draws nothing); it stays so existing callers compile. *)
+let select_many_encoded ?telemetry ?workers ?schedule ?parallel_threshold ?compiled ~k ~rng:_
+    ~surrogate ~encoded ~evaluated () =
+  select_many_excluding ?telemetry ?workers ?schedule ?parallel_threshold ?compiled ~k ~surrogate
+    ~encoded ~excluded:(Exclusion.of_table encoded evaluated) ()
 
 let select_many_proposal ~k ~rng ~surrogate ~evaluated ~n_candidates =
   let chosen = Param.Config.Table.create k in
@@ -510,23 +457,23 @@ let select_many_proposal ~k ~rng ~surrogate ~evaluated ~n_candidates =
   in
   pick [] k
 
-let select_many ?telemetry ?workers ?schedule ?parallel_threshold ?candidates ?encoded t ~k ~rng
-    ~surrogate ~pool ~evaluated =
+let select_many ?telemetry ?workers ?schedule ?parallel_threshold ?encoded t ~k ~rng ~surrogate
+    ~pool ~evaluated =
   if k < 1 then invalid_arg "Strategy.select_many: k must be at least 1";
   match t with
   | Ranking ->
       let encoded = ranking_encoded ~surrogate ~pool ~encoded in
-      select_many_encoded ?telemetry ?workers ?schedule ?parallel_threshold ?candidates ~k ~rng
-        ~surrogate ~encoded ~evaluated ()
+      select_many_encoded ?telemetry ?workers ?schedule ?parallel_threshold ~k ~rng ~surrogate
+        ~encoded ~evaluated ()
   | Proposal { n_candidates } ->
       if n_candidates <= 0 then invalid_arg "Strategy.select: non-positive candidate count";
       select_many_proposal ~k ~rng ~surrogate ~evaluated ~n_candidates
 
-let select ?telemetry ?workers ?schedule ?parallel_threshold ?candidates ?encoded t ~rng
-    ~surrogate ~pool ~evaluated =
+let select ?telemetry ?workers ?schedule ?parallel_threshold ?encoded t ~rng ~surrogate ~pool
+    ~evaluated =
   match
-    select_many ?telemetry ?workers ?schedule ?parallel_threshold ?candidates ?encoded t ~k:1
-      ~rng ~surrogate ~pool ~evaluated
+    select_many ?telemetry ?workers ?schedule ?parallel_threshold ?encoded t ~k:1 ~rng
+      ~surrogate ~pool ~evaluated
   with
   | [] -> None
   | best :: _ -> Some best

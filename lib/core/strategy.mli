@@ -114,7 +114,6 @@ val select :
   ?workers:Parallel.Pool.t ->
   ?schedule:Parallel.Pool.schedule ->
   ?parallel_threshold:int ->
-  ?candidates:[ `Exhaustive | `Sampled of int ] ->
   ?encoded:Surrogate.Pool.t ->
   t ->
   rng:Prng.Rng.t ->
@@ -135,7 +134,6 @@ val select_many :
   ?workers:Parallel.Pool.t ->
   ?schedule:Parallel.Pool.schedule ->
   ?parallel_threshold:int ->
-  ?candidates:[ `Exhaustive | `Sampled of int ] ->
   ?encoded:Surrogate.Pool.t ->
   t ->
   k:int ->
@@ -161,15 +159,6 @@ val select_many :
     pool (built once per campaign with {!Surrogate.Pool.encode}); it
     must wrap the same [pool] array, otherwise [Invalid_argument] is
     raised. When absent the pool is encoded on the fly.
-    [candidates] defaults to [`Exhaustive] (scan the whole pool);
-    [`Sampled n] instead draws exactly [n] candidates from the good
-    density pg through [rng] and ranks the distinct unevaluated draws
-    with the naive scorer — per-suggest cost O(n), independent of the
-    pool size. The rng consumption depends only on the surrogate and
-    [n], so sampled runs replay bit-identically from the seed; unlike
-    exhaustive mode the batch may come back short (or empty) when the
-    draws collapse onto evaluated configurations, and the Rank span
-    records schedule ["sampled"] with [pool_size = n].
 
     The evaluated set is turned into an {!Exclusion} set once per
     call ({!Exclusion.of_table}: one {!Surrogate.Pool.indices_of} per
@@ -189,7 +178,6 @@ val select_many_encoded :
   ?workers:Parallel.Pool.t ->
   ?schedule:Parallel.Pool.schedule ->
   ?parallel_threshold:int ->
-  ?candidates:[ `Exhaustive | `Sampled of int ] ->
   ?compiled:Surrogate.Compiled.t ->
   k:int ->
   rng:Prng.Rng.t ->
@@ -204,26 +192,23 @@ val select_many_encoded :
     supplies a prebuilt scorer (e.g. from {!Surrogate.Refit.update});
     it must wrap [encoded] or [Invalid_argument] is raised, and when
     present no [Compile] span is emitted here (the refit engine
-    already emitted it). All other options as in {!select_many}. *)
+    already emitted it). [rng] is unused — ranking draws nothing. All
+    other options as in {!select_many}. *)
 
 val select_many_excluding :
   ?telemetry:Telemetry.Trace.t ->
   ?workers:Parallel.Pool.t ->
   ?schedule:Parallel.Pool.schedule ->
   ?parallel_threshold:int ->
-  ?candidates:[ `Exhaustive | `Sampled of int ] ->
   ?compiled:Surrogate.Compiled.t ->
   k:int ->
-  rng:Prng.Rng.t ->
   surrogate:Surrogate.t ->
   encoded:Surrogate.Pool.t ->
-  evaluated:unit Param.Config.Table.t ->
   excluded:Exclusion.t ->
   unit ->
   Param.Config.t list
-(** {!select_many_encoded} against a caller-kept exclusion set, which
-    must equal [Exclusion.of_table encoded evaluated]: the exhaustive
-    scan skips the rows in [excluded], and [`Sampled] checks its
-    draws against [evaluated]. The selection is the same as
-    {!select_many_encoded}'s; only the per-call rebuild of the set is
-    saved. *)
+(** {!select_many_encoded} against a caller-kept exclusion set: the
+    scan skips the rows in [excluded]. The selection equals
+    {!select_many_encoded}'s with an evaluated set whose
+    {!Exclusion.of_table} is [excluded]; only the per-call rebuild of
+    the set is saved. *)

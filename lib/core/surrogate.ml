@@ -12,8 +12,8 @@ type t = {
   n_bad : int;
 }
 
-let fit ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options) ?prior
-    ?(priors = []) ?(extra_bad = [||]) space observations =
+let fit ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options) ?(priors = [])
+    ?(extra_bad = [||]) space observations =
   let t0 = Telemetry.Trace.now telemetry in
   if Array.length observations = 0 then invalid_arg "Surrogate.fit: no observations";
   Array.iter
@@ -27,10 +27,6 @@ let fit ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options) ?pr
       if not (Param.Space.validate space c) then invalid_arg "Surrogate.fit: invalid configuration";
       if not (Float.is_finite y) then invalid_arg "Surrogate.fit: non-finite objective value")
     observations;
-  (* [?prior] is the single-source historical interface; it is the
-     head of the prior list, so a lone [?prior] folds through exactly
-     one [merge_prior] with the same arguments as before. *)
-  let priors = (match prior with Some p -> [ p ] | None -> []) @ priors in
   List.iter
     (fun (p, w) ->
       if p.space != space && Param.Space.specs p.space <> Param.Space.specs space then

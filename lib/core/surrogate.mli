@@ -19,7 +19,6 @@ type t
 val fit :
   ?telemetry:Telemetry.Trace.t ->
   ?options:options ->
-  ?prior:t * float ->
   ?priors:(t * float) list ->
   ?extra_bad:Param.Config.t array ->
   Param.Space.t ->
@@ -28,13 +27,10 @@ val fit :
 (** [fit space observations] estimates the surrogate. At least one
     observation is required, every objective value must be finite, and
     every prior weight must be finite and non-negative.
-    [prior] mixes a surrogate fitted on a source domain into both
-    densities with the given weight (transfer learning, paper
-    eqs. 9-10); [priors] generalizes it to several source domains,
-    folded into each density in list order via {!Density.merge_prior}.
-    When both are given, [prior] is merged first. Every prior must be
-    over the same space. A single [?prior] and the one-element
-    [?priors] list are the same computation.
+    [priors] mixes surrogates fitted on source domains into both
+    densities, each with its weight (transfer learning, paper
+    eqs. 9-10), folded into each density in list order via
+    {!Density.merge_prior}. Every prior must be over the same space.
 
     [telemetry] receives one [Refit] span per call (observation count,
     good/bad split sizes, α, threshold, prior source count and total

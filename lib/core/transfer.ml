@@ -19,7 +19,7 @@ let decay_of_schedule = function
   | Custom f -> f
 
 let check_sources sources =
-  if sources = [] then invalid_arg "Transfer.run: empty source list";
+  if sources = [] then invalid_arg "Transfer.options: empty source list";
   List.iter
     (fun (data, weight) ->
       (* [weight < 0.] alone lets NaN through (NaN comparisons are all
@@ -27,11 +27,9 @@ let check_sources sources =
          merged densities instead of failing here with a clear
          message. *)
       if not (Float.is_finite weight) || weight < 0. then
-        invalid_arg "Transfer.run: prior weight must be finite and non-negative";
-      if Array.length data = 0 then invalid_arg "Transfer.run: empty source data")
+        invalid_arg "Transfer.options: prior weight must be finite and non-negative";
+      if Array.length data = 0 then invalid_arg "Transfer.options: empty source data")
     sources
-
-let prior_of_source ?options space source = Surrogate.fit ?options space source
 
 let ln2 = log 2.
 
@@ -57,58 +55,21 @@ let js_agreement space pooled s =
 
 let prior_of_sources ?options ?(weighting = Constant_weights) space sources =
   check_sources sources;
-  let fitted = List.map (fun (data, w) -> (prior_of_source ?options space data, w)) sources in
+  let fitted = List.map (fun (data, w) -> (Surrogate.fit ?options space data, w)) sources in
   match weighting with
   | Constant_weights -> fitted
   | Js_guided ->
-      let pooled =
-        prior_of_source ?options space (Array.concat (List.map fst sources))
-      in
+      let pooled = Surrogate.fit ?options space (Array.concat (List.map fst sources)) in
       List.map (fun (s, w) -> (s, w *. js_agreement space pooled s)) fitted
 
-(* Shared option plumbing: fit the source surrogates once, install
-   them (with the decay schedule and the safety gate) as the campaign
-   prior, and hand the options to whichever engine the caller picked.
-   The surrogate fit on each source uses the same alpha/density
-   options as the target surrogate. *)
-let with_prior ~options ~weighting ~schedule ~gate ~space sources =
+(* Fit the source surrogates once and install them (with the decay
+   schedule and the safety gate) as the campaign prior. The surrogate
+   fit on each source uses the same alpha/density options as the
+   target surrogate. *)
+let options ?(options = Tuner.default_options) ?weighting ?(schedule = Constant)
+    ?(gate = Some Gate.default_options) ~space sources =
   let priors = prior_of_sources ~options:options.Tuner.surrogate ?weighting space sources in
   {
     options with
     Tuner.prior = Some (Tuner.prior_of ~decay:(decay_of_schedule schedule) ?gate priors);
   }
-
-let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_options) ?(weight = 1.0)
-    ?(schedule = Constant) ?(gate = Some Gate.default_options) ?on_evaluation ?on_gate ~rng ~space
-    ~source ~objective ~budget () =
-  let options =
-    with_prior ~options ~weighting:None ~schedule ~gate ~space [ (source, weight) ]
-  in
-  Tuner.run ~telemetry ~options ?on_evaluation ?on_gate ~rng ~space ~objective ~budget ()
-
-let run_multi ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_options)
-    ?weighting ?(schedule = Constant) ?(gate = Some Gate.default_options) ?on_evaluation ?on_gate
-    ~rng ~space ~sources ~objective ~budget () =
-  let options = with_prior ~options ~weighting ~schedule ~gate ~space sources in
-  Tuner.run ~telemetry ~options ?on_evaluation ?on_gate ~rng ~space ~objective ~budget ()
-
-let run_with_policy ?telemetry ?(options = Tuner.default_options) ?policy ?weighting
-    ?(schedule = Constant) ?(gate = Some Gate.default_options) ?on_outcome ?on_gate ~rng ~space
-    ~sources ~objective ~budget () =
-  let options = with_prior ~options ~weighting ~schedule ~gate ~space sources in
-  Tuner.run_with_policy ?telemetry ~options ?policy ?on_outcome ?on_gate ~rng ~space ~objective
-    ~budget ()
-
-let resume ?telemetry ?(options = Tuner.default_options) ?policy ?weighting
-    ?(schedule = Constant) ?(gate = Some Gate.default_options) ?on_outcome ?on_gate ~log ~sources
-    ~objective ~budget () =
-  let space = log.Dataset.Runlog.space in
-  let options = with_prior ~options ~weighting ~schedule ~gate ~space sources in
-  Tuner.resume ?telemetry ~options ?policy ?on_outcome ?on_gate ~log ~objective ~budget ()
-
-let run_async ?telemetry ?(options = Tuner.default_options) ?policy ?weighting
-    ?(schedule = Constant) ?(gate = Some Gate.default_options) ?on_outcome ?on_gate ?duration ~k
-    ~rng ~space ~sources ~objective ~budget () =
-  let options = with_prior ~options ~weighting ~schedule ~gate ~space sources in
-  Tuner.run_async ?telemetry ~options ?policy ?on_outcome ?on_gate ?duration ~k ~rng ~space
-    ~objective ~budget ()

@@ -4,26 +4,22 @@
     mixed into the target-domain surrogate as a weighted prior on both
     the good and bad densities (eqs. 9-10) — several sources fold in
     sequence via {!Density.merge_prior}. The tuning loop on the target
-    domain is otherwise unchanged, and every engine composes: the
-    plain loop ({!run}, {!run_multi}), fault-injected campaigns
-    ({!run_with_policy}), interrupt/resume ({!resume}), and the
-    asynchronous engine ({!run_async}). Telemetry [Refit] spans label
-    prior provenance (source count and total effective weight).
+    domain is otherwise unchanged: {!options} installs the sources as
+    the campaign prior, and the result goes to any {!Tuner} driver —
+    {!Tuner.run_with_policy}, {!Tuner.resume}, {!Tuner.run_async},
+    {!Tuner.resume_async}. Telemetry [Refit] spans label prior
+    provenance (source count and total effective weight).
 
-    Every entry point validates its sources the same way: each prior
-    weight must be finite and non-negative, and each source must be
-    non-empty.
-
-    {b Safeguarded transfer.} Every campaign entry point takes
+    {b Safeguarded transfer.} {!options} takes
     [?gate : Gate.options option], default [Some Gate.default_options]
     — transfer is gated unless the caller opts out. The gate monitors
     each source's agreement with the accumulating target evidence at
     every refit and attenuates, then drops, sources whose trust decays
     (see {!Gate}); when every source is dropped the campaign continues
     bit-identically to a no-prior campaign from that refit onward.
-    Pass [~gate:None] to reproduce ungated (PR-era) transfer
-    bit-exactly, or [~gate:(Some opts)] to tune the thresholds.
-    [?on_gate] observes gate decisions for run-log persistence. *)
+    Pass [~gate:None] for ungated transfer, or [~gate:(Some opts)] to
+    tune the thresholds; the drivers' [?on_gate] observes gate
+    decisions for run-log persistence. *)
 
 type weighting =
   | Constant_weights  (** use the caller's weights as given *)
@@ -55,14 +51,6 @@ val decay_of_schedule : schedule -> int -> float
     {!Tuner.constant_decay}, whose multiplier is bit-exact. Raises
     [Invalid_argument] on out-of-range schedule parameters. *)
 
-val prior_of_source :
-  ?options:Surrogate.options ->
-  Param.Space.t ->
-  (Param.Config.t * float) array ->
-  Surrogate.t
-(** Fit the source surrogate that will serve as prior. The space must
-    be the (shared) parameter space of source and target. *)
-
 val prior_of_sources :
   ?options:Surrogate.options ->
   ?weighting:weighting ->
@@ -71,110 +59,28 @@ val prior_of_sources :
   (Surrogate.t * float) list
 (** Fit one surrogate per source and apply the weighting mode
     (default [Constant_weights]) to the given base weights. The result
-    plugs directly into {!Tuner.prior_of}. *)
+    plugs directly into {!Tuner.prior_of}. Each source must be
+    non-empty and each weight finite and non-negative
+    ([Invalid_argument] otherwise). *)
 
-val run :
-  ?telemetry:Telemetry.Trace.t ->
-  ?options:Tuner.options ->
-  ?weight:float ->
-  ?schedule:schedule ->
-  ?gate:Gate.options option ->
-  ?on_evaluation:(int -> Param.Config.t -> float -> unit) ->
-  ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  rng:Prng.Rng.t ->
-  space:Param.Space.t ->
-  source:(Param.Config.t * float) array ->
-  objective:(Param.Config.t -> float) ->
-  budget:int ->
-  unit ->
-  Tuner.result
-(** [run ~rng ~space ~source ~objective ~budget ()] tunes on the
-    target objective with the source data as prior. [weight] (the
-    paper's [w], default 1.0) scales the prior's influence: each
-    source observation counts as [weight] target observations in the
-    density estimates; it must be finite and non-negative. [schedule]
-    (default [Constant]) anneals the weight with target evidence. The
-    surrogate fit on the source uses the same alpha/density options as
-    the target surrogate ([options.surrogate]). [telemetry] is passed
-    through to the underlying {!Tuner.run}. Equivalent to {!run_multi}
-    with the one-element source list. *)
-
-val run_multi :
-  ?telemetry:Telemetry.Trace.t ->
+val options :
   ?options:Tuner.options ->
   ?weighting:weighting ->
   ?schedule:schedule ->
   ?gate:Gate.options option ->
-  ?on_evaluation:(int -> Param.Config.t -> float -> unit) ->
-  ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  rng:Prng.Rng.t ->
   space:Param.Space.t ->
-  sources:((Param.Config.t * float) array * float) list ->
-  objective:(Param.Config.t -> float) ->
-  budget:int ->
-  unit ->
-  Tuner.result
-(** Multi-source transfer: each [(observations, weight)] source is
-    fitted and merged into every refit in list order. *)
-
-val run_with_policy :
-  ?telemetry:Telemetry.Trace.t ->
-  ?options:Tuner.options ->
-  ?policy:Resilience.Policy.t ->
-  ?weighting:weighting ->
-  ?schedule:schedule ->
-  ?gate:Gate.options option ->
-  ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
-  ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  rng:Prng.Rng.t ->
-  space:Param.Space.t ->
-  sources:((Param.Config.t * float) array * float) list ->
-  objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
-  budget:int ->
-  unit ->
-  (Tuner.result, Tuner.run_error) Stdlib.result
-(** Multi-source transfer over the fault-tolerant engine
-    ({!Tuner.run_with_policy}): priors survive retries and failed
-    evaluations exactly as they do successful ones. *)
-
-val resume :
-  ?telemetry:Telemetry.Trace.t ->
-  ?options:Tuner.options ->
-  ?policy:Resilience.Policy.t ->
-  ?weighting:weighting ->
-  ?schedule:schedule ->
-  ?gate:Gate.options option ->
-  ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
-  ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  log:Dataset.Runlog.t ->
-  sources:((Param.Config.t * float) array * float) list ->
-  objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
-  budget:int ->
-  unit ->
-  (Tuner.result, Tuner.run_error) Stdlib.result
-(** Resume an interrupted transfer campaign from its run log
-    ({!Tuner.resume}). With the same sources, weighting, and schedule
-    as the interrupted run, the resumed campaign retraces it
-    bit-for-bit and continues. *)
-
-val run_async :
-  ?telemetry:Telemetry.Trace.t ->
-  ?options:Tuner.options ->
-  ?policy:Resilience.Policy.t ->
-  ?weighting:weighting ->
-  ?schedule:schedule ->
-  ?gate:Gate.options option ->
-  ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
-  ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
-  k:int ->
-  rng:Prng.Rng.t ->
-  space:Param.Space.t ->
-  sources:((Param.Config.t * float) array * float) list ->
-  objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
-  budget:int ->
-  unit ->
-  (Tuner.result, Tuner.run_error) Stdlib.result
-(** Multi-source transfer over the asynchronous engine
-    ({!Tuner.run_async}) with up to [k] evaluations in flight. At
-    [k = 1] this is bit-identical to {!run_with_policy}. *)
+  ((Param.Config.t * float) array * float) list ->
+  Tuner.options
+(** [options ~space sources] is [options] (default
+    {!Tuner.default_options}) with the sources installed as its
+    prior. Each [(observations, weight)] source is fitted with the
+    target's surrogate options ([options.surrogate]) and merged into
+    every refit in list order; the weight (the paper's [w]) scales
+    the source's influence — each source observation counts as
+    [weight] target observations in the density estimates. [schedule]
+    (default [Constant]) anneals the weights with target evidence,
+    [weighting] (default [Constant_weights]) rescales them up front,
+    and [gate] (default [Some Gate.default_options]) safeguards them.
+    The sources must be over [space]. Raises [Invalid_argument] on an
+    empty source list, an empty source, a weight that is not finite
+    and non-negative, or out-of-range schedule or gate options. *)

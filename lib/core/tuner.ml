@@ -24,7 +24,6 @@ type options = Campaign.options = {
   prior : prior option;
   batch_size : int;
   early_stop : int option;
-  sampled_candidates : int option;
 }
 
 let default_options = Campaign.default_options
@@ -46,94 +45,46 @@ type run_error = Campaign.run_error = {
   error_attempts : int;
 }
 
+(* The resilience layer stays dependency-free: it exposes a generic
+   per-attempt probe, and the telemetry wiring lives here. *)
+let attempt_probe telemetry =
+  if Telemetry.Trace.enabled telemetry then
+    Some
+      (fun ~attempt ~backoff outcome ->
+        Telemetry.Trace.emit telemetry
+          (Telemetry.Event.Attempt { attempt; kind = Resilience.Outcome.kind outcome; backoff }))
+  else None
+
 (* The synchronous driver: one suggestion outstanding at a time,
-   evaluated and reported immediately. [replay] short-circuits the
-   first evaluations with recorded verdicts (the machine verifies the
-   configurations match the record): because everything else — rng
-   draws, selection, bookkeeping — runs exactly as live, a resumed
-   campaign retraces the interrupted one bit-for-bit and then
-   continues. *)
-let run_core ?telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate ?recorded_gates
-    ?(replay = [||]) ?pool ?schedule ~rng ~space ~eval ~budget () =
-  let campaign =
-    Campaign.create ?telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate
-      ?recorded_gates ~replay ?pool ?schedule ~mode:Campaign.Sync ~rng ~space ~budget ()
-  in
+   evaluated under the retry policy and reported immediately. *)
+let drive_sync ~telemetry ~policy ~objective campaign =
+  let probe = attempt_probe telemetry in
   let rec loop () =
     match Campaign.suggest campaign with
     | Campaign.Finished -> Campaign.result campaign
     | Campaign.Wait -> assert false (* the sync driver never leaves a suggestion pending *)
     | Campaign.Suggest s ->
-        let idx = Campaign.n_evaluated campaign in
-        let verdict =
-          if idx < Array.length replay then snd replay.(idx) else eval s.Campaign.config
-        in
-        Campaign.report campaign ~id:s.Campaign.id verdict;
+        Campaign.report campaign ~id:s.Campaign.id
+          (Resilience.Evaluator.evaluate ?probe ~policy ~objective s.Campaign.config);
         loop ()
   in
   loop ()
 
-let verdict_of_outcome outcome =
-  { Resilience.Evaluator.outcome; attempts = 1; retry_cost = 0. }
-
-let run ?telemetry ?options ?warm_start ?candidates ?on_evaluation ?on_gate ?pool ?schedule ~rng
-    ~space ~objective ~budget () =
-  let eval c = verdict_of_outcome (Resilience.Outcome.Value (objective c)) in
-  let on_outcome =
-    Option.map
-      (fun f i c v ->
-        match v.Resilience.Evaluator.outcome with
-        | Resilience.Outcome.Value y -> f i c y
-        | _ -> ())
-      on_evaluation
-  in
-  match
-    run_core ?telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate ?pool ?schedule
-      ~rng ~space ~eval ~budget ()
-  with
-  | Stdlib.Ok r -> r
-  | Stdlib.Error _ -> assert false (* a total objective cannot fail *)
-
-let run_resilient ?telemetry ?options ?warm_start ?candidates ?on_evaluation ?on_failure ?on_gate
-    ?pool ?schedule ~rng ~space ~objective ~budget () =
-  let eval c = verdict_of_outcome (Resilience.Outcome.of_option (objective c)) in
-  let on_outcome i c v =
-    match v.Resilience.Evaluator.outcome with
-    | Resilience.Outcome.Value y -> (match on_evaluation with Some f -> f i c y | None -> ())
-    | _ -> ( match on_failure with Some f -> f i c | None -> ())
-  in
-  run_core ?telemetry ?options ?warm_start ?candidates ~on_outcome ?on_gate ?pool ?schedule ~rng
-    ~space ~eval ~budget ()
-
 let run_with_policy ?(telemetry = Telemetry.Trace.disabled) ?options
-    ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate
-    ?recorded_gates ?replay ?pool ?schedule ~rng ~space ~objective ~budget () =
-  (* The resilience layer stays dependency-free: it exposes a generic
-     per-attempt probe, and the telemetry wiring lives here. *)
-  let probe =
-    if Telemetry.Trace.enabled telemetry then
-      Some
-        (fun ~attempt ~backoff outcome ->
-          Telemetry.Trace.emit telemetry
-            (Telemetry.Event.Attempt
-               { attempt; kind = Resilience.Outcome.kind outcome; backoff }))
-    else None
-  in
-  let eval c = Resilience.Evaluator.evaluate ?probe ~policy ~objective c in
-  run_core ~telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate ?recorded_gates
-    ?replay ?pool ?schedule ~rng ~space ~eval ~budget ()
+    ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate ?pool
+    ?schedule ~rng ~space ~objective ~budget () =
+  drive_sync ~telemetry ~policy ~objective
+    (Campaign.create ~telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate ?pool
+       ?schedule ~mode:Campaign.Sync ~rng ~space ~budget ())
 
-let replay_of_log = Campaign.replay_of_log
-
-let resume ?telemetry ?options ?(policy = Resilience.Policy.default) ?warm_start ?candidates
-    ?on_outcome ?on_gate ?pool ?schedule ~log ~objective ~budget () =
-  let replay = replay_of_log ~policy log in
-  if Array.length replay > budget then
-    invalid_arg "Tuner.resume: budget is smaller than the recorded evaluation count";
-  let rng = Prng.Rng.create log.Dataset.Runlog.seed in
-  run_with_policy ?telemetry ?options ~policy ?warm_start ?candidates ?on_outcome ?on_gate
-    ~recorded_gates:log.Dataset.Runlog.gates ~replay ?pool ?schedule ~rng
-    ~space:log.Dataset.Runlog.space ~objective ~budget ()
+(* [Campaign.of_log] retraces the recorded prefix (same rng draws and
+   selections, recorded verdicts reported in place of evaluations), so
+   the live loop continues exactly where the interrupted run stopped. *)
+let resume ?(telemetry = Telemetry.Trace.disabled) ?options ?(policy = Resilience.Policy.default)
+    ?warm_start ?candidates ?on_outcome ?on_gate ?pool ?schedule ~log ~objective ~budget () =
+  drive_sync ~telemetry ~policy ~objective
+    (Campaign.of_log ~telemetry ?options ~policy ?warm_start ?candidates ?on_outcome ?on_gate
+       ?pool ?schedule ~mode:Campaign.Sync ~log ~budget ())
 
 (* ---- asynchronous campaign driver ---- *)
 
@@ -272,9 +223,12 @@ let run_async ?(telemetry = Telemetry.Trace.disabled) ?options
   done;
   Campaign.result campaign
 
+(* Async resume replays through the simulated clock instead of
+   [Campaign.of_log]: the log does not hold the in-flight slots'
+   submission times, which the clock needs to order completions. *)
 let resume_async ?telemetry ?options ?(policy = Resilience.Policy.default) ?warm_start
     ?candidates ?on_outcome ?on_gate ?pool ?schedule ?duration ~k ~log ~objective ~budget () =
-  let replay = replay_of_log ~policy log in
+  let replay = Campaign.replay_of_log ~policy log in
   if Array.length replay > budget then
     invalid_arg "Tuner.resume: budget is smaller than the recorded evaluation count";
   let rng = Prng.Rng.create log.Dataset.Runlog.seed in

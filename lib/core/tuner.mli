@@ -10,19 +10,22 @@
     The [prior] option turns the same loop into the transfer-learning
     variant (§III-E): surrogates fitted on source-domain data are
     mixed into every refit, each with its own weight, optionally
-    annealed by a decay schedule as target evidence accumulates (see
-    {!Transfer} for the high-level engine). [batch_size] amortizes one
-    refit over several evaluations (e.g. to run several configurations
-    in parallel on a cluster); [early_stop] implements the paper's
+    annealed by a decay schedule as target evidence accumulates
+    ({!Transfer.options} builds it). [batch_size] amortizes one refit
+    over several evaluations (e.g. to run several configurations in
+    parallel on a cluster); [early_stop] implements the paper's
     sample-quality termination condition.
 
-    The resilient entry points ({!run_resilient}, {!run_with_policy},
-    {!resume}) absorb evaluation failures into the surrogate's bad
-    density instead of dying on them: every failed configuration is
-    classified by the {!Resilience.Outcome} taxonomy, retried
-    according to a {!Resilience.Policy} (transients and timeouts only
-    — permanent failures are never retried), and counted against the
-    budget exactly once regardless of how many attempts it took. *)
+    There is one driver per engine: {!run_with_policy} (synchronous)
+    and {!run_async} (k evaluations in flight), each with its resume
+    counterpart ({!resume}, {!resume_async}). Every driver absorbs
+    evaluation failures into the surrogate's bad density instead of
+    dying on them: every failed configuration is classified by the
+    {!Resilience.Outcome} taxonomy, retried according to a
+    {!Resilience.Policy} (transients and timeouts only — permanent
+    failures are never retried), and counted against the budget
+    exactly once regardless of how many attempts it took. A total
+    objective [f] is [fun ~attempt:_ c -> Resilience.Outcome.Value (f c)]. *)
 
 (** Every entry point here is a thin driver over the reentrant
     {!Campaign} state machine — the configuration and result types
@@ -64,21 +67,11 @@ type options = Campaign.options = {
       (** stop after this many consecutive guided evaluations without
           improving the best observed objective (default [None]:
           run the full budget) *)
-  sampled_candidates : int option;
-      (** [Some n]: instead of exhaustively ranking the whole pool,
-          each guided step draws exactly [n] candidates from the good
-          density pg through the campaign rng and ranks the distinct
-          unevaluated draws — per-suggest cost O(n) independent of the
-          pool size (see {!Strategy.select_many}'s [`Sampled]).
-          Deterministic and resumable like the exhaustive path, but
-          {e not} bit-identical to it (it consumes rng draws and may
-          propose a different batch). Requires the [Ranking] strategy.
-          Default [None]: exhaustive. *)
 }
 
 val default_options : options
 (** n_init 20, surrogate defaults (alpha 0.2), [Ranking], no prior,
-    batch 1, no early stop, exhaustive ranking. *)
+    batch 1, no early stop. *)
 
 type result = Campaign.result = {
   history : (Param.Config.t * float) array;
@@ -96,8 +89,7 @@ type result = Campaign.result = {
   stopped_early : bool;  (** the [early_stop] criterion ended the run *)
   failures : (Param.Config.t * Resilience.Outcome.t) array;
       (** configurations whose evaluation failed, with the final
-          outcome after retries (only populated by the resilient
-          entry points) *)
+          outcome after retries *)
   n_attempts : int;
       (** total objective attempts including retries; equals
           [Array.length history + Array.length failures] when nothing
@@ -113,26 +105,42 @@ type run_error = Campaign.run_error = {
 (** Every evaluation of the run failed — there is no best
     configuration to report. *)
 
-val run :
+val run_with_policy :
   ?telemetry:Telemetry.Trace.t ->
   ?options:options ->
+  ?policy:Resilience.Policy.t ->
   ?warm_start:(Param.Config.t * float) array ->
   ?candidates:Param.Config.t array ->
-  ?on_evaluation:(int -> Param.Config.t -> float -> unit) ->
+  ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
   ?pool:Parallel.Pool.t ->
   ?schedule:Parallel.Pool.schedule ->
   rng:Prng.Rng.t ->
   space:Param.Space.t ->
-  objective:(Param.Config.t -> float) ->
+  objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
   budget:int ->
   unit ->
-  result
-(** [run ~rng ~space ~objective ~budget ()] performs at most [budget]
-    evaluations of [objective] (warm-start observations do not count
-    against the budget; duplicate random initial draws are evaluated
-    once). Requires [budget >= 1]. [on_evaluation i config value] is
-    called after each evaluation with its 0-based index.
+  (result, run_error) Stdlib.result
+(** [run_with_policy ~rng ~space ~objective ~budget ()] — the
+    synchronous engine — performs at most [budget] evaluations
+    (warm-start observations do not count against the budget;
+    duplicate random initial draws are evaluated once). Requires
+    [budget >= 1].
+
+    Each selected configuration is driven through
+    {!Resilience.Evaluator.evaluate} under [policy] (default
+    {!Resilience.Policy.default} — 3 attempts, exponential simulated
+    backoff, no timeout); an exception raised by [objective] is a
+    [Transient] failure. The final verdict consumes one unit of
+    budget whatever its attempt count, so retried transients do not
+    double-count. A failed configuration joins the bad density of
+    every later surrogate fit and appears in [failures], not
+    [history]; a batch member whose verdict is [Timeout] (a
+    straggler exceeding the policy's cost budget) is recorded as a
+    failure and the batch completes. When every evaluation failed
+    the run returns [Error] with the structured failure report.
+    [on_outcome i config verdict] fires once per consumed budget
+    unit with the final verdict and its 0-based index.
 
     [pool] parallelizes candidate ranking across a domain pool (with
     an optional [schedule]); because ties break on the candidate's
@@ -159,86 +167,24 @@ val run :
     the per-parameter tables that changed — the selections stay
     bit-identical to the full-rebuild path.
 
-    [telemetry] (here and on every other entry point) streams the
-    campaign's structured events — [Campaign_start], one [Init_draw]
-    per random draw, [Refit]/[Compile]/[Rank] spans per iteration,
-    one [Eval] per consumed budget unit, and a final [Campaign_end] —
-    to the given {!Telemetry.Trace.t}. Tracing reads only the trace's
-    clock: it performs no rng draws and never influences selection,
-    so a traced campaign is bit-identical to an untraced one. The
-    default is {!Telemetry.Trace.disabled}, which costs one pointer
-    comparison per site. *)
-
-val run_resilient :
-  ?telemetry:Telemetry.Trace.t ->
-  ?options:options ->
-  ?warm_start:(Param.Config.t * float) array ->
-  ?candidates:Param.Config.t array ->
-  ?on_evaluation:(int -> Param.Config.t -> float -> unit) ->
-  ?on_failure:(int -> Param.Config.t -> unit) ->
-  ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
-  rng:Prng.Rng.t ->
-  space:Param.Space.t ->
-  objective:(Param.Config.t -> float option) ->
-  budget:int ->
-  unit ->
-  (result, run_error) Stdlib.result
-(** Like {!run} for objectives that can fail — builds that crash,
-    invalid parameter combinations, timed-out runs. A [None] from the
-    objective consumes budget, is never retried (it is classified
-    [Permanent]), and joins the bad density of every later surrogate
-    fit, steering selection away from the failing region. Failed
-    configurations appear in [failures], not [history]. When every
-    evaluation failed the run returns [Error] with the structured
-    failure report instead of raising. *)
-
-val run_with_policy :
-  ?telemetry:Telemetry.Trace.t ->
-  ?options:options ->
-  ?policy:Resilience.Policy.t ->
-  ?warm_start:(Param.Config.t * float) array ->
-  ?candidates:Param.Config.t array ->
-  ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
-  ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  ?recorded_gates:Dataset.Runlog.gate array ->
-  ?replay:(Param.Config.t * Resilience.Evaluator.verdict) array ->
-  ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
-  rng:Prng.Rng.t ->
-  space:Param.Space.t ->
-  objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
-  budget:int ->
-  unit ->
-  (result, run_error) Stdlib.result
-(** The full resilient evaluation layer: each selected configuration
-    is driven through {!Resilience.Evaluator.evaluate} under [policy]
-    (default {!Resilience.Policy.default} — 3 attempts, exponential
-    simulated backoff, no timeout). The final verdict consumes one
-    unit of budget whatever its attempt count, so retried transients
-    do not double-count. A batch member whose verdict is [Timeout]
-    (a straggler exceeding the policy's cost budget) is recorded as a
-    failure and the batch completes. [on_outcome i config verdict]
-    fires once per consumed budget unit with the final verdict.
-    With [telemetry] enabled, every retry-loop attempt additionally
-    emits an [Attempt] event (wired through the evaluator's generic
-    probe, keeping the resilience layer dependency-free).
-
-    [replay] is the resume mechanism: the first [Array.length replay]
-    evaluations take their verdicts from the array instead of calling
-    [objective] (and do not fire [on_outcome]); the tuner still
-    performs the same rng draws and selection, so the run continues
-    exactly where the recorded one stopped. Raises [Failure] if a
-    replayed configuration does not match the recorded one.
+    Raises [Invalid_argument] before the first evaluation on invalid
+    options (see {!Campaign.create}).
 
     [on_gate] fires once per transfer-gate decision (a source
     attenuated, restored, or dropped; the pooled-prior fallback) in
     the shape {!Dataset.Runlog.gate} expects, so run-log writers can
-    persist the decisions as they happen. [recorded_gates] is the
-    resume-side counterpart: the recomputed decision stream is
-    verified against this prefix (raising [Failure] on divergence)
-    without re-firing [on_gate] for decisions the log already holds. *)
+    persist the decisions as they happen.
+
+    [telemetry] (here and on every other entry point) streams the
+    campaign's structured events — [Campaign_start], one [Init_draw]
+    per random draw, [Refit]/[Compile]/[Rank] spans per iteration,
+    one [Attempt] per objective call, one [Eval] per consumed budget
+    unit, and a final [Campaign_end] — to the given
+    {!Telemetry.Trace.t}. Tracing reads only the trace's clock: it
+    performs no rng draws and never influences selection, so a traced
+    campaign is bit-identical to an untraced one. The default is
+    {!Telemetry.Trace.disabled}, which costs one pointer comparison
+    per site. *)
 
 val resume :
   ?telemetry:Telemetry.Trace.t ->
@@ -257,8 +203,10 @@ val resume :
   (result, run_error) Stdlib.result
 (** [resume ~log ~objective ~budget ()] reconstructs an interrupted
     campaign from its run log and continues it up to [budget] total
-    evaluations. The rng is rebuilt from [log.seed] and the recorded
-    entries are replayed (see [replay] above), so given the same
+    evaluations. The campaign is rebuilt with {!Campaign.of_log} —
+    rng from [log.seed], recorded verdicts reported in place of
+    evaluations, without re-firing [on_outcome] — and then driven
+    like {!run_with_policy}, so given the same
     [options], [policy], and objective, an interrupted-then-resumed
     campaign produces bit-for-bit the same evaluation sequence,
     trajectory, and best configuration as an uninterrupted run —

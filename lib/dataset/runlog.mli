@@ -131,10 +131,9 @@ val create :
 type recorder
 
 val recorder : name:string -> seed:int -> space:Param.Space.t -> recorder
-(** An in-memory recorder whose callbacks plug into
-    {!Hiperbot.Tuner.run}/[run_resilient]'s [on_evaluation] and
-    [on_failure]. For crash-safe persistence prefer the {!writer}
-    API. *)
+(** An in-memory recorder for the entries a tuner driver reports
+    through its [on_outcome] callback. For crash-safe persistence
+    prefer the {!writer} API. *)
 
 val record_evaluation : recorder -> int -> Param.Config.t -> float -> unit
 
@@ -148,7 +147,7 @@ val finish : recorder -> t
 
 val history : t -> (Param.Config.t * float) array
 (** Successful evaluations in order — the shape the metrics layer and
-    {!Hiperbot.Tuner.run}'s [warm_start] expect. *)
+    the tuner drivers' [warm_start] expect. *)
 
 val best : t -> (Param.Config.t * float) option
 (** Best successful evaluation, [None] if all failed. *)

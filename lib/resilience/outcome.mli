@@ -34,6 +34,5 @@ val describe : t -> string
 (** Human-readable rendering including the diagnostic message. *)
 
 val of_option : float option -> t
-(** Adapter for legacy [float option] objectives: [None] becomes a
-    [Permanent] failure (the historical semantics of
-    {!Hiperbot.Tuner.run_resilient} — never retried). *)
+(** Adapter for [float option] objectives: [None] becomes a
+    [Permanent] failure, which is never retried. *)

@@ -44,12 +44,11 @@ type t =
       schedule : string;  (** "seq", "static", "dynamicN", or "guided" *)
       excluded : int;
           (** size of the exclusion set the scan skipped (evaluated and
-              in-flight pool rows; for schedule "sampled", the
-              evaluated set); 0 when decoded from an older trace *)
+              in-flight pool rows); 0 when decoded from an older
+              trace *)
       visited : int;
           (** leaf rows the scan reached — the rest were pruned by
-              branch and bound (for "sampled", the draws); 0 when
-              decoded from an older trace *)
+              branch and bound; 0 when decoded from an older trace *)
       dur_ms : float;
     }
   | Trust of {

@@ -29,6 +29,14 @@ let hash_objective c = float_of_int ((Param.Config.hash c land 0xFFFF) + 1)
 
 let policy3 = { Resilience.Policy.default with max_attempts = 3 }
 
+(* A total objective in the outcome taxonomy the tuner drivers take. *)
+let total f ~attempt:_ c = Resilience.Outcome.Value (f c)
+
+(* The result of a run that cannot fail. *)
+let ok = function
+  | Stdlib.Ok r -> r
+  | Stdlib.Error _ -> Alcotest.fail "every evaluation failed"
+
 let status_of_outcome = function
   | Resilience.Outcome.Value y -> Dataset.Runlog.Ok y
   | Resilience.Outcome.Transient _ -> Dataset.Runlog.Failed Dataset.Runlog.Transient

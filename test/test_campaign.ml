@@ -176,50 +176,78 @@ let resume_gen =
   let* seed = Gen.seed_gen in
   let* n_init = int_range 1 6 in
   let* budget = int_range 1 16 in
-  let+ cut_num = int_range 0 100 in
-  (space, faults, seed, n_init, budget, cut_num)
+  let+ source = opt (Gen.observations_gen ~min_n:4 ~max_n:12 space) in
+  (space, faults, seed, n_init, budget, source)
 
+(* With a source, the campaign carries a gated transfer prior that
+   disagrees with the target (negated objective) under a gate eager
+   enough to act within the small budgets: the cut logs then hold
+   gate decisions that resume must verify rather than re-emit. *)
 let prop_resume_any_cut =
   QCheck2.Test.make
     ~name:"campaign: of_log resume from any cut point = uninterrupted run" ~count:60
-    ~print:(fun (space, faults, seed, n_init, budget, cut_num) ->
-      Printf.sprintf "%s %s seed=%d n_init=%d budget=%d cut_num=%d"
-        (Gen.space_to_string space) (Gen.fault_spec_to_string faults) seed n_init budget
-        cut_num)
+    ~print:(fun (space, faults, seed, n_init, budget, source) ->
+      Printf.sprintf "%s %s seed=%d n_init=%d budget=%d source=%s" (Gen.space_to_string space)
+        (Gen.fault_spec_to_string faults) seed n_init budget
+        (match source with Some o -> string_of_int (Array.length o) | None -> "none"))
     resume_gen
-    (fun (space, faults, seed, n_init, budget, cut_num) ->
+    (fun (space, faults, seed, n_init, budget, source) ->
       let objective = Hpcsim.Faults.inject faults Gen.hash_objective in
       let options = { Hiperbot.Tuner.default_options with n_init } in
-      let recorded = ref [] in
+      let options =
+        match source with
+        | None -> options
+        | Some obs ->
+            Hiperbot.Transfer.options ~options
+              ~gate:(Some { Hiperbot.Gate.default_options with Hiperbot.Gate.min_obs = 2 })
+              ~space
+              [ (Array.map (fun (c, _) -> (c, -.Gen.hash_objective c)) obs, 1.) ]
+      in
+      let recorded = ref [] and gates = ref [] in
       let full =
         Hiperbot.Tuner.run_with_policy ~options ~policy:policy3
           ~on_outcome:(fun i c v -> recorded := (i, c, v) :: !recorded)
+          ~on_gate:(fun g -> gates := (List.length !recorded, g) :: !gates)
           ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
       in
-      let recorded = List.rev !recorded in
-      (* Cut anywhere in [0, completed] — including the empty log and
-         the already-finished one. *)
-      let cut = cut_num mod (List.length recorded + 1) in
-      let entries =
-        List.filteri (fun i _ -> i < cut) recorded
-        |> List.map (fun (i, c, (v : Resilience.Evaluator.verdict)) ->
-               {
-                 Dataset.Runlog.index = i;
-                 config = c;
-                 status = Gen.status_of_outcome v.Resilience.Evaluator.outcome;
-                 attempts = v.Resilience.Evaluator.attempts;
-               })
+      let recorded = List.rev !recorded and gates = List.rev !gates in
+      (* Cut at every point in [0, completed] — including the empty log
+         and the already-finished one. Each log keeps the gate
+         decisions a writer had flushed by then. *)
+      let resumed_at cut =
+        let entries =
+          List.filteri (fun i _ -> i < cut) recorded
+          |> List.map (fun (i, c, (v : Resilience.Evaluator.verdict)) ->
+                 {
+                   Dataset.Runlog.index = i;
+                   config = c;
+                   status = Gen.status_of_outcome v.Resilience.Evaluator.outcome;
+                   attempts = v.Resilience.Evaluator.attempts;
+                 })
+        in
+        let cut_gates =
+          List.filter_map (fun (n, g) -> if n <= cut then Some g else None) gates
+        in
+        let log = Dataset.Runlog.create ~gates:cut_gates ~name:"cut" ~seed ~space entries in
+        let campaign =
+          Hiperbot.Campaign.of_log ~options ~policy:policy3 ~mode:Hiperbot.Campaign.Sync ~log
+            ~budget ()
+        in
+        let resumed =
+          if Hiperbot.Campaign.is_finished campaign then Hiperbot.Campaign.result campaign
+          else drive_sync campaign (Resilience.Evaluator.evaluate ~policy:policy3 ~objective)
+        in
+        let new_gates = ref 0 in
+        let tuner_resumed =
+          Hiperbot.Tuner.resume ~options ~policy:policy3
+            ~on_gate:(fun _ -> incr new_gates)
+            ~log ~objective ~budget ()
+        in
+        run_outcomes_identical full resumed
+        && run_outcomes_identical full tuner_resumed
+        && !new_gates = List.length gates - List.length cut_gates
       in
-      let log = Dataset.Runlog.create ~name:"cut" ~seed ~space entries in
-      let campaign =
-        Hiperbot.Campaign.of_log ~options ~policy:policy3 ~mode:Hiperbot.Campaign.Sync ~log
-          ~budget ()
-      in
-      let resumed =
-        if Hiperbot.Campaign.is_finished campaign then Hiperbot.Campaign.result campaign
-        else drive_sync campaign (Resilience.Evaluator.evaluate ~policy:policy3 ~objective)
-      in
-      run_outcomes_identical full resumed)
+      List.for_all resumed_at (List.init (List.length recorded + 1) Fun.id))
 
 (* ---- property: the exclusion set tracks the seen set ---- *)
 
@@ -323,6 +351,46 @@ let prop_exclusion_tracks_seen =
         drive_checking_exclusion campaign ~space ~seen
       in
       live && List.for_all resumed_at (List.init (List.length entries + 1) Fun.id))
+
+(* ---- invalid options are refused before the first evaluation ---- *)
+
+let test_create_rejects_bad_options () =
+  let bad =
+    let d = Hiperbot.Tuner.default_options in
+    let alpha a = { d with surrogate = { d.surrogate with Hiperbot.Surrogate.alpha = a } } in
+    [
+      ("n_init 0", { d with n_init = 0 }, "n_init must be at least 1");
+      ("batch_size 0", { d with batch_size = 0 }, "batch_size must be at least 1");
+      ("early_stop 0", { d with early_stop = Some 0 }, "early_stop must be at least 1");
+      ("alpha 0", alpha 0., "alpha outside (0, 1)");
+      ("alpha 1", alpha 1., "alpha outside (0, 1)");
+      ("alpha 1.5", alpha 1.5, "alpha outside (0, 1)");
+      ("alpha nan", alpha Float.nan, "alpha outside (0, 1)");
+      ( "proposal 0",
+        { d with strategy = Hiperbot.Strategy.Proposal { n_candidates = 0 } },
+        "Proposal n_candidates must be at least 1" );
+    ]
+  in
+  List.iter
+    (fun (label, options, msg) ->
+      Alcotest.check_raises label (Invalid_argument ("Campaign.create: " ^ msg)) (fun () ->
+          ignore
+            (Hiperbot.Campaign.create ~options ~mode:Hiperbot.Campaign.Sync
+               ~rng:(Prng.Rng.create 1) ~space:Gen.cat_ord_space ~budget:8 ()));
+      (* The drivers refuse the same options before calling the
+         objective even once. *)
+      let called = ref false in
+      Alcotest.check_raises (label ^ " (driver)") (Invalid_argument ("Campaign.create: " ^ msg))
+        (fun () ->
+          ignore
+            (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 1)
+               ~space:Gen.cat_ord_space
+               ~objective:(fun ~attempt:_ _ ->
+                 called := true;
+                 Resilience.Outcome.Value 1.)
+               ~budget:8 ()));
+      check Alcotest.bool (label ^ ": objective never called") false !called)
+    bad
 
 (* ---- report rejection: duplicates, unknown ids, finished ---- *)
 
@@ -543,6 +611,8 @@ let test_shared_pool_concurrent () =
 let suite =
   ( "campaign",
     [
+      Alcotest.test_case "create rejects bad options before evaluating" `Quick
+        test_create_rejects_bad_options;
       Alcotest.test_case "report rejection (sync)" `Quick test_report_rejection;
       Alcotest.test_case "report rejection (async out-of-order)" `Quick
         test_async_out_of_order;

@@ -226,8 +226,9 @@ let same_result (a : Hiperbot.Tuner.result) (b : Hiperbot.Tuner.result) =
 
 let test_parallel_campaign_matches_sequential () =
   let run pool schedule =
-    Hiperbot.Tuner.run ~options:tuner_options ?pool ?schedule ~rng:(Prng.Rng.create 42)
-      ~space:space3 ~objective:objective3 ~budget:20 ()
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~options:tuner_options ?pool ?schedule
+         ~rng:(Prng.Rng.create 42) ~space:space3 ~objective:(Gen.total objective3) ~budget:20 ())
   in
   let sequential = run None None in
   List.iter
@@ -244,24 +245,36 @@ let test_parallel_campaign_matches_sequential () =
     [ 1; 3 ]
 
 (* Interrupt a parallel campaign after [cut] evaluations, then resume
-   it (replay of the recorded verdicts, still on the parallel path):
-   the resumed run must retrace the uninterrupted one bit-for-bit. *)
+   it from an in-memory run log holding the recorded prefix (still on
+   the parallel path): the resumed run must retrace the uninterrupted
+   one bit-for-bit. *)
 let test_parallel_resume_replays_bit_for_bit () =
-  let objective ~attempt:_ c = Resilience.Outcome.Value (objective3 c) in
+  let objective = Gen.total objective3 in
   Parallel.Pool.with_pool ~num_domains:3 (fun workers ->
       let recorded = ref [] in
-      let on_outcome _i c v = recorded := (c, v) :: !recorded in
+      let on_outcome index config (v : Resilience.Evaluator.verdict) =
+        recorded :=
+          {
+            Dataset.Runlog.index;
+            config;
+            status = Gen.status_of_outcome v.Resilience.Evaluator.outcome;
+            attempts = v.Resilience.Evaluator.attempts;
+          }
+          :: !recorded
+      in
       let full =
         Hiperbot.Tuner.run_with_policy ~options:tuner_options ~on_outcome ~pool:workers
           ~rng:(Prng.Rng.create 5) ~space:space3 ~objective ~budget:15 ()
       in
-      let verdicts = Array.of_list (List.rev !recorded) in
-      check Alcotest.int "captured every evaluation" 15 (Array.length verdicts);
+      let entries = List.rev !recorded in
+      check Alcotest.int "captured every evaluation" 15 (List.length entries);
       let cut = 7 in
+      let log =
+        Dataset.Runlog.create ~name:"cut" ~seed:5 ~space:space3
+          (List.filteri (fun i _ -> i < cut) entries)
+      in
       let resumed =
-        Hiperbot.Tuner.run_with_policy ~options:tuner_options
-          ~replay:(Array.sub verdicts 0 cut) ~pool:workers ~rng:(Prng.Rng.create 5)
-          ~space:space3 ~objective ~budget:15 ()
+        Hiperbot.Tuner.resume ~options:tuner_options ~pool:workers ~log ~objective ~budget:15 ()
       in
       match (full, resumed) with
       | Stdlib.Ok a, Stdlib.Ok b ->
@@ -517,46 +530,6 @@ let test_rank_allocation_bounded () =
   if allocated >= 1e6 then
     Alcotest.failf "one ranking call allocated %.0f bytes (limit 1 MB)" allocated
 
-(* ---- sampled-candidate mode ---- *)
-
-let test_sampled_mode_deterministic () =
-  let surrogate = Hiperbot.Surrogate.fit space3 obs3 in
-  let enc = Hiperbot.Surrogate.Pool.of_space space3 in
-  let pool = Param.Space.enumerate space3 in
-  let evaluated = Param.Config.Table.create 4 in
-  Array.iteri (fun i c -> if i mod 4 = 0 then Param.Config.Table.replace evaluated c ()) pool;
-  let select rng ev =
-    Hiperbot.Strategy.select_many_encoded ~candidates:(`Sampled 60) ~k:5 ~rng ~surrogate
-      ~encoded:enc ~evaluated:ev ()
-  in
-  let rng1 = Prng.Rng.create 9 and rng2 = Prng.Rng.create 9 in
-  let b1 = select rng1 evaluated and b2 = select rng2 evaluated in
-  check Alcotest.bool "same seed, same batch" true (same_configs b1 b2);
-  check Alcotest.bool "batch within k" true (List.length b1 <= 5);
-  let distinct = Param.Config.Table.create 8 in
-  List.iter
-    (fun c ->
-      check Alcotest.bool "never proposes an evaluated config" false
-        (Param.Config.Table.mem evaluated c);
-      check Alcotest.bool "batch members distinct" false (Param.Config.Table.mem distinct c);
-      Param.Config.Table.replace distinct c ())
-    b1;
-  (* The rng consumption contract: exactly n draws whatever the
-     evaluated set holds, so campaigns replay from the seed. *)
-  let rng3 = Prng.Rng.create 9 in
-  ignore (select rng3 (Param.Config.Table.create 1));
-  check Alcotest.int "rng consumption independent of the evaluated set"
-    (Prng.Rng.int rng1 1_000_000) (Prng.Rng.int rng3 1_000_000);
-  let options =
-    { Hiperbot.Tuner.default_options with n_init = 4; sampled_candidates = Some 24 }
-  in
-  let run () =
-    Hiperbot.Tuner.run ~options ~rng:(Prng.Rng.create 11) ~space:space3 ~objective:objective3
-      ~budget:18 ()
-  in
-  check Alcotest.bool "sampled campaign replays bit-identically" true
-    (same_result (run ()) (run ()))
-
 (* ---- initialization early-exit ---- *)
 
 (* When the warm start already covers every candidate, phase 1 must
@@ -598,8 +571,6 @@ let suite =
         test_init_exits_early_when_pool_covered;
       Alcotest.test_case "virtual pool = materialized pool" `Quick
         test_virtual_pool_matches_materialized;
-      Alcotest.test_case "sampled candidates deterministic from seed" `Quick
-        test_sampled_mode_deterministic;
       Alcotest.test_case "ranking a 10^7 pool allocates under 1 MB" `Quick
         test_rank_allocation_bounded;
       QCheck_alcotest.to_alcotest prop_branch_and_bound_exact;

@@ -168,8 +168,10 @@ let test_gate_transparency () =
   let options = { Hiperbot.Tuner.default_options with n_init = 8 } in
   let budget = 30 and seed = 13 in
   let run gate =
-    Hiperbot.Transfer.run ~options ~gate ~rng:(Prng.Rng.create seed) ~space ~source ~objective
-      ~budget ()
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy
+         ~options:(Hiperbot.Transfer.options ~options ~gate ~space [ (source, 1.) ])
+         ~rng:(Prng.Rng.create seed) ~space ~objective:(Gen.total objective) ~budget ())
   in
   let ungated = run None in
   let inert = run (Some { default_gate with Hiperbot.Gate.min_obs = max_int }) in
@@ -214,12 +216,15 @@ let prop_harmful_prior_dropped =
       let dropped = ref None in
       let fallback = ref false in
       let result =
-        Hiperbot.Transfer.run ~options ~gate
-          ~on_gate:(fun g ->
-            if g.Dataset.Runlog.g_action = "drop" && !dropped = None then
-              dropped := Some g.Dataset.Runlog.g_refit;
-            if g.Dataset.Runlog.g_action = "fallback" then fallback := true)
-          ~rng:(Prng.Rng.create seed) ~space ~source ~objective:Gen.hash_objective ~budget:16 ()
+        Gen.ok
+          (Hiperbot.Tuner.run_with_policy
+             ~options:(Hiperbot.Transfer.options ~options ~gate ~space [ (source, 1.) ])
+             ~on_gate:(fun g ->
+               if g.Dataset.Runlog.g_action = "drop" && !dropped = None then
+                 dropped := Some g.Dataset.Runlog.g_refit;
+               if g.Dataset.Runlog.g_action = "fallback" then fallback := true)
+             ~rng:(Prng.Rng.create seed) ~space ~objective:(Gen.total Gen.hash_objective)
+             ~budget:16 ())
       in
       let bounded =
         match !dropped with
@@ -238,12 +243,18 @@ let test_hypre_containment () =
   let budget = (Dataset.Table.size trgt / 100) + 100 in
   let good = Metrics.Recall.percentile_good_set trgt 0.10 in
   let dropped = ref false in
-  let gated =
-    Hiperbot.Transfer.run
-      ~on_gate:(fun g -> if g.Dataset.Runlog.g_action = "drop" then dropped := true)
-      ~rng:(Prng.Rng.create 100) ~space ~source ~objective ~budget ()
+  let run ?options ?on_gate () =
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ?options ?on_gate ~rng:(Prng.Rng.create 100) ~space
+         ~objective:(Gen.total objective) ~budget ())
   in
-  let noprior = Hiperbot.Tuner.run ~rng:(Prng.Rng.create 100) ~space ~objective ~budget () in
+  let gated =
+    run
+      ~options:(Hiperbot.Transfer.options ~space [ (source, 1.) ])
+      ~on_gate:(fun g -> if g.Dataset.Runlog.g_action = "drop" then dropped := true)
+      ()
+  in
+  let noprior = run () in
   let rg = Metrics.Recall.recall good gated.Hiperbot.Tuner.history in
   let rn = Metrics.Recall.recall good noprior.Hiperbot.Tuner.history in
   check Alcotest.bool "harmful hypre prior is dropped" true !dropped;
@@ -267,18 +278,23 @@ let gated_faulty_campaign () =
 
 let gate_small = Some { default_gate with Hiperbot.Gate.min_obs = 10 }
 
+let gated_options ?(gate = gate_small) ~space sources =
+  Hiperbot.Transfer.options
+    ~options:{ Hiperbot.Tuner.default_options with n_init = 8 }
+    ~gate ~space sources
+
 let test_gate_resume_parity () =
   let space, objective, sources = gated_faulty_campaign () in
-  let options = { Hiperbot.Tuner.default_options with n_init = 8 } in
+  let options = gated_options ~space sources in
   let budget = 30 and interrupt_after = 12 and seed = 21 in
   let recorded = ref [] in
   let gates = ref [] in
   let full =
     match
-      Hiperbot.Transfer.run_with_policy ~options ~policy:Gen.policy3 ~gate:gate_small
+      Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3
         ~on_outcome:(fun i c v -> recorded := (i, c, v) :: !recorded)
         ~on_gate:(fun g -> gates := g :: !gates)
-        ~rng:(Prng.Rng.create seed) ~space ~sources ~objective ~budget ()
+        ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
     with
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail "uninterrupted gated campaign failed outright"
@@ -301,9 +317,9 @@ let test_gate_resume_parity () =
   let new_gates = ref 0 in
   let resumed =
     match
-      Hiperbot.Transfer.resume ~options ~policy:Gen.policy3 ~gate:gate_small
+      Hiperbot.Tuner.resume ~options ~policy:Gen.policy3
         ~on_gate:(fun _ -> incr new_gates)
-        ~log ~sources ~objective ~budget ()
+        ~log ~objective ~budget ()
     with
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail "resumed gated campaign failed outright"
@@ -325,8 +341,7 @@ let test_gate_resume_parity () =
        "Tuner.resume: recorded gate decisions diverge from the recomputed ones (were the gate \
         options, sources, or schedule changed?)") (fun () ->
       ignore
-        (Hiperbot.Transfer.resume ~options ~policy:Gen.policy3 ~gate:gate_small ~log:tampered
-           ~sources ~objective ~budget ()));
+        (Hiperbot.Tuner.resume ~options ~policy:Gen.policy3 ~log:tampered ~objective ~budget ()));
   (* Gating disabled recomputes no decisions at all, so the lazy
      prefix check would never see the contradiction — it must be
      rejected eagerly at resume time. *)
@@ -336,14 +351,15 @@ let test_gate_resume_parity () =
         (restore the original prior and gate options, or start fresh without --resume)")
     (fun () ->
       ignore
-        (Hiperbot.Transfer.resume ~options ~policy:Gen.policy3 ~gate:None ~log ~sources
-           ~objective ~budget ()))
+        (Hiperbot.Tuner.resume
+           ~options:(gated_options ~gate:None ~space sources)
+           ~policy:Gen.policy3 ~log ~objective ~budget ()))
 
 (* ---- async: k=1 parity and k>1 determinism, gate active ---- *)
 
 let test_gate_async () =
   let space, objective, sources = gated_faulty_campaign () in
-  let options = { Hiperbot.Tuner.default_options with n_init = 8 } in
+  let options = gated_options ~space sources in
   let budget = 30 and seed = 23 in
   let unwrap label = function
     | Stdlib.Ok r -> r
@@ -353,16 +369,16 @@ let test_gate_async () =
     let gates = ref [] in
     let r =
       unwrap "run_async"
-        (Hiperbot.Transfer.run_async ~options ~policy:Gen.policy3 ~gate:gate_small
+        (Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3
            ~on_gate:(fun g -> gates := g :: !gates)
-           ~k ~rng:(Prng.Rng.create seed) ~space ~sources ~objective ~budget ())
+           ~k ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ())
     in
     (r, List.rev !gates)
   in
   let sync =
     unwrap "run_with_policy"
-      (Hiperbot.Transfer.run_with_policy ~options ~policy:Gen.policy3 ~gate:gate_small
-         ~rng:(Prng.Rng.create seed) ~space ~sources ~objective ~budget ())
+      (Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3 ~rng:(Prng.Rng.create seed)
+         ~space ~objective ~budget ())
   in
   let async1, gates1 = gates_of 1 in
   check Alcotest.bool "gated async k=1 = sync, bit-for-bit" true

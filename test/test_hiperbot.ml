@@ -229,14 +229,22 @@ let counted_objective () =
 
 let test_tuner_budget_respected () =
   let objective, count = counted_objective () in
-  let result = Hiperbot.Tuner.run ~rng:(Prng.Rng.create 91) ~space:space2 ~objective ~budget:10 () in
+  let result =
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 91) ~space:space2
+         ~objective:(Gen.total objective) ~budget:10 ())
+  in
   check Alcotest.bool "at most budget evaluations" true (!count <= 10);
   check Alcotest.int "history matches evaluation count" !count
     (Array.length result.Hiperbot.Tuner.history)
 
 let test_tuner_no_duplicate_evaluations () =
   let objective, _ = counted_objective () in
-  let result = Hiperbot.Tuner.run ~rng:(Prng.Rng.create 92) ~space:space2 ~objective ~budget:12 () in
+  let result =
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 92) ~space:space2
+         ~objective:(Gen.total objective) ~budget:12 ())
+  in
   let seen = Param.Config.Table.create 12 in
   Array.iter
     (fun (c, _) ->
@@ -246,7 +254,11 @@ let test_tuner_no_duplicate_evaluations () =
 
 let test_tuner_trajectory_monotone () =
   let objective, _ = counted_objective () in
-  let result = Hiperbot.Tuner.run ~rng:(Prng.Rng.create 93) ~space:space2 ~objective ~budget:12 () in
+  let result =
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 93) ~space:space2
+         ~objective:(Gen.total objective) ~budget:12 ())
+  in
   let t = result.Hiperbot.Tuner.trajectory in
   for i = 1 to Array.length t - 1 do
     if t.(i) > t.(i - 1) then Alcotest.fail "trajectory not non-increasing"
@@ -255,7 +267,11 @@ let test_tuner_trajectory_monotone () =
 
 let test_tuner_exhausts_small_space () =
   let objective, count = counted_objective () in
-  let result = Hiperbot.Tuner.run ~rng:(Prng.Rng.create 94) ~space:space2 ~objective ~budget:100 () in
+  let result =
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 94) ~space:space2
+         ~objective:(Gen.total objective) ~budget:100 ())
+  in
   check Alcotest.int "stops at space size" 12 !count;
   check Alcotest.int "history covers the space" 12 (Array.length result.Hiperbot.Tuner.history)
 
@@ -274,15 +290,21 @@ let test_tuner_finds_optimum_of_separable () =
     let v i = float_of_int (Param.Value.to_index config.(i)) in
     ((v 0 -. 2.) ** 2.) +. ((v 1 -. 4.) ** 2.) +. ((v 2 -. 1.) ** 2.)
   in
-  let result = Hiperbot.Tuner.run ~rng:(Prng.Rng.create 95) ~space ~objective ~budget:80 () in
+  let result =
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 95) ~space
+         ~objective:(Gen.total objective) ~budget:80 ())
+  in
   check feq "global optimum found" 0. result.Hiperbot.Tuner.best_value
 
 let test_tuner_on_evaluation_callback () =
   let objective, _ = counted_objective () in
   let calls = ref [] in
-  let on_evaluation i _ y = calls := (i, y) :: !calls in
+  let on_outcome i _ v = calls := (i, v) :: !calls in
   let result =
-    Hiperbot.Tuner.run ~on_evaluation ~rng:(Prng.Rng.create 96) ~space:space2 ~objective ~budget:8 ()
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~on_outcome ~rng:(Prng.Rng.create 96) ~space:space2
+         ~objective:(Gen.total objective) ~budget:8 ())
   in
   let calls = List.rev !calls in
   check Alcotest.int "one callback per evaluation" (Array.length result.Hiperbot.Tuner.history)
@@ -294,7 +316,9 @@ let test_tuner_warm_start () =
   let warm = Array.map (fun (c, y) -> (c, y)) separable_obs in
   (* warm_start configs are in space2; budget small *)
   let result =
-    Hiperbot.Tuner.run ~warm_start:warm ~rng:(Prng.Rng.create 97) ~space:space2 ~objective ~budget:4 ()
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~warm_start:warm ~rng:(Prng.Rng.create 97) ~space:space2
+         ~objective:(Gen.total objective) ~budget:4 ())
   in
   check Alcotest.bool "warm start not re-evaluated" true (!count <= 4);
   check Alcotest.bool "history excludes warm start" true
@@ -302,17 +326,24 @@ let test_tuner_warm_start () =
 
 let test_tuner_validation () =
   let objective, _ = counted_objective () in
-  Alcotest.check_raises "bad budget" (Invalid_argument "Tuner.run: budget must be at least 1")
-    (fun () -> ignore (Hiperbot.Tuner.run ~rng:(Prng.Rng.create 1) ~space:space2 ~objective ~budget:0 ()));
+  Alcotest.check_raises "bad budget" (Invalid_argument "Campaign.create: budget must be at least 1")
+    (fun () ->
+      ignore
+        (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 1) ~space:space2
+           ~objective:(Gen.total objective) ~budget:0 ()));
   let cont = Param.Space.make [ Param.Spec.continuous "x" ~lo:0. ~hi:1. ] in
   Alcotest.check_raises "ranking needs finite space"
-    (Invalid_argument "Tuner.run: Ranking strategy requires a finite space") (fun () ->
-      ignore (Hiperbot.Tuner.run ~rng:(Prng.Rng.create 1) ~space:cont ~objective:(fun _ -> 0.) ~budget:5 ()))
+    (Invalid_argument "Campaign.create: Ranking strategy requires a finite space") (fun () ->
+      ignore
+        (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 1) ~space:cont
+           ~objective:(Gen.total (fun _ -> 0.)) ~budget:5 ()))
 
 let test_tuner_deterministic () =
   let run seed =
     let objective, _ = counted_objective () in
-    (Hiperbot.Tuner.run ~rng:(Prng.Rng.create seed) ~space:space2 ~objective ~budget:10 ())
+    (Gen.ok
+       (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create seed) ~space:space2
+          ~objective:(Gen.total objective) ~budget:10 ()))
       .Hiperbot.Tuner.best_value
   in
   check feq "same seed same result" (run 5) (run 5)
@@ -332,10 +363,15 @@ let test_transfer_prior_biases_selection () =
       ]
   in
   let objective _ = 5. in
-  let result =
-    Hiperbot.Transfer.run ~weight:10.
+  let options =
+    Hiperbot.Transfer.options
       ~options:{ Hiperbot.Tuner.default_options with n_init = 2 }
-      ~rng:(Prng.Rng.create 101) ~space:space2 ~source ~objective ~budget:6 ()
+      ~space:space2 [ (source, 10.) ]
+  in
+  let result =
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 101) ~space:space2
+         ~objective:(Gen.total objective) ~budget:6 ())
   in
   let guided = Array.sub result.Hiperbot.Tuner.history 2 (Array.length result.Hiperbot.Tuner.history - 2) in
   let favored =
@@ -345,18 +381,15 @@ let test_transfer_prior_biases_selection () =
     (favored * 2 > Array.length guided)
 
 let test_transfer_validation () =
-  Alcotest.check_raises "empty source" (Invalid_argument "Transfer.run: empty source data")
-    (fun () ->
-      ignore
-        (Hiperbot.Transfer.run ~rng:(Prng.Rng.create 1) ~space:space2 ~source:[||]
-           ~objective:(fun _ -> 0.) ~budget:5 ()));
-  let bad_weight = Invalid_argument "Transfer.run: prior weight must be finite and non-negative" in
+  Alcotest.check_raises "empty source" (Invalid_argument "Transfer.options: empty source data")
+    (fun () -> ignore (Hiperbot.Transfer.options ~space:space2 [ ([||], 1.) ]));
+  let bad_weight =
+    Invalid_argument "Transfer.options: prior weight must be finite and non-negative"
+  in
   List.iter
     (fun (label, w) ->
       Alcotest.check_raises label bad_weight (fun () ->
-          ignore
-            (Hiperbot.Transfer.run ~weight:w ~rng:(Prng.Rng.create 1) ~space:space2
-               ~source:separable_obs ~objective:(fun _ -> 0.) ~budget:5 ())))
+          ignore (Hiperbot.Transfer.options ~space:space2 [ (separable_obs, w) ])))
     [ ("negative weight", -1.); ("nan weight", Float.nan); ("infinite weight", Float.infinity) ]
 
 let test_surrogate_weight_validation () =
@@ -365,7 +398,7 @@ let test_surrogate_weight_validation () =
     (fun (label, w) ->
       Alcotest.check_raises label
         (Invalid_argument "Surrogate.fit: prior weight must be finite and non-negative")
-        (fun () -> ignore (Hiperbot.Surrogate.fit ~prior:(prior, w) space2 separable_obs)))
+        (fun () -> ignore (Hiperbot.Surrogate.fit ~priors:[ (prior, w) ] space2 separable_obs)))
     [ ("negative weight", -0.5); ("nan weight", Float.nan); ("infinite weight", Float.infinity) ]
 
 let test_surrogate_rejects_non_finite_objective () =
@@ -511,7 +544,11 @@ let test_select_many_respects_pool_size () =
 let test_tuner_batch_mode () =
   let objective, count = counted_objective () in
   let options = { Hiperbot.Tuner.default_options with n_init = 4; batch_size = 3 } in
-  let result = Hiperbot.Tuner.run ~options ~rng:(Prng.Rng.create 113) ~space:space2 ~objective ~budget:10 () in
+  let result =
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 113) ~space:space2
+         ~objective:(Gen.total objective) ~budget:10 ())
+  in
   check Alcotest.bool "budget respected in batch mode" true (!count <= 10);
   let seen = Param.Config.Table.create 10 in
   Array.iter
@@ -530,7 +567,9 @@ let test_tuner_early_stop () =
   in
   let options = { Hiperbot.Tuner.default_options with n_init = 3; early_stop = Some 4 } in
   let result =
-    Hiperbot.Tuner.run ~options ~rng:(Prng.Rng.create 114) ~space:space2 ~objective ~budget:12 ()
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 114) ~space:space2
+         ~objective:(Gen.total objective) ~budget:12 ())
   in
   check Alcotest.bool "stopped early flag" true result.Hiperbot.Tuner.stopped_early;
   check Alcotest.int "stopped after init + patience" 7 !count
@@ -544,7 +583,9 @@ let test_tuner_no_early_stop_when_improving () =
   in
   let options = { Hiperbot.Tuner.default_options with n_init = 3; early_stop = Some 2 } in
   let result =
-    Hiperbot.Tuner.run ~options ~rng:(Prng.Rng.create 115) ~space:space2 ~objective ~budget:12 ()
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 115) ~space:space2
+         ~objective:(Gen.total objective) ~budget:12 ())
   in
   check Alcotest.bool "ran the full budget" true (Array.length result.Hiperbot.Tuner.history = 12);
   check Alcotest.bool "not stopped early" false result.Hiperbot.Tuner.stopped_early
@@ -566,8 +607,9 @@ let test_tuner_early_stop_batch_interaction () =
         { Hiperbot.Tuner.default_options with n_init = 3; batch_size; early_stop = Some 4 }
       in
       let result =
-        Hiperbot.Tuner.run ~options ~rng:(Prng.Rng.create 116) ~space:space2 ~objective
-          ~budget:50 ()
+        Gen.ok
+          (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 116) ~space:space2
+             ~objective:(Gen.total objective) ~budget:50 ())
       in
       check Alcotest.bool
         (Printf.sprintf "batch_size=%d: stopped early" batch_size)
@@ -661,14 +703,17 @@ let test_resilient_avoids_failing_region () =
     else Some (5. +. (0.1 *. float_of_int (Param.Value.to_index config.(1))))
   in
   let options = { Hiperbot.Tuner.default_options with n_init = 4 } in
+  let on_outcome _ _ (v : Resilience.Evaluator.verdict) =
+    match v.Resilience.Evaluator.outcome with
+    | Resilience.Outcome.Value _ -> ()
+    | _ -> incr failures_seen
+  in
   let result =
-    match
-      Hiperbot.Tuner.run_resilient ~options
-        ~on_failure:(fun _ _ -> incr failures_seen)
-        ~rng:(Prng.Rng.create 211) ~space:space2 ~objective ~budget:12 ()
-    with
-    | Stdlib.Ok r -> r
-    | Stdlib.Error _ -> Alcotest.fail "expected some successful evaluations"
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~options ~on_outcome ~rng:(Prng.Rng.create 211)
+         ~space:space2
+         ~objective:(fun ~attempt:_ c -> Resilience.Outcome.of_option (objective c))
+         ~budget:12 ())
   in
   let n_ok = Array.length result.Hiperbot.Tuner.history in
   let n_fail = Array.length result.Hiperbot.Tuner.failures in
@@ -690,8 +735,9 @@ let test_resilient_all_fail () =
   (* Every evaluation failing is reported as a structured error, not
      an exception — callers degrade gracefully. *)
   match
-    Hiperbot.Tuner.run_resilient ~rng:(Prng.Rng.create 212) ~space:space2
-      ~objective:(fun _ -> None) ~budget:5 ()
+    Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 212) ~space:space2
+      ~objective:(fun ~attempt:_ _ -> Resilience.Outcome.of_option None)
+      ~budget:5 ()
   with
   | Stdlib.Ok _ -> Alcotest.fail "expected an all-failed error"
   | Stdlib.Error err ->
@@ -701,23 +747,18 @@ let test_resilient_all_fail () =
         err.Hiperbot.Tuner.error_attempts
 
 let test_resilient_matches_run_when_no_failures () =
+  (* Nothing fails, so the retry policy never acts: the default policy
+     and no retries at all run the same campaign, one attempt each. *)
   let objective c = float_of_int (Param.Config.hash c mod 17) in
-  let a =
-    Hiperbot.Tuner.run ~rng:(Prng.Rng.create 213) ~space:space2 ~objective ~budget:10 ()
+  let run policy =
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~policy ~rng:(Prng.Rng.create 213) ~space:space2
+         ~objective:(Gen.total objective) ~budget:10 ())
   in
-  let b =
-    match
-      Hiperbot.Tuner.run_resilient ~rng:(Prng.Rng.create 213) ~space:space2
-        ~objective:(fun c -> Some (objective c))
-        ~budget:10 ()
-    with
-    | Stdlib.Ok r -> r
-    | Stdlib.Error _ -> Alcotest.fail "expected a successful run"
-  in
-  check feq "same best" a.Hiperbot.Tuner.best_value b.Hiperbot.Tuner.best_value;
-  check Alcotest.int "same history length" (Array.length a.Hiperbot.Tuner.history)
-    (Array.length b.Hiperbot.Tuner.history);
-  check Alcotest.int "no failures" 0 (Array.length b.Hiperbot.Tuner.failures)
+  let a = run Resilience.Policy.default and b = run Resilience.Policy.no_retry in
+  check Alcotest.bool "same campaign" true (Gen.results_identical a b);
+  check Alcotest.int "one attempt per evaluation" 10 a.Hiperbot.Tuner.n_attempts;
+  check Alcotest.int "no failures" 0 (Array.length a.Hiperbot.Tuner.failures)
 
 let test_surrogate_extra_bad_shifts_scores () =
   let s_plain = Hiperbot.Surrogate.fit space2 separable_obs in
@@ -748,7 +789,11 @@ let prop_tuner_invariants =
     QCheck2.Gen.(pair (int_range 0 100000) (int_range 1 12))
     (fun (seed, budget) ->
       let objective c = float_of_int ((Param.Config.hash c land 0xFFFF) + 1) in
-      let r = Hiperbot.Tuner.run ~rng:(Prng.Rng.create seed) ~space:space2 ~objective ~budget () in
+      let r =
+        Gen.ok
+          (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create seed) ~space:space2
+             ~objective:(Gen.total objective) ~budget ())
+      in
       let h = r.Hiperbot.Tuner.history in
       let n = Array.length h in
       let distinct =

@@ -60,8 +60,9 @@ let test_candidate_restricted_tuning () =
   let candidates = Dataset.Table.configs table in
   let options = { Hiperbot.Tuner.default_options with n_init = 3 } in
   let result =
-    Hiperbot.Tuner.run ~options ~candidates ~rng:(Prng.Rng.create 9) ~space
-      ~objective:(Dataset.Table.objective_fn table) ~budget:6 ()
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~options ~candidates ~rng:(Prng.Rng.create 9) ~space
+         ~objective:(Gen.total (Dataset.Table.objective_fn table)) ~budget:6 ())
   in
   (* Every evaluation must be one of the measured rows; exhausting
      the candidate set must find the file's best. *)
@@ -74,20 +75,20 @@ let test_candidate_restricted_tuning () =
 let test_candidates_validation () =
   let table = Dataset.Infer.table_of_csv ~name:"study" csv in
   let space = Dataset.Table.space table in
-  Alcotest.check_raises "empty candidates" (Invalid_argument "Tuner.run: empty candidate set")
+  Alcotest.check_raises "empty candidates" (Invalid_argument "Campaign.create: empty candidate set")
     (fun () ->
       ignore
-        (Hiperbot.Tuner.run ~candidates:[||] ~rng:(Prng.Rng.create 1) ~space
-           ~objective:(fun _ -> 0.) ~budget:3 ()));
+        (Hiperbot.Tuner.run_with_policy ~candidates:[||] ~rng:(Prng.Rng.create 1) ~space
+           ~objective:(Gen.total (fun _ -> 0.)) ~budget:3 ()));
   let options =
     { Hiperbot.Tuner.default_options with strategy = Hiperbot.Strategy.Proposal { n_candidates = 8 } }
   in
   Alcotest.check_raises "proposal incompatible"
-    (Invalid_argument "Tuner.run: candidates require the Ranking strategy") (fun () ->
+    (Invalid_argument "Campaign.create: candidates require the Ranking strategy") (fun () ->
       ignore
-        (Hiperbot.Tuner.run ~options
+        (Hiperbot.Tuner.run_with_policy ~options
            ~candidates:(Dataset.Table.configs table)
-           ~rng:(Prng.Rng.create 1) ~space ~objective:(fun _ -> 0.) ~budget:3 ()))
+           ~rng:(Prng.Rng.create 1) ~space ~objective:(Gen.total (fun _ -> 0.)) ~budget:3 ()))
 
 let suite =
   let tc = Alcotest.test_case in

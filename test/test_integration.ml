@@ -18,7 +18,10 @@ let test_hiperbot_beats_random_on_kripke () =
   let sizes = [| 96 |] in
   let hb =
     Metrics.Runner.sweep ~reps:5 ~base_seed:50 ~sample_sizes:sizes ~good ~run:(fun ~rng ~budget ->
-        Baselines.Outcome.of_tuner_result (Hiperbot.Tuner.run ~rng ~space ~objective ~budget ()))
+        Baselines.Outcome.of_tuner_result
+          (Gen.ok
+             (Hiperbot.Tuner.run_with_policy ~rng ~space ~objective:(Gen.total objective)
+                ~budget ())))
   in
   let rnd =
     Metrics.Runner.sweep ~reps:5 ~base_seed:50 ~sample_sizes:sizes ~good ~run:(fun ~rng ~budget ->
@@ -35,8 +38,9 @@ let test_hiperbot_finds_hypre_best () =
   let t = table "hypre" in
   let space = Dataset.Table.space t in
   let result =
-    Hiperbot.Tuner.run ~rng:(Prng.Rng.create 4) ~space
-      ~objective:(Dataset.Table.objective_fn t) ~budget:241 ()
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 4) ~space
+         ~objective:(Gen.total (Dataset.Table.objective_fn t)) ~budget:241 ())
   in
   check (Alcotest.float 1e-9) "absolute best found" (Dataset.Table.best_value t)
     result.Hiperbot.Tuner.best_value
@@ -64,12 +68,20 @@ let test_transfer_beats_cold_start () =
   in
   let with_prior =
     avg (fun ~rng ->
-        let r = Hiperbot.Transfer.run ~rng ~space ~source ~objective ~budget () in
+        let options = Hiperbot.Transfer.options ~space [ (source, 1.) ] in
+        let r =
+          Gen.ok
+            (Hiperbot.Tuner.run_with_policy ~options ~rng ~space ~objective:(Gen.total objective)
+               ~budget ())
+        in
         Metrics.Recall.recall good r.Hiperbot.Tuner.history)
   in
   let cold =
     avg (fun ~rng ->
-        let r = Hiperbot.Tuner.run ~rng ~space ~objective ~budget () in
+        let r =
+          Gen.ok
+            (Hiperbot.Tuner.run_with_policy ~rng ~space ~objective:(Gen.total objective) ~budget ())
+        in
         Metrics.Recall.recall good r.Hiperbot.Tuner.history)
   in
   check Alcotest.bool "prior at least matches cold start" true (with_prior >= cold)
@@ -110,15 +122,26 @@ let test_runlog_warm_start_continuation () =
   let space = Dataset.Table.space t in
   let objective = Dataset.Table.objective_fn t in
   let rec_ = Dataset.Runlog.recorder ~name:"phase1" ~seed:80 ~space in
+  let on_outcome index config (v : Resilience.Evaluator.verdict) =
+    Dataset.Runlog.record_entry rec_
+      {
+        Dataset.Runlog.index;
+        config;
+        status = Gen.status_of_outcome v.Resilience.Evaluator.outcome;
+        attempts = v.Resilience.Evaluator.attempts;
+      }
+  in
   let phase1 =
-    Hiperbot.Tuner.run
-      ~on_evaluation:(fun i c y -> Dataset.Runlog.record_evaluation rec_ i c y)
-      ~rng:(Prng.Rng.create 80) ~space ~objective ~budget:40 ()
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~on_outcome ~rng:(Prng.Rng.create 80) ~space
+         ~objective:(Gen.total objective) ~budget:40 ())
   in
   let log = Dataset.Runlog.finish rec_ in
   let warm = Dataset.Runlog.history log in
   let phase2 =
-    Hiperbot.Tuner.run ~warm_start:warm ~rng:(Prng.Rng.create 81) ~space ~objective ~budget:30 ()
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~warm_start:warm ~rng:(Prng.Rng.create 81) ~space
+         ~objective:(Gen.total objective) ~budget:30 ())
   in
   let seen = Param.Config.Table.create 64 in
   Array.iter (fun (c, _) -> Param.Config.Table.replace seen c ()) warm;
@@ -135,9 +158,10 @@ let test_live_kernel_tuning () =
       let space = Kernels.Live.matmul_space in
       let objective = Kernels.Live.matmul_objective ~pool ~n:32 () in
       let result =
-        Hiperbot.Tuner.run
-          ~options:{ Hiperbot.Tuner.default_options with n_init = 8 }
-          ~rng:(Prng.Rng.create 90) ~space ~objective ~budget:16 ()
+        Gen.ok
+          (Hiperbot.Tuner.run_with_policy
+             ~options:{ Hiperbot.Tuner.default_options with n_init = 8 } ~rng:(Prng.Rng.create 90)
+             ~space ~objective:(Gen.total objective) ~budget:16 ())
       in
       check Alcotest.int "live tuning completes the budget" 16
         (Array.length result.Hiperbot.Tuner.history);

@@ -106,16 +106,18 @@ let test_recorder_with_tuner () =
      every evaluation and failure. *)
   let rec_ = Dataset.Runlog.recorder ~name:"wired" ~seed:7 ~space in
   let objective c = if Param.Value.to_index c.(1) = 2 then None else Some 1.5 in
+  let on_outcome i c (v : Resilience.Evaluator.verdict) =
+    match v.Resilience.Evaluator.outcome with
+    | Resilience.Outcome.Value y -> Dataset.Runlog.record_evaluation rec_ i c y
+    | _ -> Dataset.Runlog.record_failure rec_ i c
+  in
   let result =
-    match
-      Hiperbot.Tuner.run_resilient
-        ~options:{ Hiperbot.Tuner.default_options with n_init = 2 }
-        ~on_evaluation:(fun i c y -> Dataset.Runlog.record_evaluation rec_ i c y)
-        ~on_failure:(fun i c -> Dataset.Runlog.record_failure rec_ i c)
-        ~rng:(Prng.Rng.create 31) ~space ~objective ~budget:6 ()
-    with
-    | Stdlib.Ok r -> r
-    | Stdlib.Error _ -> Alcotest.fail "expected a successful run"
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy
+         ~options:{ Hiperbot.Tuner.default_options with n_init = 2 }
+         ~on_outcome ~rng:(Prng.Rng.create 31) ~space
+         ~objective:(fun ~attempt:_ c -> Resilience.Outcome.of_option (objective c))
+         ~budget:6 ())
   in
   let log = Dataset.Runlog.finish rec_ in
   check Alcotest.int "log captures every attempt"

@@ -175,8 +175,10 @@ let space2 = Gen.cat_ord_space
 let objective2 = Gen.cat_ord_objective
 
 let run_once telemetry seed =
-  Hiperbot.Tuner.run ?telemetry ~options:{ Hiperbot.Tuner.default_options with n_init = 5 }
-    ~rng:(Prng.Rng.create seed) ~space:space2 ~objective:objective2 ~budget:10 ()
+  Gen.ok
+    (Hiperbot.Tuner.run_with_policy ?telemetry
+       ~options:{ Hiperbot.Tuner.default_options with n_init = 5 } ~rng:(Prng.Rng.create seed)
+       ~space:space2 ~objective:(Gen.total objective2) ~budget:10 ())
 
 let test_trace_on_equals_trace_off () =
   let untraced = run_once None 7 in

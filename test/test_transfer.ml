@@ -24,22 +24,34 @@ let test_multi_single_source_parity () =
   let objective = Dataset.Table.objective_fn trgt in
   let options = { Hiperbot.Tuner.default_options with n_init = 8 } in
   let budget = 24 and weight = 2.5 in
-  let single =
-    Hiperbot.Transfer.run ~options ~weight ~rng:(Prng.Rng.create 11) ~space ~source ~objective
-      ~budget ()
+  let run options =
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 11) ~space
+         ~objective:(Gen.total objective) ~budget ())
   in
-  let multi =
-    Hiperbot.Transfer.run_multi ~options ~sources:[ (source, weight) ]
-      ~rng:(Prng.Rng.create 11) ~space ~objective ~budget ()
+  let single = run (Hiperbot.Transfer.options ~options ~space [ (source, weight) ]) in
+  (* The same prior built by hand: the source fitted with the target's
+     surrogate options, constant decay, default gate. *)
+  let by_hand =
+    run
+      {
+        options with
+        Hiperbot.Tuner.prior =
+          Some
+            (Hiperbot.Tuner.prior_of ~gate:Hiperbot.Gate.default_options
+               [ (Hiperbot.Surrogate.fit ~options:options.Hiperbot.Tuner.surrogate space source,
+                  weight) ]);
+      }
   in
-  check Alcotest.bool "run_multi with one source = run, bit-for-bit" true
-    (Gen.results_identical single multi);
+  check Alcotest.bool "Transfer.options with one source = hand-built prior, bit-for-bit" true
+    (Gen.results_identical single by_hand);
   (* Js_guided with a single source sees a pooled fit on exactly the
      source data, so every JS term is exactly 0 and the multiplier is
      exactly 1: bit-identical to Constant_weights. *)
   let js =
-    Hiperbot.Transfer.run_multi ~options ~weighting:Hiperbot.Transfer.Js_guided
-      ~sources:[ (source, weight) ] ~rng:(Prng.Rng.create 11) ~space ~objective ~budget ()
+    run
+      (Hiperbot.Transfer.options ~options ~weighting:Hiperbot.Transfer.Js_guided ~space
+         [ (source, weight) ])
   in
   check Alcotest.bool "Js_guided single source = Constant_weights, bit-for-bit" true
     (Gen.results_identical single js)
@@ -65,18 +77,19 @@ let prop_zero_prior_equals_no_prior =
       let options = { Hiperbot.Tuner.default_options with n_init = 4 } in
       let budget = 10 in
       let bare =
-        Hiperbot.Tuner.run ~options ~rng:(Prng.Rng.create seed) ~space
-          ~objective:Gen.hash_objective ~budget ()
+        Gen.ok
+          (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create seed) ~space
+             ~objective:(Gen.total Gen.hash_objective) ~budget ())
       in
-      let zero_weight =
-        Hiperbot.Transfer.run ~options ~weight:0. ~rng:(Prng.Rng.create seed) ~space ~source
-          ~objective:Gen.hash_objective ~budget ()
+      let with_prior ?schedule weight =
+        Gen.ok
+          (Hiperbot.Tuner.run_with_policy
+             ~options:(Hiperbot.Transfer.options ~options ?schedule ~space [ (source, weight) ])
+             ~rng:(Prng.Rng.create seed) ~space ~objective:(Gen.total Gen.hash_objective)
+             ~budget ())
       in
-      let zero_decay =
-        Hiperbot.Transfer.run ~options ~weight:1.
-          ~schedule:(Hiperbot.Transfer.Custom (fun _ -> 0.))
-          ~rng:(Prng.Rng.create seed) ~space ~source ~objective:Gen.hash_objective ~budget ()
-      in
+      let zero_weight = with_prior 0. in
+      let zero_decay = with_prior ~schedule:(Hiperbot.Transfer.Custom (fun _ -> 0.)) 1. in
       Gen.results_identical bare zero_weight && Gen.results_identical bare zero_decay)
 
 (* ---- decay schedules: values and validation ---- *)
@@ -110,14 +123,18 @@ let test_decay_schedules () =
   let space = Dataset.Table.space trgt in
   let source = source_rows (table "kripke_src") ~n:50 in
   Alcotest.check_raises "custom: negative multiplier rejected"
-    (Invalid_argument "Tuner.run: prior decay multiplier must be finite and non-negative")
+    (Invalid_argument "Campaign.suggest: prior decay multiplier must be finite and non-negative")
     (fun () ->
       ignore
-        (Hiperbot.Transfer.run
-           ~options:{ Hiperbot.Tuner.default_options with n_init = 4 }
-           ~schedule:(Hiperbot.Transfer.Custom (fun _ -> -1.))
-           ~rng:(Prng.Rng.create 1) ~space ~source
-           ~objective:(Dataset.Table.objective_fn trgt) ~budget:8 ()))
+        (Hiperbot.Tuner.run_with_policy
+           ~options:
+             (Hiperbot.Transfer.options
+                ~options:{ Hiperbot.Tuner.default_options with n_init = 4 }
+                ~schedule:(Hiperbot.Transfer.Custom (fun _ -> -1.))
+                ~space [ (source, 1.) ])
+           ~rng:(Prng.Rng.create 1) ~space
+           ~objective:(Gen.total (Dataset.Table.objective_fn trgt))
+           ~budget:8 ()))
 
 (* ---- engine composition: fault policy, interrupt/resume, async ---- *)
 
@@ -131,15 +148,19 @@ let faulty_campaign () =
 
 let test_transfer_resume_parity () =
   let space, objective, sources = faulty_campaign () in
-  let options = { Hiperbot.Tuner.default_options with n_init = 8 } in
+  let options =
+    Hiperbot.Transfer.options
+      ~options:{ Hiperbot.Tuner.default_options with n_init = 8 }
+      ~schedule:(Hiperbot.Transfer.Reciprocal { n0 = 8. })
+      ~space sources
+  in
   let budget = 24 and interrupt_after = 10 and seed = 6 in
-  let schedule = Hiperbot.Transfer.Reciprocal { n0 = 8. } in
   let recorded = ref [] in
   let full =
     match
-      Hiperbot.Transfer.run_with_policy ~options ~policy:Gen.policy3 ~schedule
+      Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3
         ~on_outcome:(fun i c v -> recorded := (i, c, v) :: !recorded)
-        ~rng:(Prng.Rng.create seed) ~space ~sources ~objective ~budget ()
+        ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
     with
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail "uninterrupted transfer campaign failed outright"
@@ -158,8 +179,7 @@ let test_transfer_resume_parity () =
   let log = Dataset.Runlog.create ~name:"kripke_trgt" ~seed ~space entries in
   let resumed =
     match
-      Hiperbot.Transfer.resume ~options ~policy:Gen.policy3 ~schedule ~log ~sources ~objective
-        ~budget ()
+      Hiperbot.Tuner.resume ~options ~policy:Gen.policy3 ~log ~objective ~budget ()
     with
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail "resumed transfer campaign failed outright"
@@ -169,7 +189,11 @@ let test_transfer_resume_parity () =
 
 let test_transfer_async_k1_parity () =
   let space, objective, sources = faulty_campaign () in
-  let options = { Hiperbot.Tuner.default_options with n_init = 8 } in
+  let options =
+    Hiperbot.Transfer.options
+      ~options:{ Hiperbot.Tuner.default_options with n_init = 8 }
+      ~space sources
+  in
   let budget = 24 and seed = 9 in
   let unwrap label = function
     | Stdlib.Ok r -> r
@@ -177,13 +201,13 @@ let test_transfer_async_k1_parity () =
   in
   let sync =
     unwrap "run_with_policy"
-      (Hiperbot.Transfer.run_with_policy ~options ~policy:Gen.policy3
-         ~rng:(Prng.Rng.create seed) ~space ~sources ~objective ~budget ())
+      (Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3 ~rng:(Prng.Rng.create seed)
+         ~space ~objective ~budget ())
   in
   let async =
     unwrap "run_async"
-      (Hiperbot.Transfer.run_async ~options ~policy:Gen.policy3 ~k:1
-         ~rng:(Prng.Rng.create seed) ~space ~sources ~objective ~budget ())
+      (Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3 ~k:1 ~rng:(Prng.Rng.create seed)
+         ~space ~objective ~budget ())
   in
   check Alcotest.bool "transfer async k=1 = run_with_policy, bit-for-bit" true
     (Gen.results_identical sync async)
@@ -217,22 +241,16 @@ let test_js_guided_weights () =
 (* ---- source validation ---- *)
 
 let test_source_validation () =
-  let trgt = table "kripke_trgt" in
-  let space = Dataset.Table.space trgt in
-  let objective = Dataset.Table.objective_fn trgt in
-  let run sources () =
-    ignore
-      (Hiperbot.Transfer.run_multi ~rng:(Prng.Rng.create 1) ~space ~sources ~objective
-         ~budget:8 ())
-  in
+  let space = Dataset.Table.space (table "kripke_trgt") in
+  let run sources () = ignore (Hiperbot.Transfer.options ~space sources) in
   let source = source_rows (table "kripke_src") ~n:20 in
   Alcotest.check_raises "empty source list"
-    (Invalid_argument "Transfer.run: empty source list") (run []);
+    (Invalid_argument "Transfer.options: empty source list") (run []);
   Alcotest.check_raises "empty source data"
-    (Invalid_argument "Transfer.run: empty source data")
+    (Invalid_argument "Transfer.options: empty source data")
     (run [ (source, 1.); ([||], 1.) ]);
   Alcotest.check_raises "nan weight"
-    (Invalid_argument "Transfer.run: prior weight must be finite and non-negative")
+    (Invalid_argument "Transfer.options: prior weight must be finite and non-negative")
     (run [ (source, Float.nan) ])
 
 (* ---- telemetry: refit prior provenance ---- *)
@@ -250,8 +268,9 @@ let test_refit_provenance () =
     let telemetry = Telemetry.Trace.make [ sink ] in
     let options = { Hiperbot.Tuner.default_options with n_init = 6 } in
     ignore
-      (Hiperbot.Transfer.run_multi ~telemetry ~options ~schedule ~rng:(Prng.Rng.create 3)
-         ~space ~sources ~objective ~budget:16 ());
+      (Hiperbot.Tuner.run_with_policy ~telemetry
+         ~options:(Hiperbot.Transfer.options ~options ~schedule ~space sources)
+         ~rng:(Prng.Rng.create 3) ~space ~objective:(Gen.total objective) ~budget:16 ());
     Telemetry.Trace.close telemetry;
     List.filter_map
       (fun (_, ev) ->
