@@ -127,6 +127,7 @@ let run ~reps () =
   let buf = Buffer.create 1024 in
   Printf.bprintf buf "{\n";
   Printf.bprintf buf "  \"benchmark\": \"async\",\n";
+  Harness.stamp buf;
   Printf.bprintf buf "  \"dataset\": \"kripke\",\n";
   Printf.bprintf buf "  \"budget\": %d,\n" budget;
   Printf.bprintf buf "  \"n_init\": %d,\n" n_init;

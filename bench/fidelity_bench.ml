@@ -222,6 +222,7 @@ let run ~reps () =
   let buf = Buffer.create 1024 in
   Printf.bprintf buf "{\n";
   Printf.bprintf buf "  \"benchmark\": \"fidelity\",\n";
+  Harness.stamp buf;
   Printf.bprintf buf "  \"top_decile\": %.2f,\n" top_decile;
   Printf.bprintf buf "  \"cost_fraction\": %.2f,\n" cost_fraction;
   Printf.bprintf buf "  \"reps\": %d,\n" reps;

@@ -55,6 +55,59 @@ let gp_tuner ?(options = Baselines.Gp_tuner.default_options) table =
   let objective = Dataset.Table.objective_fn table in
   { label = "GP-EI"; run = (fun ~rng ~budget -> Baselines.Gp_tuner.run ~options ~rng ~space ~objective ~budget ()) }
 
+(* ---- BENCH_*.json provenance ---- *)
+
+let cores = Domain.recommended_domain_count ()
+
+(* Short hash of the checked-out commit, or "unknown" when git or the
+   repository is absent. *)
+let commit =
+  lazy
+    (match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+    | exception Unix.Unix_error _ -> "unknown"
+    | ic -> (
+        let line = In_channel.input_line ic in
+        match (Unix.close_process_in ic, line) with
+        | Unix.WEXITED 0, Some c when c <> "" -> c
+        | _ -> "unknown"))
+
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | ('"' | '\\') as c -> Printf.bprintf b "\\%c" c
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* Every HIPERBOT_*_BUDGET variable set in the environment, sorted by
+   name: an empty list means the bench ran its full protocol. *)
+let budget_overrides () =
+  Array.to_list (Unix.environment ())
+  |> List.filter_map (fun kv ->
+         match String.index_opt kv '=' with
+         | None -> None
+         | Some i ->
+             let name = String.sub kv 0 i in
+             if String.starts_with ~prefix:"HIPERBOT_" name && String.ends_with ~suffix:"_BUDGET" name
+             then Some (name, String.sub kv (i + 1) (String.length kv - i - 1))
+             else None)
+  |> List.sort compare
+
+(* The provenance fields every BENCH_*.json writer emits right after
+   its "benchmark" key: core count, commit, and budget overrides. *)
+let stamp buf =
+  Printf.bprintf buf "  \"cores\": %d,\n" cores;
+  Printf.bprintf buf "  \"commit\": %s,\n" (json_string (Lazy.force commit));
+  Printf.bprintf buf "  \"budget_overrides\": {%s},\n"
+    (String.concat ", "
+       (List.map
+          (fun (name, value) -> json_string name ^ ": " ^ json_string value)
+          (budget_overrides ())))
+
 let section title =
   Printf.printf "\n=== %s ===\n%!" title
 

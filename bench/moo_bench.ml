@@ -196,6 +196,7 @@ let run ~reps () =
   let buf = Buffer.create 1024 in
   Printf.bprintf buf "{\n";
   Printf.bprintf buf "  \"benchmark\": \"moo\",\n";
+  Harness.stamp buf;
   Printf.bprintf buf "  \"dataset\": \"kripke_energy\",\n";
   Printf.bprintf buf "  \"objectives\": [\"exec_time_capped\", \"energy\"],\n";
   Printf.bprintf buf "  \"pool_size\": %d,\n" n;

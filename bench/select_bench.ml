@@ -13,7 +13,7 @@
    per-refit cost of a growing campaign through the PR 2 production
    path (full Surrogate.fit + full compile + per-row Topk scan over a
    materialized, index-encoded pool) against the new path (virtual
-   Surrogate.Pool.of_space, Surrogate.Refit incremental update,
+   Surrogate.Pool.of_space, Surrogate.Refit update,
    streaming bounded-heap select), with a peak-memory column. The two
    paths must select identically at every refit; at 10^7 the PR 2 path
    is skipped (materializing the pool alone needs ~1.7 GB) and the new
@@ -41,7 +41,7 @@ let budget_override =
       | Some n when n > 0 -> Some n
       | _ -> failwith "HIPERBOT_SELECT_BUDGET must be a positive integer")
 
-let cores = Domain.recommended_domain_count ()
+let cores = Harness.cores
 
 (* Worker domains for the large-pool parallel rows: 3 when the
    machine can actually run 3+1 participants, otherwise whatever is
@@ -149,8 +149,8 @@ let synthetic_objective c = float_of_int ((Param.Config.hash c land 0xFFFF) + 1)
 
 (* A growing campaign history: [n_refits] snapshots, each [per_refit]
    observations longer than the last, so successive Refit.update calls
-   exercise the append/rebuild delta paths the way a live campaign
-   does (the alpha-quantile boundary moves as the history grows). *)
+   refit the way a live campaign does (the alpha-quantile boundary
+   moves as the history grows). *)
 let observation_steps ~space ~n_base ~n_refits ~per_refit =
   let rng = Prng.Rng.create 4242 in
   let all =
@@ -177,7 +177,6 @@ type large_row = {
   lp_table_bytes : int;
   lp_codes_bytes : int;
   lp_reference_heap_bytes : int option;  (* with the materialized pool *)
-  lp_deltas : Hiperbot.Surrogate.Refit.deltas;  (* summed over the campaign's refits *)
   lp_matches_reference : bool option;
   lp_parallel_matches : bool option;
   lp_boxed_par_matches : bool option;
@@ -212,7 +211,7 @@ let large_pool_row ~reps n_params =
           Hiperbot.Strategy.select_many_encoded ?workers ~compiled ~k ~rng ~surrogate
             ~encoded:virt ~evaluated ()
         in
-        (sel, Hiperbot.Surrogate.Refit.last_deltas engine))
+        sel)
       obs_steps
   in
   (* Verification pass: engine-compiled tables must equal a fresh
@@ -233,25 +232,12 @@ let large_pool_row ~reps n_params =
         then
           failwith
             (Printf.sprintf
-               "BENCH select: incremental table diverges from full rebuild (pool %d, refit \
-                %d, row %d)"
+               "BENCH select: Refit table diverges from a fresh compile (pool %d, refit %d, \
+                row %d)"
                n step i))
       [ 0; n / 2; n - 1 ]
   in
-  let verification = incremental_campaign ~on_step:check_against_full () in
-  let new_selections = Array.map fst verification in
-  let deltas =
-    Array.fold_left
-      (fun acc (_, d) ->
-        Hiperbot.Surrogate.Refit.
-          {
-            unchanged = acc.unchanged + d.unchanged;
-            appended = acc.appended + d.appended;
-            rebuilt = acc.rebuilt + d.rebuilt;
-          })
-      Hiperbot.Surrogate.Refit.{ unchanged = 0; appended = 0; rebuilt = 0 }
-      verification
-  in
+  let new_selections = incremental_campaign ~on_step:check_against_full () in
   let incremental_ns =
     time_best_s ~reps (fun () -> incremental_campaign ())
     /. float_of_int n_refits *. 1e9
@@ -264,9 +250,7 @@ let large_pool_row ~reps n_params =
       Parallel.Pool.with_pool ~num_domains:bench_domains (fun workers ->
           let runs = incremental_campaign ~workers () in
           let matches =
-            Array.for_all2
-              (fun (sel, _) expected -> same_selection sel expected)
-              runs new_selections
+            Array.for_all2 same_selection runs new_selections
           in
           let ns =
             time_best_s ~reps (fun () -> incremental_campaign ~workers ())
@@ -399,7 +383,6 @@ let large_pool_row ~reps n_params =
     lp_table_bytes = table_bytes;
     lp_codes_bytes = codes_bytes;
     lp_reference_heap_bytes = reference_heap_bytes;
-    lp_deltas = deltas;
     lp_matches_reference = matches_reference;
     lp_parallel_matches = parallel_matches;
     lp_boxed_par_matches = boxed_par_matches;
@@ -429,10 +412,7 @@ let print_large_row r =
   | Some seq, Some par ->
       Printf.printf "          linear (materialized) scan: seq %12.0f ns  par %12.0f ns  (%.1fx)\n"
         seq par (seq /. par)
-  | _ -> ());
-  Printf.printf "          campaign deltas: %d unchanged, %d appended, %d rebuilt\n"
-    r.lp_deltas.Hiperbot.Surrogate.Refit.unchanged
-    r.lp_deltas.Hiperbot.Surrogate.Refit.appended r.lp_deltas.Hiperbot.Surrogate.Refit.rebuilt
+  | _ -> ())
 
 (* ---- driver ---- *)
 
@@ -539,7 +519,7 @@ let run ~reps () =
       [ 0; 1; 3 ]
   in
   (* ---- large pools ---- *)
-  Harness.section "Million-config pools: incremental refit + streaming top-k";
+  Harness.section "Million-config pools: refit engine + streaming top-k";
   let exponents =
     List.filter
       (fun e ->
@@ -556,13 +536,13 @@ let run ~reps () =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "{\n";
   Printf.bprintf buf "  \"benchmark\": \"select\",\n";
+  Harness.stamp buf;
   Printf.bprintf buf "  \"dataset\": \"kripke\",\n";
   Printf.bprintf buf "  \"timing_source\": \"telemetry-spans\",\n";
   Printf.bprintf buf "  \"pool_size\": %d,\n" n;
   Printf.bprintf buf "  \"k\": %d,\n" k;
   Printf.bprintf buf "  \"n_observations\": %d,\n" (Array.length obs);
   Printf.bprintf buf "  \"reps\": %d,\n" reps;
-  Printf.bprintf buf "  \"cores\": %d,\n" cores;
   Printf.bprintf buf "  \"parallel_threshold\": %d,\n"
     Hiperbot.Strategy.default_parallel_threshold;
   Printf.bprintf buf "  \"parallel_floors\": \"%s\",\n"
@@ -602,9 +582,8 @@ let run ~reps () =
          \"reference_refit_ns\": %s, \"incremental_refit_ns\": %.1f, \"refit_speedup\": %s, \
          \"parallel_refit_ns\": %s, \"select_ms_excluded\": %.4f, \"boxed_seq_select_ns\": \
          %s, \"boxed_par_select_ns\": %s, \"heap_bytes\": %d, \
-         \"live_bytes\": %d, \"table_bytes\": %d, \"codes_bytes\": %d, \"reference_heap_bytes\": %s, \"deltas\": \
-         { \"unchanged\": %d, \"appended\": %d, \"rebuilt\": %d }, \"matches_reference\": \
-         %s, \"parallel_matches\": %s, \"boxed_par_matches\": %s }%s\n"
+         \"live_bytes\": %d, \"table_bytes\": %d, \"codes_bytes\": %d, \"reference_heap_bytes\": %s, \
+         \"matches_reference\": %s, \"parallel_matches\": %s, \"boxed_par_matches\": %s }%s\n"
         r.lp_size r.lp_params (opt_f r.lp_reference_ns) r.lp_incremental_ns
         (opt_f
            (Option.map (fun ref_ns -> ref_ns /. r.lp_incremental_ns) r.lp_reference_ns))
@@ -612,9 +591,6 @@ let run ~reps () =
         (opt_f r.lp_boxed_par_ns) r.lp_heap_bytes r.lp_live_bytes r.lp_table_bytes
         r.lp_codes_bytes
         (opt_i r.lp_reference_heap_bytes)
-        r.lp_deltas.Hiperbot.Surrogate.Refit.unchanged
-        r.lp_deltas.Hiperbot.Surrogate.Refit.appended
-        r.lp_deltas.Hiperbot.Surrogate.Refit.rebuilt
         (opt_b r.lp_matches_reference)
         (opt_b r.lp_parallel_matches)
         (opt_b r.lp_boxed_par_matches)

@@ -193,6 +193,7 @@ let run ~reps:_ () =
   let buf = Buffer.create 512 in
   Printf.bprintf buf "{\n";
   Printf.bprintf buf "  \"benchmark\": \"serve\",\n";
+  Harness.stamp buf;
   Printf.bprintf buf "  \"n_clients\": %d,\n" n_clients;
   Printf.bprintf buf "  \"k\": %d,\n" k;
   Printf.bprintf buf "  \"budget\": %d,\n" budget;

@@ -149,6 +149,7 @@ let run ~reps () =
   let buf = Buffer.create 1024 in
   Printf.bprintf buf "{\n";
   Printf.bprintf buf "  \"benchmark\": \"transfer\",\n";
+  Harness.stamp buf;
   Printf.bprintf buf "  \"top_decile\": %.2f,\n" top_decile;
   Printf.bprintf buf "  \"reps\": %d,\n" reps;
   Printf.bprintf buf "  \"pairs\": [\n";

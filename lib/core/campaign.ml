@@ -125,11 +125,11 @@ let gate_emitter ?on_gate ?gate ~recorded () =
    bit-identical fallback the containment guarantee rests on.
 
    With [refit] (Ranking campaigns, whose candidate pool is encoded
-   once at setup) the fit routes through the incremental refit engine:
-   the surrogate is still the reference [Surrogate.fit] result, and
-   the returned compiled scorer — bit-identical to compiling from
-   scratch — is handed to selection so the per-iteration table build
-   only touches the parameter sides that actually changed. *)
+   once at setup) the fit routes through the refit engine: the
+   surrogate is still the reference [Surrogate.fit] result, and the
+   returned compiled scorer — bit-identical to compiling from scratch —
+   is filled into the engine's reused table buffer and handed to
+   selection. *)
 let fit_gated ~telemetry ~options ~gate ~emit_gate ~refit ~space ~anchor ~extra_bad obs =
   let n_obs = Array.length obs in
   let refit_with priors =
@@ -454,6 +454,7 @@ let stale t =
   match t.options.early_stop with Some e -> t.since_improvement >= e | None -> false
 
 let observations t = Array.append t.warm_start (Array.of_list (List.rev t.history_rev))
+let no_observations t = Array.length t.warm_start = 0 && t.history_rev = []
 let anchor t () = Array.append t.warm_start (Array.of_list (List.rev t.anchor_rev))
 
 let finalize t =
@@ -572,7 +573,7 @@ let rec suggest_sync t ~at =
               t.batch_queue <- rest;
               issue t ~at ~guided:true c
           | [] ->
-              if Array.length (observations t) = 0 then begin
+              if no_observations t then begin
                 finalize t;
                 Finished
               end
@@ -616,7 +617,7 @@ let rec suggest_async t ~at ~k =
           suggest_async t ~at ~k
         end
     | Guiding ->
-        if Array.length (observations t) = 0 then
+        if no_observations t then
           (* `Not_yet: nothing to fit on until a completion lands. *)
           if t.pend = [] then begin
             finalize t;
@@ -677,7 +678,7 @@ let settle t =
     | Async _ ->
         if
           t.no_more || t.submitted >= t.c_budget || stale t
-          || (init_exhausted t && Array.length (observations t) = 0)
+          || (init_exhausted t && no_observations t)
         then finalize t
 
 let report ?(at = 0.) ?eval_ms t ~id verdict =

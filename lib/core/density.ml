@@ -159,141 +159,6 @@ let merge_prior ~prior ~w t =
     | _, Blend b -> Blend { b with parts = b.parts @ [ (prior, w) ] }
     | _, (Uniform _ | Discrete _ | Continuous _) -> Blend { base = t; parts = [ (prior, w) ] }
 
-(* Incremental log-table cache over a fixed value grid. The compiled
-   scorer rebuilds one log-density table per parameter per side on
-   every refit; across two consecutive refits those densities are
-   almost always either structurally identical (the new observation
-   landed on the other side of the quantile split) or extended by a
-   few appended samples (histogram count bumps, KDE kernels appended
-   at the end — Quantile.split_at_quantile returns indices in
-   ascending observation order, and Kde.merge_weighted appends the
-   target after the prior, so append-only observation growth keeps
-   the sample prefix stable). The cache detects both cases from the
-   density's structural signature and either reuses the stored table
-   bit-for-bit or extends the stored raw kernel sums with exactly the
-   appended samples — the same left-to-right float accumulation a
-   full rebuild performs, so the result is bit-identical to
-   [log_pdf_table] by construction. Anything else (bandwidth change,
-   prefix mismatch, Blend mixtures, kind change) falls back to the
-   full rebuild. *)
-module Table = struct
-  type status = Unchanged | Appended of int | Rebuilt
-
-  type state =
-    | Cached_uniform of float array
-    | Cached_discrete of {
-        smoothing : float;
-        counts : float array;
-        total : float;
-        table : float array;
-      }
-    | Cached_continuous of {
-        bandwidth : float;
-        centers : float array;
-        weights : float array;
-        raw : float array;  (* per-grid-point unnormalized kernel sums *)
-        table : float array;
-      }
-
-  type cache = {
-    values : Param.Value.t array;
-    mutable xs : float array option;  (* floats of [values], continuous grids only *)
-    mutable state : state option;
-  }
-
-  let create values = { values = Array.copy values; xs = None; state = None }
-  let grid c = Array.copy c.values
-
-  let prefix_eq a b n =
-    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
-
-  let floats_of c =
-    match c.xs with
-    | Some xs -> xs
-    | None ->
-        let xs = Array.map Param.Value.to_float_raw c.values in
-        c.xs <- Some xs;
-        xs
-
-  (* Full reference rebuild: delegate to [log_pdf_table] (the bench
-     and tests compare against it directly), then record the
-     signature needed to recognise this density next refit. For
-     continuous densities the raw kernel sums are rebuilt through the
-     same [kernel_sum]/[normalize_raw] split [Kde.pdf] uses, so the
-     stored partial sums are exactly the prefix a later append
-     continues from. *)
-  let rebuild c d =
-    let table = log_pdf_table d c.values in
-    (match d with
-    | Uniform _ -> c.state <- Some (Cached_uniform table)
-    | Discrete { hist; _ } ->
-        c.state <-
-          Some
-            (Cached_discrete
-               {
-                 smoothing = Stats.Histogram.smoothing hist;
-                 counts = Stats.Histogram.counts hist;
-                 total = Stats.Histogram.total hist;
-                 table;
-               })
-    | Continuous { kde; _ } ->
-        let xs = floats_of c in
-        let raw = Array.map (fun x -> Stats.Kde.kernel_sum kde x 0.) xs in
-        c.state <-
-          Some
-            (Cached_continuous
-               {
-                 bandwidth = Stats.Kde.bandwidth kde;
-                 centers = Stats.Kde.centers kde;
-                 weights = Stats.Kde.weights kde;
-                 raw;
-                 table;
-               })
-    | Blend _ -> c.state <- None);
-    (table, Rebuilt)
-
-  let update c d =
-    match (d, c.state) with
-    | Uniform _, Some (Cached_uniform table) ->
-        (* A cache serves one parameter, so the spec — the only input
-           to a uniform table — cannot have changed. *)
-        (table, Unchanged)
-    | Discrete { hist; _ }, Some (Cached_discrete s) ->
-        (* probs = (count + smoothing) / (total + smoothing * k) uses
-           counts and total as separately-accumulated floats, so both
-           must match for the table to be bit-identical. *)
-        let counts = Stats.Histogram.counts hist in
-        if
-          Stats.Histogram.smoothing hist = s.smoothing
-          && Stats.Histogram.total hist = s.total
-          && Array.length counts = Array.length s.counts
-          && prefix_eq counts s.counts (Array.length s.counts)
-        then (s.table, Unchanged)
-        else rebuild c d
-    | Continuous { kde; _ }, Some (Cached_continuous s)
-      when Stats.Kde.bandwidth kde = s.bandwidth ->
-        let centers = Stats.Kde.centers kde and weights = Stats.Kde.weights kde in
-        let m_old = Array.length s.centers and m_new = Array.length centers in
-        if m_new >= m_old && prefix_eq s.centers centers m_old && prefix_eq s.weights weights m_old
-        then
-          if m_new = m_old then (s.table, Unchanged)
-          else begin
-            let xs = floats_of c in
-            for g = 0 to Array.length xs - 1 do
-              let raw = Stats.Kde.kernel_sum ~from:m_old kde xs.(g) s.raw.(g) in
-              s.raw.(g) <- raw;
-              s.table.(g) <-
-                log (Stdlib.max Stats.Kde.min_density (Stats.Kde.normalize_raw kde raw))
-            done;
-            c.state <-
-              Some (Cached_continuous { s with centers; weights });
-            (s.table, Appended (m_new - m_old))
-          end
-        else rebuild c d
-    | _, _ -> rebuild c d
-end
-
 let js_divergence spec a b =
   match Param.Spec.n_choices spec with
   | Some n ->

@@ -59,40 +59,6 @@ val merge_prior : prior:t -> w:float -> t -> t
     Repeated merges accumulate mixture components, which is how
     multi-source transfer folds several priors into one factor. *)
 
-(** Incremental log-density table cache over a fixed value grid — the
-    delta engine behind {!Surrogate.Refit}. One cache serves one
-    parameter (of one side, good or bad) across the refits of a
-    campaign. [update] compares the freshly fitted density's
-    structural signature against the cached one and returns a table
-    bit-identical to [log_pdf_table d grid]:
-
-    - [Unchanged]: the density is structurally identical (same
-      histogram counts and smoothing, or same KDE samples and
-      bandwidth) — the stored table is returned as-is.
-    - [Appended n]: a continuous density whose sample list grew by
-      [n] kernels appended at the end with an unchanged bandwidth —
-      the stored raw kernel sums are extended by exactly those [n]
-      contributions, reproducing the full left-to-right accumulation
-      bit-for-bit at O(grid * n) instead of O(grid * samples).
-    - [Rebuilt]: anything else (bandwidth change, sample prefix
-      mismatch, [Blend] mixtures, kind change) — the full
-      [log_pdf_table] reference path ran.
-
-    The returned array is the cache's internal buffer: treat it as
-    read-only, valid until the next [update] on the same cache. *)
-module Table : sig
-  type cache
-  type status = Unchanged | Appended of int | Rebuilt
-
-  val create : Param.Value.t array -> cache
-  (** Cache over the given value grid (copied). *)
-
-  val grid : cache -> Param.Value.t array
-  (** Copy of the grid the cache was created with. *)
-
-  val update : cache -> t -> float array * status
-end
-
 val js_divergence : Param.Spec.t -> t -> t -> float
 (** Jensen-Shannon divergence between two densities of the same
     parameter (paper §VI): exact over categories for discrete

@@ -451,10 +451,13 @@ let check_pool_space t pool =
   if pool.Pool.space != t.space && Param.Space.specs pool.Pool.space <> Param.Space.specs t.space
   then invalid_arg "Surrogate.compile: pool encoded over a different space"
 
-let slot_values space slots p =
-  match slots.(p) with
-  | Pool.Choices n -> Array.init n (fun j -> Param.Spec.value_of_index (Param.Space.spec space p) j)
-  | Pool.Grid grid -> Array.map (fun x -> Param.Value.Continuous x) grid
+(* Per parameter, the values its table slots stand for. *)
+let slot_grids space slots =
+  Array.mapi
+    (fun p -> function
+      | Pool.Choices n -> Array.init n (fun j -> Param.Spec.value_of_index (Param.Space.spec space p) j)
+      | Pool.Grid grid -> Array.map (fun x -> Param.Value.Continuous x) grid)
+    slots
 
 let table_offsets slots =
   let n_params = Array.length slots in
@@ -465,6 +468,20 @@ let table_offsets slots =
     total := !total + Pool.slot_count slots.(p)
   done;
   (offsets, !total)
+
+(* The one table fill [compile] and [Refit.update] share: parameter
+   [p]'s slice at [offsets.(p)] gets [log pg - log pb] for each of its
+   slot values. *)
+let fill_table t grids (table : Compiled.table) offsets =
+  Array.iteri
+    (fun p values ->
+      let lg = Density.log_pdf_table t.good.(p) values in
+      let lb = Density.log_pdf_table t.bad.(p) values in
+      let off = offsets.(p) in
+      for j = 0 to Array.length values - 1 do
+        table.{off + j} <- lg.(j) -. lb.(j)
+      done)
+    grids
 
 let emit_compile telemetry t0 pool n_params =
   if Telemetry.Trace.enabled telemetry then
@@ -482,117 +499,45 @@ let compile ?(telemetry = Telemetry.Trace.disabled) t pool =
   let n_params = Param.Space.n_params t.space in
   let offsets, total = table_offsets pool.Pool.slots in
   let table = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout total in
-  for p = 0 to n_params - 1 do
-    let values = slot_values t.space pool.Pool.slots p in
-    let lg = Density.log_pdf_table t.good.(p) values in
-    let lb = Density.log_pdf_table t.bad.(p) values in
-    let off = offsets.(p) in
-    for j = 0 to Array.length values - 1 do
-      table.{off + j} <- lg.(j) -. lb.(j)
-    done
-  done;
+  fill_table t (slot_grids t.space pool.Pool.slots) table offsets;
   emit_compile telemetry t0 pool n_params;
   { Compiled.pool; table; offsets; n_params }
 
-(* ---- Incremental refit engine ----
+(* ---- Refit engine ----
 
-   A campaign refits on an observation history that grows by one (or
-   one batch) between consecutive refits. The quantile split keeps
-   both index lists in ascending observation order, so each side's
-   per-parameter value arrays evolve append-only except when an old
-   observation crosses the alpha boundary — which means each side's
-   density is usually either structurally unchanged (the new point
-   landed on the other side) or extended by appended samples. The
-   engine keeps one Density.Table cache per parameter per side and
-   rewrites a parameter's slice of the combined score table only when
-   a side actually changed; tables are bit-identical to [compile]'s
-   because the caches are ([Density.Table]'s contract). A periodic
-   resync (every [resync_every] updates) drops every cache and takes
-   the full reference rebuild, bounding any divergence a future cache
-   bug could introduce at zero observable cost (the rebuild produces
-   the same bits). *)
+   A campaign refits once per step over the same pool. The engine
+   builds the per-parameter slot-value grids and the score table once,
+   then each update is a plain [fit] plus one [fill_table] into that
+   reused buffer — the same float operations [compile] performs, so
+   the scorer is bit-identical to [compile (fit ...) pool]. *)
 module Refit = struct
   type surrogate = t
-  type deltas = { unchanged : int; appended : int; rebuilt : int }
 
   type nonrec t = {
     pool : Pool.t;
     options : options;
-    resync_every : int;
-    mutable updates : int;
-    good_caches : Density.Table.cache array;
-    bad_caches : Density.Table.cache array;
+    grids : Param.Value.t array array;  (* per-parameter slot values *)
     table : Compiled.table;
     offsets : int array;
-    mutable last_deltas : deltas;
   }
 
-  let default_resync_every = 64
-
-  let create ?(options = default_options) ?(resync_every = default_resync_every) pool =
-    if resync_every < 0 then invalid_arg "Surrogate.Refit.create: negative resync_every";
-    let n_params = pool.Pool.n_params in
+  let create ?(options = default_options) pool =
     let offsets, total = table_offsets pool.Pool.slots in
-    let grid p = Density.Table.create (slot_values pool.Pool.space pool.Pool.slots p) in
     {
       pool;
       options;
-      resync_every;
-      updates = 0;
-      good_caches = Array.init n_params grid;
-      bad_caches = Array.init n_params grid;
+      grids = slot_grids pool.Pool.space pool.Pool.slots;
       table = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout total;
       offsets;
-      last_deltas = { unchanged = 0; appended = 0; rebuilt = 0 };
     }
 
-  let pool t = t.pool
-  let last_deltas t = t.last_deltas
-
-  let reset_caches t =
-    let reset caches =
-      Array.iteri
-        (fun p c -> caches.(p) <- Density.Table.create (Density.Table.grid c))
-        caches
-    in
-    reset t.good_caches;
-    reset t.bad_caches
-
   let update ?(telemetry = Telemetry.Trace.disabled) ?priors ?extra_bad t observations =
-    if t.resync_every > 0 && t.updates > 0 && t.updates mod t.resync_every = 0 then
-      reset_caches t;
-    t.updates <- t.updates + 1;
-    let s =
-      fit ~telemetry ~options:t.options ?priors ?extra_bad (Pool.space t.pool) observations
-    in
+    let s = fit ~telemetry ~options:t.options ?priors ?extra_bad t.pool.Pool.space observations in
     let t0 = Telemetry.Trace.now telemetry in
-    let unchanged = ref 0 and appended = ref 0 and rebuilt = ref 0 in
-    let tally = function
-      | Density.Table.Unchanged -> incr unchanged
-      | Density.Table.Appended _ -> incr appended
-      | Density.Table.Rebuilt -> incr rebuilt
-    in
-    for p = 0 to t.pool.Pool.n_params - 1 do
-      let gtab, gstat = Density.Table.update t.good_caches.(p) s.good.(p) in
-      let btab, bstat = Density.Table.update t.bad_caches.(p) s.bad.(p) in
-      tally gstat;
-      tally bstat;
-      (* Both sides structurally unchanged means both log tables are
-         the stored arrays the current slice was written from — skip
-         the write. A first update always rebuilds (empty caches). *)
-      (match (gstat, bstat) with
-      | Density.Table.Unchanged, Density.Table.Unchanged -> ()
-      | _ ->
-          let off = t.offsets.(p) in
-          for j = 0 to Array.length gtab - 1 do
-            t.table.{off + j} <- gtab.(j) -. btab.(j)
-          done)
-    done;
-    t.last_deltas <- { unchanged = !unchanged; appended = !appended; rebuilt = !rebuilt };
-    emit_compile telemetry t0 t.pool t.pool.Pool.n_params;
-    ( s,
-      { Compiled.pool = t.pool; table = t.table; offsets = t.offsets; n_params = t.pool.Pool.n_params }
-    )
+    fill_table s t.grids t.table t.offsets;
+    let n_params = t.pool.Pool.n_params in
+    emit_compile telemetry t0 t.pool n_params;
+    (s, { Compiled.pool = t.pool; table = t.table; offsets = t.offsets; n_params })
 end
 
 let param_js_divergence t i =

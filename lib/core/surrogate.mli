@@ -196,20 +196,10 @@ val compile : ?telemetry:Telemetry.Trace.t -> t -> Pool.t -> Compiled.t
     ranking pass. The pool must be encoded over the surrogate's
     space. [telemetry] receives one [Compile] span per call. *)
 
-(** The incremental refit engine: a per-campaign stateful wrapper
-    around {!fit} + {!compile} that reuses per-parameter log-density
-    tables across consecutive refits. Because the quantile split
-    keeps each side's observation indices in ascending order,
-    append-only history growth leaves most per-parameter densities
-    either structurally unchanged (the new point landed on the other
-    side of the alpha boundary) or extended by appended samples; the
-    engine recomputes only the changed parameters' table slices (see
-    {!Density.Table}) and is bit-identical to the full rebuild at
-    every step. Membership flips at the quantile boundary, prior
-    weight changes (decay schedules, gate attenuation), bandwidth
-    changes, and async pending-set churn are all detected
-    structurally and fall back to the reference rebuild for exactly
-    the affected parameter sides. *)
+(** The refit engine: a per-campaign wrapper around {!fit} +
+    {!compile} that builds the pool's per-parameter slot-value grids
+    and the score table once, then refills that table in place on
+    every update. *)
 module Refit : sig
   type surrogate = t
   (** Alias for the enclosing surrogate type, shadowed by the
@@ -217,16 +207,7 @@ module Refit : sig
 
   type t
 
-  type deltas = { unchanged : int; appended : int; rebuilt : int }
-  (** Per-side-table outcome counts of the last [update] (the three
-      sum to [2 * n_params]). *)
-
-  val create : ?options:options -> ?resync_every:int -> Pool.t -> t
-  (** [resync_every] (default 64, 0 = never): every that-many updates
-      the caches are dropped and the refit takes the full reference
-      rebuild — a bit-identical belt-and-braces resync. *)
-
-  val pool : t -> Pool.t
+  val create : ?options:options -> Pool.t -> t
 
   val update :
     ?telemetry:Telemetry.Trace.t ->
@@ -241,6 +222,4 @@ module Refit : sig
       [Refit] and one [Compile] span, like the reference path. The
       returned scorer aliases the engine's table: it is valid until
       the next [update] on the same engine. *)
-
-  val last_deltas : t -> deltas
 end

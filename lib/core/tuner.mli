@@ -163,9 +163,9 @@ val run_with_policy :
     rows are decoded on demand during the ranking scan, so campaign
     memory is O(1) in the pool size and million-configuration spaces
     are ranked from a few MB of score tables. Each refit runs through
-    the incremental engine ({!Surrogate.Refit}), which only rebuilds
-    the per-parameter tables that changed — the selections stay
-    bit-identical to the full-rebuild path.
+    the refit engine ({!Surrogate.Refit}), which refills one reused
+    score table — the selections stay bit-identical to a fresh
+    {!Surrogate.compile}.
 
     Raises [Invalid_argument] before the first evaluation on invalid
     options (see {!Campaign.create}).

@@ -30,8 +30,6 @@ let count t c =
   t.counts.(c)
 
 let total t = t.total
-let smoothing t = t.smoothing
-let counts t = Array.copy t.counts
 
 let prob t c =
   check_category t c;

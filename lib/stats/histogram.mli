@@ -28,15 +28,6 @@ val count : t -> int -> float
 val total : t -> float
 (** Total weighted count, without smoothing. *)
 
-val smoothing : t -> float
-(** The Laplace smoothing constant this histogram was created with. *)
-
-val counts : t -> float array
-(** Copy of the raw (weighted) per-category counts, without
-    smoothing. Together with {!smoothing} this determines {!probs}
-    exactly — the incremental-refit cache compares these to detect
-    unchanged densities. *)
-
 val prob : t -> int -> float
 (** Smoothed probability of a category; probabilities over all
     categories sum to 1. *)

@@ -56,23 +56,14 @@ let create ?bandwidth xs = create_weighted ?bandwidth (Array.map (fun x -> (x, 1
 let bandwidth t = t.bandwidth
 let n_samples t = Array.length t.centers
 
-(* [kernel_sum] and [normalize_raw] are the two halves of [pdf],
-   exposed so the incremental refit cache in [Hiperbot.Density] can
-   extend a stored raw kernel sum with appended samples and land on
-   the exact same left-to-right float accumulation as a full pass. *)
-let kernel_sum ?(from = 0) t x acc =
+let pdf t x =
   let h = t.bandwidth in
-  let acc = ref acc in
-  for i = from to Array.length t.centers - 1 do
+  let acc = ref 0. in
+  for i = 0 to Array.length t.centers - 1 do
     let z = (x -. t.centers.(i)) /. h in
     acc := !acc +. (t.weights.(i) *. exp (-0.5 *. z *. z))
   done;
-  !acc
-
-let normalize_raw t raw = raw *. inv_sqrt_2pi /. (t.bandwidth *. t.total_weight)
-let pdf t x = normalize_raw t (kernel_sum t x 0.)
-let centers t = Array.copy t.centers
-let weights t = Array.copy t.weights
+  !acc *. inv_sqrt_2pi /. (t.bandwidth *. t.total_weight)
 
 let log_pdf t x =
   let p = pdf t x in

@@ -44,26 +44,6 @@ val log_min_density : float
 val pdf : t -> float -> float
 (** Density at a point; integrates to 1 over the real line. *)
 
-val centers : t -> float array
-(** Copy of the kernel centers, in construction order (the order
-    {!pdf} accumulates them in). *)
-
-val weights : t -> float array
-(** Copy of the kernel weights, in the same order as {!centers}. *)
-
-val kernel_sum : ?from:int -> t -> float -> float -> float
-(** [kernel_sum ~from t x acc] folds the unnormalized Gaussian kernel
-    contributions of samples [from..n-1] at point [x] onto [acc], in
-    index order. [kernel_sum t x 0.] is exactly {!pdf}'s internal
-    accumulation; starting from a stored partial sum over the first
-    [from] samples reproduces the full left-to-right sum bit-for-bit —
-    the incremental-refit primitive. *)
-
-val normalize_raw : t -> float -> float
-(** Turn a raw kernel sum into a density:
-    [raw *. inv_sqrt_2pi /. (bandwidth *. total_weight)].
-    [pdf t x = normalize_raw t (kernel_sum t x 0.)] holds exactly. *)
-
 val log_pdf : t -> float -> float
 (** [log (pdf t x)], floored at {!log_min_density} when the density
     underflows. *)

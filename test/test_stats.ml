@@ -205,6 +205,56 @@ let test_kde_merge () =
   check Alcotest.bool "mass at both modes" true
     (Stats.Kde.pdf merged 0. > 0.1 && Stats.Kde.pdf merged 10. > 0.1)
 
+(* Bit-exact golden values recorded as hex-float literals: every
+   tuning benchmark is all-discrete, so this is what guards [Kde.pdf]'s
+   left-to-right kernel accumulation against a float-order change. The
+   last plain point lies far enough out that the density falls below
+   [min_density], where [log_pdf] clamps to the floor. *)
+let test_kde_golden () =
+  let bits =
+    Alcotest.testable
+      (fun ppf x -> Format.fprintf ppf "%h" x)
+      (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+  in
+  let plain = Stats.Kde.create ~bandwidth:0.3 [| 0.; 1.; 2.; 2.5; 0.7 |] in
+  let prior =
+    Stats.Kde.create_weighted ~bandwidth:0.45 [| (1.5, 2.); (-0.25, 0.5); (3.1, 1.) |]
+  in
+  let merged = Stats.Kde.merge_weighted ~prior ~w:0.35 plain in
+  let pin name kde cases =
+    List.iter
+      (fun (x, expected) ->
+        check bits (Printf.sprintf "%s pdf %h" name x) expected (Stats.Kde.pdf kde x))
+      cases
+  in
+  pin "plain" plain
+    [
+      (0., 0x1.234c5b59b8d2ap-2);
+      (0.85, 0x1.e5c80d9319a87p-2);
+      (1.3, 0x1.b81dc3a62905dp-3);
+      (2.75, 0x1.98d5eed90cfp-3);
+      (-1.1, 0x1.4fbcdeafd4ea1p-12);
+      (13.5, 0x1.36527b249819p-972);
+      (13.7, 0x1.9d541f244c71dp-1008);
+      (40., 0x0p+0);
+    ];
+  pin "merged" merged
+    [
+      (0., 0x1.0506cbcdf23c1p-2);
+      (1.5, 0x1.0d500b1fc81d8p-2);
+      (2.2, 0x1.3ed48df5a8fc2p-2);
+      (3.1, 0x1.a9b9361a71676p-4);
+      (-0.6, 0x1.880d0109093d7p-5);
+      (13.7, 0x1.9ecc5c2c695b3p-905);
+    ];
+  check Alcotest.bool "13.7 is below the density floor" true
+    (Stats.Kde.pdf plain 13.7 < Stats.Kde.min_density);
+  check bits "log_pdf clamps at the floor" Stats.Kde.log_min_density (Stats.Kde.log_pdf plain 13.7);
+  check bits "log_pdf above the floor" (-0x1.50c5f7d617841p+9) (Stats.Kde.log_pdf plain 13.5);
+  check (Alcotest.array bits) "pdf_grid is pointwise pdf"
+    [| 0x1.0506cbcdf23c1p-2; 0x1.a9b9361a71676p-4 |]
+    (Stats.Kde.pdf_grid merged [| 0.; 3.1 |])
+
 let test_silverman_positive () =
   check Alcotest.bool "silverman positive on constant data" true
     (Stats.Kde.silverman_bandwidth [| 3.; 3.; 3. |] > 0.);
@@ -331,6 +381,7 @@ let suite =
       tc "kde weighted" `Quick test_kde_weighted;
       tc "kde sample near data" `Quick test_kde_sample_near_data;
       tc "kde merge prior" `Quick test_kde_merge;
+      tc "kde golden values" `Quick test_kde_golden;
       tc "silverman positive" `Quick test_silverman_positive;
       tc "normal erfc/cdf accuracy" `Quick test_normal_erfc_and_cdf;
       tc "normal ppf roundtrip" `Quick test_normal_ppf_roundtrip;
