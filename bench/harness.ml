@@ -59,11 +59,13 @@ let gp_tuner ?(options = Baselines.Gp_tuner.default_options) table =
 
 let cores = Domain.recommended_domain_count ()
 
-(* Short hash of the checked-out commit, or "unknown" when git or the
-   repository is absent. *)
+(* Short hash of the checked-out commit, suffixed "-dirty" when the
+   working tree has uncommitted changes (so a file generated before a
+   commit does not claim to come from its parent), or "unknown" when
+   git or the repository is absent. *)
 let commit =
   lazy
-    (match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+    (match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
     | exception Unix.Unix_error _ -> "unknown"
     | ic -> (
         let line = In_channel.input_line ic in

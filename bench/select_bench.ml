@@ -2,12 +2,7 @@
 
    Part 1 (kripke, 1620 configurations): the naive per-configuration
    Surrogate.score scan (the pre-compiled-scorer implementation)
-   against Surrogate.compile + table lookups, sequential and parallel.
-   Note that 1620 is far below Strategy.default_parallel_threshold, so
-   the "parallel" rows exercise the forced-sequential cutover: passing
-   workers changes nothing but the Rank span's labels (this is the fix
-   for the earlier regression where fanning 1620 rows out to a domain
-   pool measured 4-5x slower than the sequential scan).
+   against Surrogate.compile + table lookups.
 
    Part 2 (synthetic pools, 10^5 / 10^6 / 10^7 rows): the full
    per-refit cost of a growing campaign through the PR 2 production
@@ -16,10 +11,11 @@
    Surrogate.Pool.of_space, Surrogate.Refit update,
    streaming bounded-heap select), with a peak-memory column. The two
    paths must select identically at every refit; at 10^7 the PR 2 path
-   is skipped (materializing the pool alone needs ~1.7 GB) and the new
-   path is asserted sequential == parallel instead. Each pool also
-   times one select that must skip 200 evaluated rows
-   (select_ms_excluded), a campaign's steady state.
+   is skipped (materializing the pool alone needs ~1.7 GB). Each pool
+   also times one select that must skip 200 evaluated rows
+   (select_ms_excluded), a campaign's steady state, and, up to 10^6,
+   the linear chunked scan over the materialized pool
+   (boxed_seq_select_ns).
 
    The production path is timed through the telemetry spans the code
    itself emits rather than an external stopwatch where spans exist;
@@ -40,20 +36,6 @@ let budget_override =
       match int_of_string_opt s with
       | Some n when n > 0 -> Some n
       | _ -> failwith "HIPERBOT_SELECT_BUDGET must be a positive integer")
-
-let cores = Harness.cores
-
-(* Worker domains for the large-pool parallel rows: 3 when the
-   machine can actually run 3+1 participants, otherwise whatever is
-   spare (0 on a single-core box — the pool then runs every chunk on
-   the caller, which still exercises the chunked-merge path for the
-   bit-identity checks without oversubscription thrashing). *)
-let bench_domains = if cores >= 4 then 3 else Stdlib.max 0 (cores - 1)
-
-(* Wall-clock "parallel must not lose" floors only mean something when
-   the domains map to real cores; on fewer than 4 cores every extra
-   domain is pure context-switch and GC-synchronization overhead. *)
-let can_assert_parallel = cores >= 4
 
 (* ns per call, best of [reps] timed batches. The batch size doubles
    until one batch takes at least 20 ms so timer granularity never
@@ -130,11 +112,6 @@ let span_ns ~reps f =
 let same_selection a b =
   List.length a = List.length b && List.for_all2 Param.Config.equal a b
 
-let schedule_name = function
-  | Parallel.Pool.Static -> "static"
-  | Parallel.Pool.Dynamic n -> Printf.sprintf "dynamic%d" n
-  | Parallel.Pool.Guided -> "guided"
-
 (* ---- part 2: million-config pools ---- *)
 
 (* n_params decimal parameters of 10 choices each: pool size is
@@ -167,19 +144,15 @@ type large_row = {
   lp_params : int;
   lp_reference_ns : float option;  (* None: PR 2 path skipped *)
   lp_incremental_ns : float;
-  lp_parallel_ns : float option;  (* virtual-pool parallel scan, informational *)
   lp_excluded_ms : float;  (* one streaming select excluding [n_excluded] evaluated rows *)
-  lp_excluded_ok : bool;  (* no excluded row selected; parallel = sequential *)
+  lp_excluded_ok : bool;  (* k rows selected, none of them excluded *)
   lp_boxed_seq_ns : float option;  (* linear chunked scan over the materialized pool *)
-  lp_boxed_par_ns : float option;
   lp_heap_bytes : int;  (* new path, Gc heap after the campaign *)
   lp_live_bytes : int;  (* new path, live words after full major *)
   lp_table_bytes : int;
   lp_codes_bytes : int;
   lp_reference_heap_bytes : int option;  (* with the materialized pool *)
   lp_matches_reference : bool option;
-  lp_parallel_matches : bool option;
-  lp_boxed_par_matches : bool option;
 }
 
 (* Evaluated rows excluded by the [select_ms_excluded] rows: about a
@@ -201,15 +174,15 @@ let large_pool_row ~reps n_params =
   let options = Hiperbot.Surrogate.default_options in
   (* One full campaign sequence through the new path: fresh engine,
      one Refit.update + one streaming select per snapshot. *)
-  let incremental_campaign ?workers ?(on_step = fun _ ~surrogate:_ ~compiled:_ -> ()) () =
+  let incremental_campaign ?(on_step = fun _ ~surrogate:_ ~compiled:_ -> ()) () =
     let engine = Hiperbot.Surrogate.Refit.create ~options virt in
     Array.mapi
       (fun step obs ->
         let surrogate, compiled = Hiperbot.Surrogate.Refit.update engine obs in
         on_step step ~surrogate ~compiled;
         let sel =
-          Hiperbot.Strategy.select_many_encoded ?workers ~compiled ~k ~rng ~surrogate
-            ~encoded:virt ~evaluated ()
+          Hiperbot.Strategy.select_many_encoded ~compiled ~k ~rng ~surrogate ~encoded:virt
+            ~evaluated ()
         in
         sel)
       obs_steps
@@ -242,22 +215,6 @@ let large_pool_row ~reps n_params =
     time_best_s ~reps (fun () -> incremental_campaign ())
     /. float_of_int n_refits *. 1e9
   in
-  (* Parallel streaming scan (only meaningful at or above the
-     threshold — below it the scan ignores the workers argument). *)
-  let parallel_ns, parallel_matches =
-    if n < Hiperbot.Strategy.default_parallel_threshold then (None, None)
-    else
-      Parallel.Pool.with_pool ~num_domains:bench_domains (fun workers ->
-          let runs = incremental_campaign ~workers () in
-          let matches =
-            Array.for_all2 same_selection runs new_selections
-          in
-          let ns =
-            time_best_s ~reps (fun () -> incremental_campaign ~workers ())
-            /. float_of_int n_refits *. 1e9
-          in
-          (Some ns, Some matches))
-  in
   (* A campaign's steady state: one select that must skip
      [n_excluded] evaluated rows. The exclusion set is built from the
      evaluated side, so the cost must not grow with the pool beyond the
@@ -272,17 +229,14 @@ let large_pool_row ~reps n_params =
     while Param.Config.Table.length evaluated < n_excluded do
       Param.Config.Table.replace evaluated (Param.Space.random_config space draw) ()
     done;
-    let select ?workers () =
-      Hiperbot.Strategy.select_many_encoded ?workers ~compiled ~k ~rng ~surrogate ~encoded:virt
+    let select () =
+      Hiperbot.Strategy.select_many_encoded ~compiled ~k ~rng ~surrogate ~encoded:virt
         ~evaluated ()
     in
-    let sequential = select () in
+    let selected = select () in
     let ok =
-      List.length sequential = k
-      && List.for_all (fun c -> not (Param.Config.Table.mem evaluated c)) sequential
-      && (n < Hiperbot.Strategy.default_parallel_threshold
-         || Parallel.Pool.with_pool ~num_domains:bench_domains (fun workers ->
-                same_selection (select ~workers ()) sequential))
+      List.length selected = k
+      && List.for_all (fun c -> not (Param.Config.Table.mem evaluated c)) selected
     in
     (time_ns ~reps (fun () -> select ()) /. 1e6, ok)
   in
@@ -305,12 +259,11 @@ let large_pool_row ~reps n_params =
      part 1), then per refit a full fit + full compile + per-row Topk
      scan. Skipped at 10^7 rows, where materialization alone is
      ~1.7 GB. *)
-  let reference_ns, matches_reference, reference_heap_bytes, boxed_seq_ns, boxed_par_ns,
-      boxed_par_matches =
+  let reference_ns, matches_reference, reference_heap_bytes, boxed_seq_ns =
     if n > 1_000_000 then begin
       Printf.printf
         "  10^%d: PR 2 path skipped (materializing %d configurations needs GBs)\n" n_params n;
-      (None, None, None, None, None, None)
+      (None, None, None, None)
     end
     else begin
       let pool = Param.Space.enumerate space in
@@ -339,33 +292,19 @@ let large_pool_row ~reps n_params =
         time_best_s ~reps (fun () -> reference_campaign ())
         /. float_of_int n_refits *. 1e9
       in
-      (* Parallel-vs-sequential crossover on the LINEAR scan: a
-         materialized pool has no digit tree to prune, so its chunked
-         scan is O(n) work that the domain pool genuinely splits —
-         this is where parallel must beat sequential above the
-         threshold. (The virtual pool's branch-and-bound scan is
-         sublinear and reported above for contrast.) *)
+      (* The LINEAR scan: a materialized pool has no digit tree to
+         prune, so its chunked scan is O(n) work — the contrast to the
+         virtual pool's sublinear branch-and-bound scan above. *)
       let surrogate = Hiperbot.Surrogate.fit ~options space obs_steps.(n_refits - 1) in
       let compiled_boxed = Hiperbot.Surrogate.compile surrogate encoded in
-      let boxed_select ?workers () =
-        Hiperbot.Strategy.select_many_encoded ?workers ~compiled:compiled_boxed ~k ~rng
-          ~surrogate ~encoded ~evaluated ()
-      in
-      let seq_selection = boxed_select () in
-      let seq_ns = time_ns ~reps (fun () -> boxed_select ()) in
-      let par_ns, par_matches =
-        Parallel.Pool.with_pool ~num_domains:bench_domains (fun workers ->
-            let m = same_selection (boxed_select ~workers ()) seq_selection in
-            (time_ns ~reps (fun () -> boxed_select ~workers ()), m))
+      let seq_ns =
+        time_ns ~reps (fun () ->
+            Hiperbot.Strategy.select_many_encoded ~compiled:compiled_boxed ~k ~rng ~surrogate
+              ~encoded ~evaluated ())
       in
       Gc.full_major ();
       let st_ref = Gc.stat () in
-      ( Some ns,
-        Some matches,
-        Some (st_ref.Gc.live_words * word),
-        Some seq_ns,
-        Some par_ns,
-        Some par_matches )
+      (Some ns, Some matches, Some (st_ref.Gc.live_words * word), Some seq_ns)
     end
   in
   {
@@ -373,31 +312,26 @@ let large_pool_row ~reps n_params =
     lp_params = n_params;
     lp_reference_ns = reference_ns;
     lp_incremental_ns = incremental_ns;
-    lp_parallel_ns = parallel_ns;
     lp_excluded_ms = excluded_ms;
     lp_excluded_ok = excluded_ok;
     lp_boxed_seq_ns = boxed_seq_ns;
-    lp_boxed_par_ns = boxed_par_ns;
     lp_heap_bytes = heap_bytes;
     lp_live_bytes = live_bytes;
     lp_table_bytes = table_bytes;
     lp_codes_bytes = codes_bytes;
     lp_reference_heap_bytes = reference_heap_bytes;
     lp_matches_reference = matches_reference;
-    lp_parallel_matches = parallel_matches;
-    lp_boxed_par_matches = boxed_par_matches;
   }
 
 let mb bytes = float_of_int bytes /. 1048576.
 
 let print_large_row r =
   let fmt_opt = function Some ns -> Printf.sprintf "%12.0f" ns | None -> "           -" in
-  Printf.printf "10^%d rows: PR2 %s ns/refit  new %12.0f ns/refit  (%sx)  par %s ns\n"
-    r.lp_params (fmt_opt r.lp_reference_ns) r.lp_incremental_ns
+  Printf.printf "10^%d rows: PR2 %s ns/refit  new %12.0f ns/refit  (%sx)\n" r.lp_params
+    (fmt_opt r.lp_reference_ns) r.lp_incremental_ns
     (match r.lp_reference_ns with
     | Some ref_ns -> Printf.sprintf "%.1f" (ref_ns /. r.lp_incremental_ns)
-    | None -> "-")
-    (fmt_opt r.lp_parallel_ns);
+    | None -> "-");
   Printf.printf
     "          mem live %.1f MB (heap %.1f MB, tables %.1f KB, codes %.1f KB%s)\n"
     (mb r.lp_live_bytes) (mb r.lp_heap_bytes)
@@ -408,11 +342,9 @@ let print_large_row r =
     | None -> "");
   Printf.printf "          select excluding %d evaluated rows: %.4f ms\n" n_excluded
     r.lp_excluded_ms;
-  (match (r.lp_boxed_seq_ns, r.lp_boxed_par_ns) with
-  | Some seq, Some par ->
-      Printf.printf "          linear (materialized) scan: seq %12.0f ns  par %12.0f ns  (%.1fx)\n"
-        seq par (seq /. par)
-  | _ -> ())
+  match r.lp_boxed_seq_ns with
+  | Some seq -> Printf.printf "          linear (materialized) scan: %12.0f ns\n" seq
+  | None -> ()
 
 (* ---- driver ---- *)
 
@@ -492,32 +424,6 @@ let run ~reps () =
   Printf.printf "%-34s %12.0f ns  (from Rank span)\n" "ranking scan" rank_ns;
   Printf.printf "naive selection matches compiled: %b\n" naive_matches;
   Printf.printf "traced selection matches untraced: %b\n" traced_matches;
-  (* Parallel arguments across domain counts and schedules; each
-     setting must reproduce the sequential selection bit-for-bit. At
-     1620 rows every one of these is below the parallel threshold, so
-     the workers argument is ignored and the rows measure the
-     forced-sequential cutover (they should all sit at the sequential
-     time — this used to be a 4-5x regression). *)
-  let forced_sequential = n < Hiperbot.Strategy.default_parallel_threshold in
-  let parallel_rows =
-    List.concat_map
-      (fun domains ->
-        Parallel.Pool.with_pool ~num_domains:domains (fun workers ->
-            List.map
-              (fun schedule ->
-                let f telemetry =
-                  Hiperbot.Strategy.select_many ~telemetry ~workers ~schedule ~encoded
-                    Hiperbot.Strategy.Ranking ~k ~rng:select_rng ~surrogate ~pool ~evaluated
-                in
-                let matches = same_selection (f Telemetry.Trace.disabled) sequential in
-                let ns, _, _ = span_ns ~reps f in
-                Printf.printf "parallel %d+1 domains %-10s %12.0f ns  matches=%b%s\n" domains
-                  (schedule_name schedule) ns matches
-                  (if forced_sequential then "  (forced sequential: below threshold)" else "");
-                (domains, schedule, ns, matches))
-              [ Parallel.Pool.Static; Parallel.Pool.Dynamic 64; Parallel.Pool.Guided ]))
-      [ 0; 1; 3 ]
-  in
   (* ---- large pools ---- *)
   Harness.section "Million-config pools: refit engine + streaming top-k";
   let exponents =
@@ -543,12 +449,6 @@ let run ~reps () =
   Printf.bprintf buf "  \"k\": %d,\n" k;
   Printf.bprintf buf "  \"n_observations\": %d,\n" (Array.length obs);
   Printf.bprintf buf "  \"reps\": %d,\n" reps;
-  Printf.bprintf buf "  \"parallel_threshold\": %d,\n"
-    Hiperbot.Strategy.default_parallel_threshold;
-  Printf.bprintf buf "  \"parallel_floors\": \"%s\",\n"
-    (if not can_assert_parallel then Printf.sprintf "skipped: %d core(s)" cores
-     else if budget_override <> None then "skipped: budget override"
-     else "asserted");
   Printf.bprintf buf "  \"n_excluded\": %d,\n" n_excluded;
   Printf.bprintf buf "  \"naive_select_ns\": %.1f,\n" naive_select_ns;
   Printf.bprintf buf "  \"compiled_select_ns\": %.1f,\n" compiled_select_ns;
@@ -561,16 +461,6 @@ let run ~reps () =
   Printf.bprintf buf "  \"rank_span_ns\": %.1f,\n" rank_ns;
   Printf.bprintf buf "  \"naive_matches_compiled\": %b,\n" naive_matches;
   Printf.bprintf buf "  \"traced_matches_untraced\": %b,\n" traced_matches;
-  Printf.bprintf buf "  \"parallel\": [\n";
-  List.iteri
-    (fun i (domains, schedule, ns, matches) ->
-      Printf.bprintf buf
-        "    { \"domains\": %d, \"schedule\": \"%s\", \"select_ns\": %.1f, \
-         \"matches_sequential\": %b, \"forced_sequential\": %b }%s\n"
-        domains (schedule_name schedule) ns matches forced_sequential
-        (if i = List.length parallel_rows - 1 then "" else ","))
-    parallel_rows;
-  Printf.bprintf buf "  ],\n";
   Printf.bprintf buf "  \"large_pools\": [\n";
   let opt_f = function Some v -> Printf.sprintf "%.1f" v | None -> "null" in
   let opt_i = function Some v -> string_of_int v | None -> "null" in
@@ -580,20 +470,16 @@ let run ~reps () =
       Printf.bprintf buf
         "    { \"pool_size\": %d, \"n_params\": %d, \"virtual\": true, \
          \"reference_refit_ns\": %s, \"incremental_refit_ns\": %.1f, \"refit_speedup\": %s, \
-         \"parallel_refit_ns\": %s, \"select_ms_excluded\": %.4f, \"boxed_seq_select_ns\": \
-         %s, \"boxed_par_select_ns\": %s, \"heap_bytes\": %d, \
+         \"select_ms_excluded\": %.4f, \"boxed_seq_select_ns\": %s, \"heap_bytes\": %d, \
          \"live_bytes\": %d, \"table_bytes\": %d, \"codes_bytes\": %d, \"reference_heap_bytes\": %s, \
-         \"matches_reference\": %s, \"parallel_matches\": %s, \"boxed_par_matches\": %s }%s\n"
+         \"matches_reference\": %s }%s\n"
         r.lp_size r.lp_params (opt_f r.lp_reference_ns) r.lp_incremental_ns
         (opt_f
            (Option.map (fun ref_ns -> ref_ns /. r.lp_incremental_ns) r.lp_reference_ns))
-        (opt_f r.lp_parallel_ns) r.lp_excluded_ms (opt_f r.lp_boxed_seq_ns)
-        (opt_f r.lp_boxed_par_ns) r.lp_heap_bytes r.lp_live_bytes r.lp_table_bytes
-        r.lp_codes_bytes
+        r.lp_excluded_ms (opt_f r.lp_boxed_seq_ns) r.lp_heap_bytes r.lp_live_bytes
+        r.lp_table_bytes r.lp_codes_bytes
         (opt_i r.lp_reference_heap_bytes)
         (opt_b r.lp_matches_reference)
-        (opt_b r.lp_parallel_matches)
-        (opt_b r.lp_boxed_par_matches)
         (if i = List.length large_rows - 1 then "" else ","))
     large_rows;
   Printf.bprintf buf "  ]\n";
@@ -606,13 +492,6 @@ let run ~reps () =
   if not naive_matches then failwith "BENCH select: naive and compiled selections diverged";
   if not traced_matches then failwith "BENCH select: tracing changed the selection";
   List.iter
-    (fun (domains, schedule, _, matches) ->
-      if not matches then
-        failwith
-          (Printf.sprintf "BENCH select: parallel (%d domains, %s) diverged from sequential"
-             domains (schedule_name schedule)))
-    parallel_rows;
-  List.iter
     (fun r ->
       (match r.lp_matches_reference with
       | Some false ->
@@ -623,18 +502,7 @@ let run ~reps () =
       if not r.lp_excluded_ok then
         failwith
           (Printf.sprintf
-             "BENCH select: selection excluding evaluated rows is wrong at pool %d" r.lp_size);
-      (match r.lp_parallel_matches with
-      | Some false ->
-          failwith
-            (Printf.sprintf "BENCH select: parallel streaming scan diverges at pool %d"
-               r.lp_size)
-      | Some true | None -> ());
-      match r.lp_boxed_par_matches with
-      | Some false ->
-          failwith
-            (Printf.sprintf "BENCH select: parallel linear scan diverges at pool %d" r.lp_size)
-      | Some true | None -> ())
+             "BENCH select: selection excluding evaluated rows is wrong at pool %d" r.lp_size))
     large_rows;
   (* Performance floors only run under the full protocol — a budget
      override means a smoke run on unknown hardware. *)
@@ -654,26 +522,5 @@ let run ~reps () =
             failwith
               (Printf.sprintf "BENCH select: new path uses %.1f MB at 10^6 (floor: 100 MB)"
                  (mb new_path_bytes))
-        end;
-        (* Above the threshold the parallel LINEAR scan must not lose
-           to the sequential one — that is the work the domain pool
-           actually splits (below the threshold workers are ignored by
-           design, and the virtual pools' branch-and-bound scan is
-           sublinear, so parallel fan-out is informational there). *)
-        match (r.lp_boxed_seq_ns, r.lp_boxed_par_ns) with
-        | Some seq_ns, Some par_ns
-          when can_assert_parallel
-               && r.lp_size >= Hiperbot.Strategy.default_parallel_threshold
-               && par_ns > seq_ns ->
-            failwith
-              (Printf.sprintf
-                 "BENCH select: parallel linear scan (%.0f ns) slower than sequential (%.0f \
-                  ns) at pool %d"
-                 par_ns seq_ns r.lp_size)
-        | _ -> ())
-      large_rows;
-  if not can_assert_parallel then
-    Printf.printf
-      "note: %d core(s) available — parallel-vs-sequential floors not asserted (timings are \
-       oversubscription, not speedup)\n"
-      cores
+        end)
+      large_rows

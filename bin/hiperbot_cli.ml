@@ -242,12 +242,8 @@ let timeout_arg =
   let doc = "Per-evaluation cost budget: an evaluation above $(docv) is classified as a timeout (straggler) instead of a measurement." in
   Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"COST" ~doc)
 
-let jobs_arg =
-  let doc = "Rank candidates on $(docv) domains. Selections are bit-identical to --jobs 1 (ties break on the candidate's pool position), so this only changes wall-clock time. Hiperbot method only." in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let async_arg =
-  let doc = "Run the asynchronous campaign engine with up to $(docv) evaluations in flight: the surrogate refits on every completion and pending configurations are penalized as constant liars. $(docv) = 1 retraces the synchronous engine bit-for-bit. Composes with --faults, --retries, --timeout, --save/--resume, --trace, and --jobs. Hiperbot method only." in
+  let doc = "Run the asynchronous campaign engine with up to $(docv) evaluations in flight: the surrogate refits on every completion and pending configurations are penalized as constant liars. $(docv) = 1 retraces the synchronous engine bit-for-bit. Composes with --faults, --retries, --timeout, --save/--resume, and --trace. Hiperbot method only." in
   Arg.(value & opt (some int) None & info [ "async" ] ~docv:"K" ~doc)
 
 let fidelity_arg =
@@ -257,7 +253,7 @@ let fidelity_arg =
      bracket evaluates a cohort of --n-init configurations at the cheapest rung and promotes the \
      best ceil(n/eta) per rung closure, so most of the budget is spent at a fraction of the \
      full-fidelity cost. $(docv) = 1 degrades to the flat full-fidelity campaign. Composes with \
-     --async, --save/--resume, --trace, and --jobs. Hiperbot method only."
+     --async, --save/--resume, and --trace. Hiperbot method only."
   in
   Arg.(value & opt (some int) None & info [ "fidelity" ] ~docv:"R" ~doc)
 
@@ -271,12 +267,6 @@ let eta_arg =
      (requires --fidelity; default 3)."
   in
   Arg.(value & opt (some float) None & info [ "eta" ] ~docv:"F" ~doc)
-
-(* Run [f (Some pool)] on a [jobs]-domain pool, or [f None] when a
-   single job needs no pool at all. *)
-let with_jobs jobs f =
-  if jobs > 1 then Parallel.Pool.with_pool ~num_domains:(jobs - 1) (fun p -> f (Some p))
-  else f None
 
 (* Invalid options surface as [Invalid_argument] from the engine's
    setup, before the first evaluation; report them as a CLI error. *)
@@ -305,13 +295,13 @@ let tune_cmd =
     let doc =
       "Load a source run log (written by `tune --save') as a transfer prior, optionally weighted \
        ($(docv) is FILE or FILE:WEIGHT; weight defaults to 1). Repeatable: each log becomes one \
-       prior source. Composes with --faults, --resume, --async, --trace, and --jobs. Hiperbot \
-       method only."
+       prior source. Composes with --faults, --resume, --async, and --trace. Hiperbot method \
+       only."
     in
     Arg.(value & opt_all string [] & info [ "transfer-from" ] ~docv:"FILE[:W]" ~doc)
   in
   let run dataset seed budget method_ alpha n_init proposal verbose trace_file
-      trace_summary save resume faults fault_seed retries timeout jobs async transfer_from
+      trace_summary save resume faults fault_seed retries timeout async transfer_from
       transfer_weighting transfer_decay transfer_gate no_transfer_gate fidelity brackets eta =
     match find_table dataset with
     | Error e -> `Error (false, e)
@@ -363,9 +353,6 @@ let tune_cmd =
         else if retries < 1 then `Error (false, "--retries must be at least 1")
         else if (match timeout with Some t -> t <= 0. | None -> false) then
           `Error (false, "--timeout must be positive")
-        else if jobs < 1 then `Error (false, "--jobs must be at least 1")
-        else if jobs > 1 && method_ <> `Hiperbot then
-          `Error (false, "--jobs is only supported with --method hiperbot")
         else if (trace_file <> None || trace_summary) && method_ <> `Hiperbot then
           `Error (false, "--trace and --trace-summary are only supported with --method hiperbot")
         else if transfer_from <> [] && method_ <> `Hiperbot then
@@ -518,19 +505,18 @@ let tune_cmd =
                 in
                 let fid_result =
                   engine_setup @@ fun () ->
-                  with_jobs jobs (fun pool ->
-                      match existing_log with
-                      | Some log ->
-                          if log.Dataset.Runlog.seed <> seed then
-                            Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n"
-                              log.Dataset.Runlog.seed seed;
-                          Printf.printf "resuming after %d recorded evaluations\n"
-                            (Array.length log.Dataset.Runlog.entries);
-                          Hiperbot.Fidelity.resume ~telemetry ~options ~on_eval ~on_fid ~on_rung
-                            ?pool ~plan ~k ~log ~objective:fid_objective ~budget ()
-                      | None ->
-                          Hiperbot.Fidelity.run ~telemetry ~options ~on_eval ~on_fid ~on_rung
-                            ?pool ~plan ~k ~rng ~space ~objective:fid_objective ~budget ())
+                  match existing_log with
+                  | Some log ->
+                      if log.Dataset.Runlog.seed <> seed then
+                        Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n"
+                          log.Dataset.Runlog.seed seed;
+                      Printf.printf "resuming after %d recorded evaluations\n"
+                        (Array.length log.Dataset.Runlog.entries);
+                      Hiperbot.Fidelity.resume ~telemetry ~options ~on_eval ~on_fid ~on_rung
+                        ~plan ~k ~log ~objective:fid_objective ~budget ()
+                  | None ->
+                      Hiperbot.Fidelity.run ~telemetry ~options ~on_eval ~on_fid ~on_rung
+                        ~plan ~k ~rng ~space ~objective:fid_objective ~budget ()
                 in
                 (match writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
                 finish_trace ();
@@ -634,32 +620,30 @@ let tune_cmd =
                 in
                 let tuner_result =
                   engine_setup @@ fun () ->
-                  with_jobs jobs (fun pool ->
-                      match existing_log with
-                      | Some log -> begin
-                          if log.Dataset.Runlog.seed <> seed then
-                            Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n"
-                              log.Dataset.Runlog.seed seed;
-                          Printf.printf "resuming after %d recorded evaluations\n"
-                            (Array.length log.Dataset.Runlog.entries);
-                          match async with
-                          | Some k ->
-                              Hiperbot.Tuner.resume_async ~telemetry ~options ~policy ~on_outcome
-                                ~on_gate ?pool ~k ~log ~objective:outcome_objective ~budget ()
-                          | None ->
-                              Hiperbot.Tuner.resume ~telemetry ~options ~policy ~on_outcome
-                                ~on_gate ?pool ~log ~objective:outcome_objective ~budget ()
-                        end
-                      | None -> (
-                          match async with
-                          | Some k ->
-                              Hiperbot.Tuner.run_async ~telemetry ~options ~policy ~on_outcome
-                                ~on_gate ?pool ~k ~rng ~space ~objective:outcome_objective ~budget
-                                ()
-                          | None ->
-                              Hiperbot.Tuner.run_with_policy ~telemetry ~options ~policy
-                                ~on_outcome ~on_gate ?pool ~rng ~space
-                                ~objective:outcome_objective ~budget ()))
+                  match existing_log with
+                  | Some log -> begin
+                      if log.Dataset.Runlog.seed <> seed then
+                        Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n"
+                          log.Dataset.Runlog.seed seed;
+                      Printf.printf "resuming after %d recorded evaluations\n"
+                        (Array.length log.Dataset.Runlog.entries);
+                      match async with
+                      | Some k ->
+                          Hiperbot.Tuner.resume_async ~telemetry ~options ~policy ~on_outcome
+                            ~on_gate ~k ~log ~objective:outcome_objective ~budget ()
+                      | None ->
+                          Hiperbot.Tuner.resume ~telemetry ~options ~policy ~on_outcome
+                            ~on_gate ~log ~objective:outcome_objective ~budget ()
+                    end
+                  | None -> (
+                      match async with
+                      | Some k ->
+                          Hiperbot.Tuner.run_async ~telemetry ~options ~policy ~on_outcome
+                            ~on_gate ~k ~rng ~space ~objective:outcome_objective ~budget ()
+                      | None ->
+                          Hiperbot.Tuner.run_with_policy ~telemetry ~options ~policy
+                            ~on_outcome ~on_gate ~rng ~space ~objective:outcome_objective
+                            ~budget ())
                 in
                 (match writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
                 finish_trace ();
@@ -722,7 +706,7 @@ let tune_cmd =
       ret
         (const run $ dataset_arg $ seed_arg $ budget_arg 150 $ method_arg $ alpha_arg $ n_init_arg
        $ proposal_arg $ verbose_arg $ trace_file_arg $ trace_summary_arg $ save_arg
-       $ resume_arg $ faults_arg $ fault_seed_arg $ retries_arg $ timeout_arg $ jobs_arg
+       $ resume_arg $ faults_arg $ fault_seed_arg $ retries_arg $ timeout_arg
        $ async_arg $ transfer_from_arg $ weighting_arg $ decay_arg $ gate_thresh_arg
        $ no_gate_arg $ fidelity_arg $ brackets_arg $ eta_arg))
 

@@ -255,12 +255,11 @@ let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
 (* Guided selection: Ranking campaigns always rank over the encoded
    pool, reusing the refit engine's compiled scorer; Proposal samples
    from pg and never looks at a pool. *)
-let select_batch ~telemetry ~options ?workers ?schedule ~encoded ~compiled ~k ~rng ~surrogate
-    ~evaluated ~excluded () =
+let select_batch ~telemetry ~options ~encoded ~compiled ~k ~rng ~surrogate ~evaluated ~excluded
+    () =
   match (options.strategy, encoded) with
   | Strategy.Ranking, Some e ->
-      Strategy.select_many_excluding ~telemetry ?workers ?schedule ?compiled ~k ~surrogate
-        ~encoded:e ~excluded ()
+      Strategy.select_many_excluding ~telemetry ?compiled ~k ~surrogate ~encoded:e ~excluded ()
   | Strategy.Ranking, None -> assert false (* campaign_setup always encodes for Ranking *)
   | (Strategy.Proposal _ as strategy), _ ->
       Strategy.select_many ~telemetry strategy ~k ~rng ~surrogate ~pool:[||] ~evaluated
@@ -328,8 +327,6 @@ type t = {
   refit : Surrogate.Refit.t option;
   gate : Gate.t option;
   emit_gate : Gate.decision -> unit;
-  workers : Parallel.Pool.t option;
-  schedule : Parallel.Pool.schedule option;
   on_outcome : (int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) option;
   warm_start : (Param.Config.t * float) array;
   replay : (Param.Config.t * Resilience.Evaluator.verdict) array;
@@ -373,7 +370,7 @@ type t = {
 
 let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
     ?(warm_start = [||]) ?candidates ?shared_pool ?on_outcome ?on_gate ?(recorded_gates = [||])
-    ?(replay = [||]) ?pool:workers ?schedule ~mode ~rng ~space ~budget () =
+    ?(replay = [||]) ~mode ~rng ~space ~budget () =
   let campaign_t0 = Telemetry.Trace.now telemetry in
   (match mode with
   | Async k when k < 1 -> invalid_arg "Tuner.run_async: k must be at least 1"
@@ -422,8 +419,6 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
     refit;
     gate;
     emit_gate;
-    workers;
-    schedule;
     on_outcome;
     warm_start;
     replay;
@@ -538,9 +533,8 @@ let refit_and_select t ~k ~extra_bad =
       ~refit:t.refit ~space:t.c_space ~anchor:(anchor t) ~extra_bad obs
   in
   t.final_surrogate <- Some surrogate;
-  select_batch ~telemetry:t.telemetry ~options:t.options ?workers:t.workers
-    ?schedule:t.schedule ~encoded:t.encoded ~compiled ~k ~rng:t.rng ~surrogate
-    ~evaluated:t.seen ~excluded:t.excluded ()
+  select_batch ~telemetry:t.telemetry ~options:t.options ~encoded:t.encoded ~compiled ~k
+    ~rng:t.rng ~surrogate ~evaluated:t.seen ~excluded:t.excluded ()
 
 let rec suggest_sync t ~at =
   if t.pend <> [] then Wait
@@ -768,7 +762,6 @@ let result t =
 
 let is_finished t = Option.is_some t.outcome
 let n_evaluated t = t.completed
-let n_submitted t = t.submitted
 let n_pending t = List.length t.pend
 let pending t = List.rev_map (fun p -> p.p_sug) t.pend
 let best t = t.best_so_far
@@ -807,14 +800,14 @@ let fast_forward t =
   loop ()
 
 let of_log ?telemetry ?options ?(policy = Resilience.Policy.default) ?warm_start ?candidates
-    ?shared_pool ?on_outcome ?on_gate ?pool ?schedule ~mode ~log ~budget () =
+    ?shared_pool ?on_outcome ?on_gate ~mode ~log ~budget () =
   let replay = replay_of_log ~policy log in
   if Array.length replay > budget then
     invalid_arg "Tuner.resume: budget is smaller than the recorded evaluation count";
   let rng = Prng.Rng.create log.Dataset.Runlog.seed in
   let t =
     create ?telemetry ?options ?warm_start ?candidates ?shared_pool ?on_outcome ?on_gate
-      ~recorded_gates:log.Dataset.Runlog.gates ~replay ?pool ?schedule ~mode ~rng
+      ~recorded_gates:log.Dataset.Runlog.gates ~replay ~mode ~rng
       ~space:log.Dataset.Runlog.space ~budget ()
   in
   fast_forward t;

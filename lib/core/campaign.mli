@@ -106,8 +106,6 @@ val create :
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
   ?recorded_gates:Dataset.Runlog.gate array ->
   ?replay:(Param.Config.t * Resilience.Evaluator.verdict) array ->
-  ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   mode:mode ->
   rng:Prng.Rng.t ->
   space:Param.Space.t ->
@@ -170,9 +168,6 @@ val is_finished : t -> bool
 val n_evaluated : t -> int
 (** Completed (reported) evaluations. *)
 
-val n_submitted : t -> int
-(** Suggestions issued so far. *)
-
 val n_pending : t -> int
 
 val pending : t -> suggestion list
@@ -215,8 +210,6 @@ val of_log :
   ?shared_pool:Surrogate.Pool.t ->
   ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   mode:mode ->
   log:Dataset.Runlog.t ->
   budget:int ->

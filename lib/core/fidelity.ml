@@ -75,8 +75,8 @@ let max_seed_redraws = 50
    the async engine wholesale so the degenerate bracket is
    bit-identical to [Tuner.run_async] at the same [k] — same rng
    stream, same submissions, same completion schedule. *)
-let run_flat ~telemetry ~options ?candidates ?on_eval ?workers ?schedule ~replay ~k ~rng ~space
-    ~objective ~budget () =
+let run_flat ~telemetry ~options ?candidates ?on_eval ~replay ~k ~rng ~space ~objective ~budget
+    () =
   let obj ~attempt:_ config = Resilience.Outcome.Value (objective ~rung:0 config) in
   let replay_verdicts =
     Array.map
@@ -98,8 +98,8 @@ let run_flat ~telemetry ~options ?candidates ?on_eval ?workers ?schedule ~replay
       on_eval
   in
   match
-    Tuner.run_async ~telemetry ~options ?candidates ?on_outcome ~replay:replay_verdicts
-      ?pool:workers ?schedule ~k ~rng ~space ~objective:obj ~budget ()
+    Tuner.run_async ~telemetry ~options ?candidates ?on_outcome ~replay:replay_verdicts ~k ~rng
+      ~space ~objective:obj ~budget ()
   with
   | Stdlib.Error e -> Stdlib.Error e
   | Stdlib.Ok run ->
@@ -127,7 +127,7 @@ type slot = {
 
 let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_options) ?candidates
     ?on_eval ?on_fid ?on_rung ?(recorded_fids = [||]) ?(recorded_rungs = [||]) ?(replay = [||])
-    ?pool:workers ?schedule ~plan ~k ~rng ~space ~objective ~budget () =
+    ~plan ~k ~rng ~space ~objective ~budget () =
   validate_plan plan;
   if k < 1 then invalid_arg "Fidelity.run: k must be at least 1";
   if budget < 1 then invalid_arg "Fidelity.run: budget must be at least 1";
@@ -137,8 +137,7 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
       failwith
         "Fidelity.resume: the run log records bracket state but this plan has a single rung \
          (restore the original multi-rung plan, or start fresh without resuming)";
-    run_flat ~telemetry ~options ?candidates ?on_eval ?workers ?schedule ~replay ~k ~rng ~space
-      ~objective ~budget ()
+    run_flat ~telemetry ~options ?candidates ?on_eval ~replay ~k ~rng ~space ~objective ~budget ()
   end
   else begin
     (match options.Tuner.prior with
@@ -284,8 +283,8 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
             Surrogate.fit ~telemetry ~options:options.Tuner.surrogate ~priors space full_obs
           in
           final_surrogate := Some surrogate;
-          Strategy.select_many_excluding ~telemetry ?workers ?schedule ~k:plan.cohort ~surrogate
-            ~encoded ~excluded ()
+          Strategy.select_many_excluding ~telemetry ~k:plan.cohort ~surrogate ~encoded ~excluded
+            ()
         end
       in
       let enqueue c =
@@ -505,8 +504,8 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
           }
   end
 
-let resume ?telemetry ?options ?candidates ?on_eval ?on_fid ?on_rung ?pool ?schedule ~plan ~k
-    ~log ~objective ~budget () =
+let resume ?telemetry ?options ?candidates ?on_eval ?on_fid ?on_rung ~plan ~k ~log ~objective
+    ~budget () =
   let replay =
     Array.mapi
       (fun i (e : Dataset.Runlog.entry) ->
@@ -525,4 +524,4 @@ let resume ?telemetry ?options ?candidates ?on_eval ?on_fid ?on_rung ?pool ?sche
   let rng = Prng.Rng.create log.Dataset.Runlog.seed in
   run ?telemetry ?options ?candidates ?on_eval ?on_fid ?on_rung
     ~recorded_fids:log.Dataset.Runlog.fids ~recorded_rungs:log.Dataset.Runlog.rungs ~replay
-    ?pool ?schedule ~plan ~k ~rng ~space:log.Dataset.Runlog.space ~objective ~budget ()
+    ~plan ~k ~rng ~space:log.Dataset.Runlog.space ~objective ~budget ()

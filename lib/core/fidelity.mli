@@ -81,8 +81,6 @@ val run :
   ?recorded_fids:Dataset.Runlog.fid array ->
   ?recorded_rungs:Dataset.Runlog.rung array ->
   ?replay:(Param.Config.t * float) array ->
-  ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   plan:plan ->
   k:int ->
   rng:Prng.Rng.t ->
@@ -145,8 +143,6 @@ val resume :
   ?on_eval:(int -> Param.Config.t -> float -> unit) ->
   ?on_fid:(Dataset.Runlog.fid -> unit) ->
   ?on_rung:(Dataset.Runlog.rung -> unit) ->
-  ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   plan:plan ->
   k:int ->
   log:Dataset.Runlog.t ->

@@ -72,12 +72,11 @@ let wrap ?on_vector ~moo campaign =
     m_on_vector = on_vector;
   }
 
-let create ?telemetry ?options ?on_outcome ?on_gate ?on_vector ?pool ?schedule ~moo ~mode ~rng
-    ~space ~budget () =
+let create ?telemetry ?options ?on_outcome ?on_gate ?on_vector ~moo ~mode ~rng ~space ~budget ()
+    =
   validate_options moo;
   wrap ?on_vector ~moo
-    (Campaign.create ?telemetry ?options ?on_outcome ?on_gate ?pool ?schedule ~mode ~rng ~space
-       ~budget ())
+    (Campaign.create ?telemetry ?options ?on_outcome ?on_gate ~mode ~rng ~space ~budget ())
 
 let campaign t = t.m_campaign
 let options t = t.m_opts
@@ -141,8 +140,8 @@ let objs_of_log (log : Dataset.Runlog.t) =
     log.Dataset.Runlog.objs;
   tbl
 
-let of_log ?telemetry ?options ?policy ?on_outcome ?on_gate ?on_vector ?pool ?schedule ~moo ~mode
-    ~log ~budget () =
+let of_log ?telemetry ?options ?policy ?on_outcome ?on_gate ?on_vector ~moo ~mode ~log ~budget ()
+    =
   validate_options moo;
   let vectors = objs_of_log log in
   (* Every recorded success must carry a vector whose scalarisation
@@ -163,8 +162,7 @@ let of_log ?telemetry ?options ?policy ?on_outcome ?on_gate ?on_vector ?pool ?sc
               if not (Float.equal (scalarise moo v) y) then failwith Campaign.divergence_msg))
     log.Dataset.Runlog.entries;
   let campaign =
-    Campaign.of_log ?telemetry ?options ?policy ?on_outcome ?on_gate ?pool ?schedule ~mode ~log
-      ~budget ()
+    Campaign.of_log ?telemetry ?options ?policy ?on_outcome ?on_gate ~mode ~log ~budget ()
   in
   let t = wrap ?on_vector ~moo campaign in
   (* Rebuild the archive and front from the recorded vectors, oldest

@@ -55,8 +55,6 @@ val create :
   ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
   ?on_vector:(int -> float array -> unit) ->
-  ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   moo:options ->
   mode:Campaign.mode ->
   rng:Prng.Rng.t ->
@@ -113,8 +111,6 @@ val of_log :
   ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
   ?on_vector:(int -> float array -> unit) ->
-  ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   moo:options ->
   mode:Campaign.mode ->
   log:Dataset.Runlog.t ->

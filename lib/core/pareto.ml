@@ -64,8 +64,6 @@ let of_points ~arity pts =
   List.iter (fun p -> ignore (add f p)) pts;
   f
 
-let non_dominated ~arity pts = Array.to_list (points (of_points ~arity pts))
-
 (* Exact hypervolume by slicing the first objective (the classic HSO
    recursion): sweep the distinct first-objective values; each slab
    [x_i, x_{i+1})'s volume is its width times the (d-1)-dimensional
@@ -108,8 +106,3 @@ let hypervolume ~reference f =
         slabs 0. xs
   in
   hv f.pts reference
-
-let hypervolume_of ~reference pts =
-  let arity = Array.length reference in
-  if arity = 0 then invalid_arg "Pareto.hypervolume_of: empty reference point";
-  hypervolume ~reference (of_points ~arity pts)

@@ -50,11 +50,6 @@ val points : front -> float array array
 val of_points : arity:int -> float array list -> front
 (** Batch construction: fold {!add} over the list. *)
 
-val non_dominated : arity:int -> float array list -> float array list
-(** The non-dominated subset of a point set, lexicographically
-    sorted — the batch counterpart the incremental archive is
-    property-tested against. *)
-
 val hypervolume : reference:float array -> front -> float
 (** Exact hypervolume: the Lebesgue measure of the region dominated
     by the archive and bounded above by [reference]. Points not
@@ -65,7 +60,3 @@ val hypervolume : reference:float array -> front -> float
     reference. Exponential in the number of objectives (slicing
     recursion) — intended for the 2-3 objective fronts the
     simulators expose. *)
-
-val hypervolume_of : reference:float array -> float array list -> float
-(** [hypervolume ~reference (of_points ~arity pts)] with the arity
-    taken from the reference point. *)

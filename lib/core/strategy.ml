@@ -8,10 +8,8 @@ let max_duplicate_redraws = 20
    index". The index is the caller's pool position (Ranking) or an
    insertion counter (Proposal), so ties are explicit and
    deterministic: the same multiset of offers yields the same top-k
-   whatever the offer order — which is what makes per-worker
-   accumulators mergeable into a schedule-independent result. Entries
-   are kept worst-first in a sorted association list; fine for the
-   small k of batch selection. *)
+   whatever the offer order. Entries are kept worst-first in a sorted
+   association list; fine for the small k of batch selection. *)
 module Topk = struct
   type 'a entry = { value : 'a; score : float; index : int }
 
@@ -114,20 +112,6 @@ module Topk_stream = struct
     result
 end
 
-(* Immutable best-first entry lists for the parallel reduction: the
-   merge of two k-truncated lists is the k-truncation of their union,
-   so the fold is associative with [] as identity and the reduction is
-   schedule- and domain-count-independent. *)
-let rec take k = function [] -> [] | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
-
-let rec merge_desc k a b =
-  if k = 0 then []
-  else
-    match (a, b) with
-    | [], rest | rest, [] -> take k rest
-    | x :: xs, y :: ys ->
-        if Topk.beats y x then y :: merge_desc (k - 1) a ys else x :: merge_desc (k - 1) xs b
-
 let ranking_encoded ~surrogate ~pool ~encoded =
   match encoded with
   | Some e ->
@@ -136,32 +120,9 @@ let ranking_encoded ~surrogate ~pool ~encoded =
       e
   | None -> Surrogate.Pool.encode (Surrogate.space surrogate) pool
 
-(* Below this pool size the scoring scan is cheaper than the fixed
-   cost of fanning tasks out to a domain pool (~tens of µs), so
-   [?workers] is ignored and the scan runs sequentially — BENCH_select
-   showed every parallel configuration 4-5x SLOWER than sequential at
-   pool 1620. The crossover sits well under 10^5 rows on commodity
-   cores; 32768 leaves margin on the sequential side. Tests override
-   it with [?parallel_threshold:0] to force the parallel path on
-   small pools. *)
-let default_parallel_threshold = 32768
-
-(* Fixed scan granule: chunk boundaries depend only on the pool size,
-   never on the worker count or schedule, so per-chunk top-k partials
-   merge to the same result for every parallel configuration — and
-   the sequential path reuses the same granule, making parallel
-   bit-identity a matter of merge associativity alone. 4096 rows *
-   8 bytes keeps the score buffer inside L1/L2. *)
+(* Rows scored per batch on a materialized pool: the score buffer's
+   length. 4096 rows * 8 bytes keeps it inside L1/L2. *)
 let scan_chunk = 4096
-
-let schedule_label workers schedule =
-  match workers with
-  | None -> "seq"
-  | Some _ -> (
-      match schedule with
-      | None | Some Parallel.Pool.Static -> "static"
-      | Some (Parallel.Pool.Dynamic c) -> Printf.sprintf "dynamic:%d" c
-      | Some Parallel.Pool.Guided -> "guided")
 
 (* The set of pool rows guided ranking must skip, in pool-index
    space. Campaigns own one and add each configuration's row indices
@@ -228,27 +189,17 @@ let scan_range compiled excluded buf top visited ~lo ~hi =
    rows are never offered, so the threshold only ever comes from kept
    rows.
 
-   [shared] is the parallel scan's cross-chunk threshold: each chunk
-   publishes its local worst (a lower bound on the final k-th score,
-   since a chunk's k-th is at most the global k-th) and prunes
-   against the best bound any chunk has published. The shared value
-   evolves racily, but every pruned row still scores strictly below
-   the final k-th, so the merged result is exact — identical to the
-   sequential scan — for every domain count, schedule, and timing.
-
    The walk allocates nothing per node: prefix sums live in a float
-   array indexed by depth and the threshold in a one-cell float
-   array, so no float crosses a call boundary. [visited] counts the
-   leaf rows reached, one addition per leaf group. *)
-let scan_radix compiled excluded top visited ?shared ~radices ~lo ~hi () =
+   array indexed by depth, so no float crosses a call boundary.
+   [visited] counts the leaf rows reached, one addition per leaf
+   group. *)
+let scan_radix compiled excluded top visited ~radices =
   let table = Surrogate.Compiled.table compiled in
   let off = Surrogate.Compiled.offsets compiled in
   let np = Array.length radices in
   if np = 0 then begin
-    if lo <= 0 && hi > 0 then begin
-      incr visited;
-      if not (Exclusion.mem excluded 0) then Topk_stream.offer top 0. 0
-    end
+    incr visited;
+    if not (Exclusion.mem excluded 0) then Topk_stream.offer top 0. 0
   end
   else begin
     let strides = Array.make np 1 in
@@ -267,65 +218,30 @@ let scan_radix compiled excluded top visited ?shared ~radices ~lo ~hi () =
     (* prefix.(p): the current path's left-to-right sum over digits
        0..p. *)
     let prefix = Array.make np 0. in
-    let thr = [| neg_infinity |] in
-    let refresh_threshold () =
-      Array.unsafe_set thr 0
-        (if top.Topk_stream.full then top.Topk_stream.worst_score else neg_infinity);
-      match shared with
-      | None -> ()
-      | Some a ->
-          let g = Atomic.get a in
-          if g > Array.unsafe_get thr 0 then Array.unsafe_set thr 0 g
-    in
-    let publish () =
-      match shared with
-      | None -> ()
-      | Some a ->
-          if top.Topk_stream.full then begin
-            let w = top.Topk_stream.worst_score in
-            let rec bump () =
-              let cur = Atomic.get a in
-              if w > cur && not (Atomic.compare_and_set a cur w) then bump ()
-            in
-            bump ()
-          end
-    in
     let rec go p base =
       let acc = if p = 0 then 0. else Array.unsafe_get prefix (p - 1) in
       let toff = Array.unsafe_get off p in
       if p = np - 1 then begin
-        let d_lo = Stdlib.max 0 (lo - base) in
-        let d_hi = Stdlib.min radices.(p) (hi - base) in
-        visited := !visited + (d_hi - d_lo);
-        (* A stale (lower) threshold only admits extra offers, which
-           re-check; exactness is unaffected. *)
-        refresh_threshold ();
-        for d = d_lo to d_hi - 1 do
+        visited := !visited + radices.(p);
+        for d = 0 to radices.(p) - 1 do
           let s = acc +. Bigarray.Array1.unsafe_get table (toff + d) in
           if
-            ((not top.Topk_stream.full) || s >= Array.unsafe_get thr 0)
+            ((not top.Topk_stream.full) || s >= top.Topk_stream.worst_score)
             && not (Exclusion.mem excluded (base + d))
-          then begin
-            Topk_stream.offer top s (base + d);
-            publish ()
-          end
+          then Topk_stream.offer top s (base + d)
         done
       end
       else begin
         let stride = Array.unsafe_get strides p in
         for d = 0 to radices.(p) - 1 do
-          let b = base + (d * stride) in
-          if b < hi && b + stride > lo then begin
-            let v = acc +. Bigarray.Array1.unsafe_get table (toff + d) in
-            let bound = ref v in
-            for q = p + 1 to np - 1 do
-              bound := !bound +. Array.unsafe_get table_max q
-            done;
-            refresh_threshold ();
-            if not (!bound < Array.unsafe_get thr 0) then begin
-              Array.unsafe_set prefix p v;
-              go (p + 1) b
-            end
+          let v = acc +. Bigarray.Array1.unsafe_get table (toff + d) in
+          let bound = ref v in
+          for q = p + 1 to np - 1 do
+            bound := !bound +. Array.unsafe_get table_max q
+          done;
+          if not (top.Topk_stream.full && !bound < top.Topk_stream.worst_score) then begin
+            Array.unsafe_set prefix p v;
+            go (p + 1) (base + (d * stride))
           end
         done
       end
@@ -333,63 +249,29 @@ let scan_radix compiled excluded top visited ?shared ~radices ~lo ~hi () =
     go 0 0
   end
 
-let scan_indices compiled excluded top visited ?shared ~n ~lo ~hi buf =
-  match Surrogate.Pool.radices (Surrogate.Compiled.pool compiled) with
-  | Some radices -> scan_radix compiled excluded top visited ?shared ~radices ~lo ~hi ()
-  | None ->
-      let buf =
-        match buf with Some b -> b | None -> Array.make (Stdlib.min n scan_chunk) 0.
-      in
-      let at = ref lo in
-      while !at < hi do
-        let chunk_hi = Stdlib.min hi (!at + scan_chunk) in
-        scan_range compiled excluded buf top visited ~lo:!at ~hi:chunk_hi;
-        at := chunk_hi
-      done
-
-(* Both return the ranked (score, index) pairs and the leaf rows the
-   scan reached. *)
-let select_indices_seq compiled excluded ~k ~n =
-  let top = Topk_stream.create k in
-  let visited = ref 0 in
-  scan_indices compiled excluded top visited ~n ~lo:0 ~hi:n None;
-  (Topk_stream.to_desc top, !visited)
-
-let select_indices_par compiled excluded ~k ~n ~workers ?schedule () =
-  let n_chunks = (n + scan_chunk - 1) / scan_chunk in
-  let shared =
-    match Surrogate.Pool.radices (Surrogate.Compiled.pool compiled) with
-    | Some _ -> Some (Atomic.make neg_infinity)
-    | None -> None
-  in
-  let total_visited = Atomic.make 0 in
-  let best =
-    Parallel.Pool.parallel_for_reduce workers ?schedule ~lo:0 ~hi:n_chunks ~init:[]
-      ~combine:(fun a b -> merge_desc k a b)
-      (fun ci ->
-        let lo = ci * scan_chunk in
-        let hi = Stdlib.min n (lo + scan_chunk) in
-        let top = Topk_stream.create k in
-        let visited = ref 0 in
-        scan_indices compiled excluded top visited ?shared ~n ~lo ~hi None;
-        ignore (Atomic.fetch_and_add total_visited !visited);
-        List.map
-          (fun (score, index) -> { Topk.value = index; score; index })
-          (Topk_stream.to_desc top))
-  in
-  (List.map (fun e -> (e.Topk.score, e.Topk.index)) best, Atomic.get total_visited)
-
 (* Exhaustive ranking over an encoded pool: stream every row's
    compiled score through a bounded heap, never materializing a
-   per-candidate score array, and skip the rows in [excluded]. The
-   set is only read during the scan, so the parallel loop shares no
-   mutable state but the pruning threshold and the visited count. *)
-let select_many_excluding ?(telemetry = Telemetry.Trace.disabled) ?workers ?schedule
-    ?(parallel_threshold = default_parallel_threshold) ?compiled ~k ~surrogate ~encoded ~excluded
-    () =
+   per-candidate score array, and skip the rows in [excluded].
+   Returns the ranked (score, index) pairs and the leaf rows the scan
+   reached. *)
+let select_indices compiled excluded ~k ~n =
+  let top = Topk_stream.create k in
+  let visited = ref 0 in
+  (match Surrogate.Pool.radices (Surrogate.Compiled.pool compiled) with
+  | Some radices -> scan_radix compiled excluded top visited ~radices
+  | None ->
+      let buf = Array.make (Stdlib.min n scan_chunk) 0. in
+      let at = ref 0 in
+      while !at < n do
+        let chunk_hi = Stdlib.min n (!at + scan_chunk) in
+        scan_range compiled excluded buf top visited ~lo:!at ~hi:chunk_hi;
+        at := chunk_hi
+      done);
+  (Topk_stream.to_desc top, !visited)
+
+let select_many_excluding ?(telemetry = Telemetry.Trace.disabled) ?compiled ~k ~surrogate
+    ~encoded ~excluded () =
   if k < 1 then invalid_arg "Strategy.select_many: k must be at least 1";
-  if parallel_threshold < 0 then
-    invalid_arg "Strategy.select_many: negative parallel_threshold";
   let compiled =
     match compiled with
     | Some c ->
@@ -400,12 +282,7 @@ let select_many_excluding ?(telemetry = Telemetry.Trace.disabled) ?workers ?sche
   in
   let t0 = Telemetry.Trace.now telemetry in
   let n = Surrogate.Pool.length encoded in
-  let workers = match workers with Some w when n >= parallel_threshold -> Some w | _ -> None in
-  let ranked, visited =
-    match workers with
-    | None -> select_indices_seq compiled excluded ~k ~n
-    | Some w -> select_indices_par compiled excluded ~k ~n ~workers:w ?schedule ()
-  in
+  let ranked, visited = select_indices compiled excluded ~k ~n in
   let selected = List.map (fun (_, i) -> Surrogate.Pool.config encoded i) ranked in
   if Telemetry.Trace.enabled telemetry then
     Telemetry.Trace.emit telemetry
@@ -414,19 +291,19 @@ let select_many_excluding ?(telemetry = Telemetry.Trace.disabled) ?workers ?sche
            pool_size = n;
            k;
            selected = List.length selected;
-           workers = (match workers with None -> 1 | Some w -> Parallel.Pool.size w);
-           schedule = schedule_label workers schedule;
+           workers = 1;
            excluded = Exclusion.cardinal excluded;
            visited;
            dur_ms = (Telemetry.Trace.now telemetry -. t0) *. 1000.;
          });
   selected
 
-(* [rng] is unused (ranking draws nothing); it stays so existing callers compile. *)
-let select_many_encoded ?telemetry ?workers ?schedule ?parallel_threshold ?compiled ~k ~rng:_
-    ~surrogate ~encoded ~evaluated () =
-  select_many_excluding ?telemetry ?workers ?schedule ?parallel_threshold ?compiled ~k ~surrogate
-    ~encoded ~excluded:(Exclusion.of_table encoded evaluated) ()
+(* [workers] and [rng] are unused (ranking is one sequential scan and
+   draws nothing); they stay so existing callers compile. *)
+let select_many_encoded ?telemetry ?workers:_ ?compiled ~k ~rng:_ ~surrogate ~encoded ~evaluated
+    () =
+  select_many_excluding ?telemetry ?compiled ~k ~surrogate ~encoded
+    ~excluded:(Exclusion.of_table encoded evaluated) ()
 
 let select_many_proposal ~k ~rng ~surrogate ~evaluated ~n_candidates =
   let chosen = Param.Config.Table.create k in
@@ -457,23 +334,17 @@ let select_many_proposal ~k ~rng ~surrogate ~evaluated ~n_candidates =
   in
   pick [] k
 
-let select_many ?telemetry ?workers ?schedule ?parallel_threshold ?encoded t ~k ~rng ~surrogate
-    ~pool ~evaluated =
+let select_many ?telemetry ?encoded t ~k ~rng ~surrogate ~pool ~evaluated =
   if k < 1 then invalid_arg "Strategy.select_many: k must be at least 1";
   match t with
   | Ranking ->
       let encoded = ranking_encoded ~surrogate ~pool ~encoded in
-      select_many_encoded ?telemetry ?workers ?schedule ?parallel_threshold ~k ~rng ~surrogate
-        ~encoded ~evaluated ()
+      select_many_encoded ?telemetry ~k ~rng ~surrogate ~encoded ~evaluated ()
   | Proposal { n_candidates } ->
       if n_candidates <= 0 then invalid_arg "Strategy.select: non-positive candidate count";
       select_many_proposal ~k ~rng ~surrogate ~evaluated ~n_candidates
 
-let select ?telemetry ?workers ?schedule ?parallel_threshold ?encoded t ~rng ~surrogate ~pool
-    ~evaluated =
-  match
-    select_many ?telemetry ?workers ?schedule ?parallel_threshold ?encoded t ~k:1 ~rng
-      ~surrogate ~pool ~evaluated
-  with
+let select ?telemetry ?encoded t ~rng ~surrogate ~pool ~evaluated =
+  match select_many ?telemetry ?encoded t ~k:1 ~rng ~surrogate ~pool ~evaluated with
   | [] -> None
   | best :: _ -> Some best

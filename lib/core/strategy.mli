@@ -29,8 +29,7 @@ val default : t
     resolved toward the smaller index} — the pool position for Ranking
     ({!offer_indexed}) or the insertion order for {!offer}. The same
     multiset of offers therefore yields the same top-k whatever the
-    offer order, which is what lets per-worker accumulators merge into
-    a schedule-independent result. *)
+    offer order. *)
 module Topk : sig
   type 'a t
 
@@ -100,20 +99,8 @@ module Exclusion : sig
   (** Ascending. *)
 end
 
-val default_parallel_threshold : int
-(** Pool size below which the ranking scan ignores [?workers] and
-    runs sequentially (32768). Fanning chunks out to a domain pool
-    costs tens of microseconds — more than the whole scan on small
-    pools (BENCH_select measured every parallel configuration 4-5x
-    slower than sequential at pool 1620). The parallel and sequential
-    paths select bit-identically, so the cutover is invisible except
-    in the Rank span's worker count. *)
-
 val select :
   ?telemetry:Telemetry.Trace.t ->
-  ?workers:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
-  ?parallel_threshold:int ->
   ?encoded:Surrogate.Pool.t ->
   t ->
   rng:Prng.Rng.t ->
@@ -131,9 +118,6 @@ val select :
 
 val select_many :
   ?telemetry:Telemetry.Trace.t ->
-  ?workers:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
-  ?parallel_threshold:int ->
   ?encoded:Surrogate.Pool.t ->
   t ->
   k:int ->
@@ -148,15 +132,7 @@ val select_many :
     parallel). Fewer than [k] are returned when the pool runs out.
     Requires [k >= 1].
 
-    [Ranking] options: [workers] parallelizes the scoring scan in
-    fixed-size chunks across the domain pool with per-chunk
-    {!Topk_stream} accumulators merged associatively; because chunk
-    boundaries depend only on the pool size and ties break on the
-    pool index, the result is bit-identical to the sequential scan
-    for every [schedule] and worker count. Pools smaller than
-    [parallel_threshold] (default {!default_parallel_threshold})
-    always scan sequentially. [encoded] supplies the index-encoded
-    pool (built once per campaign with {!Surrogate.Pool.encode}); it
+    [Ranking] options: [encoded] supplies the index-encoded pool (built once per campaign with {!Surrogate.Pool.encode}); it
     must wrap the same [pool] array, otherwise [Invalid_argument] is
     raised. When absent the pool is encoded on the fly.
 
@@ -168,16 +144,13 @@ val select_many :
     select identically.
 
     [telemetry] receives a [Compile] span (table build) and a [Rank]
-    span (the scoring scan, with worker count, schedule label, the
-    exclusion set's size and the leaf rows the scan reached) per
+    span (the scoring scan, with the exclusion set's size and the leaf rows the scan reached) per
     [Ranking] call; tracing never affects which candidates are
     selected. *)
 
 val select_many_encoded :
   ?telemetry:Telemetry.Trace.t ->
   ?workers:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
-  ?parallel_threshold:int ->
   ?compiled:Surrogate.Compiled.t ->
   k:int ->
   rng:Prng.Rng.t ->
@@ -192,14 +165,13 @@ val select_many_encoded :
     supplies a prebuilt scorer (e.g. from {!Surrogate.Refit.update});
     it must wrap [encoded] or [Invalid_argument] is raised, and when
     present no [Compile] span is emitted here (the refit engine
-    already emitted it). [rng] is unused — ranking draws nothing. All
-    other options as in {!select_many}. *)
+    already emitted it). [workers] and [rng] are ignored: ranking is
+    one sequential scan and draws nothing. Both stay only so that
+    existing callers that still pass them compile. All other options
+    as in {!select_many}. *)
 
 val select_many_excluding :
   ?telemetry:Telemetry.Trace.t ->
-  ?workers:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
-  ?parallel_threshold:int ->
   ?compiled:Surrogate.Compiled.t ->
   k:int ->
   surrogate:Surrogate.t ->

@@ -89,10 +89,6 @@ let good_density t i =
   check_param t i;
   t.good.(i)
 
-let bad_density t i =
-  check_param t i;
-  t.bad.(i)
-
 let factorized densities config =
   let acc = ref 1. in
   Array.iteri (fun i d -> acc := !acc *. Density.pdf d config.(i)) densities;

@@ -52,8 +52,6 @@ val n_bad : t -> int
 val good_density : t -> int -> Density.t
 (** Per-parameter good density pg,xi. *)
 
-val bad_density : t -> int -> Density.t
-
 val good_pdf : t -> Param.Config.t -> float
 (** Factorized pg(x) (eq. 7). *)
 

@@ -71,20 +71,20 @@ let drive_sync ~telemetry ~policy ~objective campaign =
   loop ()
 
 let run_with_policy ?(telemetry = Telemetry.Trace.disabled) ?options
-    ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate ?pool
-    ?schedule ~rng ~space ~objective ~budget () =
+    ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate ~rng
+    ~space ~objective ~budget () =
   drive_sync ~telemetry ~policy ~objective
-    (Campaign.create ~telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate ?pool
-       ?schedule ~mode:Campaign.Sync ~rng ~space ~budget ())
+    (Campaign.create ~telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate
+       ~mode:Campaign.Sync ~rng ~space ~budget ())
 
 (* [Campaign.of_log] retraces the recorded prefix (same rng draws and
    selections, recorded verdicts reported in place of evaluations), so
    the live loop continues exactly where the interrupted run stopped. *)
 let resume ?(telemetry = Telemetry.Trace.disabled) ?options ?(policy = Resilience.Policy.default)
-    ?warm_start ?candidates ?on_outcome ?on_gate ?pool ?schedule ~log ~objective ~budget () =
+    ?warm_start ?candidates ?on_outcome ?on_gate ~log ~objective ~budget () =
   drive_sync ~telemetry ~policy ~objective
     (Campaign.of_log ~telemetry ?options ~policy ?warm_start ?candidates ?on_outcome ?on_gate
-       ?pool ?schedule ~mode:Campaign.Sync ~log ~budget ())
+       ~mode:Campaign.Sync ~log ~budget ())
 
 (* ---- asynchronous campaign driver ---- *)
 
@@ -122,13 +122,12 @@ let divergence_msg = Campaign.divergence_msg
 
 let run_async ?(telemetry = Telemetry.Trace.disabled) ?options
     ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate
-    ?recorded_gates ?(replay = [||]) ?pool:workers ?schedule ?(duration = default_duration) ~k
-    ~rng ~space ~objective ~budget () =
+    ?recorded_gates ?(replay = [||]) ?pool ?(duration = default_duration) ~k ~rng ~space
+    ~objective ~budget () =
   if k < 1 then invalid_arg "Tuner.run_async: k must be at least 1";
   let campaign =
     Campaign.create ~telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate
-      ?recorded_gates ~replay ?pool:workers ?schedule ~mode:(Campaign.Async k) ~rng ~space
-      ~budget ()
+      ?recorded_gates ~replay ~mode:(Campaign.Async k) ~rng ~space ~budget ()
   in
   (* Replay verdicts are keyed by configuration (configurations never
      resubmit within a campaign, so the key is unique); completion
@@ -164,7 +163,7 @@ let run_async ?(telemetry = Telemetry.Trace.disabled) ?options
       match Campaign.suggest ~at campaign with
       | Campaign.Suggest s ->
           let run =
-            match workers with
+            match pool with
             | Some w ->
                 let fut = Parallel.Pool.async w (eval_task s.Campaign.config) in
                 fun () -> Parallel.Pool.await fut
@@ -227,11 +226,11 @@ let run_async ?(telemetry = Telemetry.Trace.disabled) ?options
    [Campaign.of_log]: the log does not hold the in-flight slots'
    submission times, which the clock needs to order completions. *)
 let resume_async ?telemetry ?options ?(policy = Resilience.Policy.default) ?warm_start
-    ?candidates ?on_outcome ?on_gate ?pool ?schedule ?duration ~k ~log ~objective ~budget () =
+    ?candidates ?on_outcome ?on_gate ?pool ?duration ~k ~log ~objective ~budget () =
   let replay = Campaign.replay_of_log ~policy log in
   if Array.length replay > budget then
     invalid_arg "Tuner.resume: budget is smaller than the recorded evaluation count";
   let rng = Prng.Rng.create log.Dataset.Runlog.seed in
   run_async ?telemetry ?options ~policy ?warm_start ?candidates ?on_outcome ?on_gate
-    ~recorded_gates:log.Dataset.Runlog.gates ~replay ?pool ?schedule ?duration ~k ~rng
+    ~recorded_gates:log.Dataset.Runlog.gates ~replay ?pool ?duration ~k ~rng
     ~space:log.Dataset.Runlog.space ~objective ~budget ()

@@ -113,8 +113,6 @@ val run_with_policy :
   ?candidates:Param.Config.t array ->
   ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   rng:Prng.Rng.t ->
   space:Param.Space.t ->
   objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
@@ -141,13 +139,6 @@ val run_with_policy :
     the run returns [Error] with the structured failure report.
     [on_outcome i config verdict] fires once per consumed budget
     unit with the final verdict and its 0-based index.
-
-    [pool] parallelizes candidate ranking across a domain pool (with
-    an optional [schedule]); because ties break on the candidate's
-    pool index, selections — and therefore the whole campaign — are
-    bit-identical to the sequential run for every worker count and
-    schedule. Ranking consumes no rng, so the random stream is
-    untouched too.
 
     [candidates] restricts both initialization and selection to an
     explicit configuration set — e.g. the measured rows of a study
@@ -194,8 +185,6 @@ val resume :
   ?candidates:Param.Config.t array ->
   ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   log:Dataset.Runlog.t ->
   objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
   budget:int ->
@@ -221,13 +210,6 @@ val resume :
     as a prefix of the recomputed stream ([Failure] on mismatch), with
     [on_gate] firing only for decisions beyond the recorded prefix. *)
 
-val default_duration : Param.Config.t -> Resilience.Evaluator.verdict -> float
-(** The simulated duration {!run_async} assigns a completed verdict
-    when no [duration] function is supplied: the measured objective
-    value when it is finite and positive (an HPC runtime objective is
-    its own natural duration), 1.0 otherwise, plus the verdict's
-    accumulated retry backoff cost. *)
-
 val run_async :
   ?telemetry:Telemetry.Trace.t ->
   ?options:options ->
@@ -239,7 +221,6 @@ val run_async :
   ?recorded_gates:Dataset.Runlog.gate array ->
   ?replay:(Param.Config.t * Resilience.Evaluator.verdict) array ->
   ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
   k:int ->
   rng:Prng.Rng.t ->
@@ -268,10 +249,14 @@ val run_async :
 
     {b Determinism.} Completion order is decided by a simulated
     clock, never by wall time: a submission completes at its
-    submission time plus [duration config verdict] (default
-    {!default_duration}; must be finite and non-negative — ties break
-    toward the earlier submission). With [pool] the evaluations
-    actually execute concurrently on worker domains, but since the
+    submission time plus [duration config verdict] (must be finite
+    and non-negative — ties break toward the earlier submission). The
+    default duration is the measured objective value when it is
+    finite and positive (an HPC runtime objective is its own natural
+    duration), 1.0 otherwise, plus the verdict's accumulated retry
+    backoff cost. [pool] only runs the evaluations: with it they
+    execute concurrently on worker domains (ranking stays one
+    sequential scan on the calling domain), but since the
     processing order is simulation-driven, the same seed and the same
     duration function give a bit-identical history, trajectory, and
     best configuration for every worker count — and [~k:1] degrades
@@ -297,7 +282,6 @@ val resume_async :
   ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
   ?pool:Parallel.Pool.t ->
-  ?schedule:Parallel.Pool.schedule ->
   ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
   k:int ->
   log:Dataset.Runlog.t ->

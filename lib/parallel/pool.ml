@@ -205,39 +205,12 @@ let parallel_for t ?(schedule = Static) ~lo ~hi f =
         drain ())
   end
 
-let parallel_for_reduce t ?(schedule = Static) ~lo ~hi ~init ~combine body =
-  if hi <= lo then init
-  else begin
-    let participants = size t in
-    let partials = Array.make participants init in
-    let dispenser = make_dispenser ~lo ~hi ~participants schedule in
-    run_on_all t (fun w ->
-        let grab = dispenser w in
-        let acc = ref init in
-        let rec drain () =
-          match grab () with
-          | None -> ()
-          | Some (c_lo, c_hi) ->
-              for i = c_lo to c_hi - 1 do
-                acc := combine !acc (body i)
-              done;
-              drain ()
-        in
-        drain ();
-        partials.(w) <- !acc);
-    Array.fold_left combine init partials
-  end
-
-let map_array t ?schedule f xs =
+let map_array_result t ?schedule f xs =
+  let g x = match f x with y -> Stdlib.Ok y | exception e -> Stdlib.Error e in
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
-    let out = Array.make n (f xs.(0)) in
-    parallel_for t ?schedule ~lo:1 ~hi:n (fun i -> out.(i) <- f xs.(i));
+    let out = Array.make n (g xs.(0)) in
+    parallel_for t ?schedule ~lo:1 ~hi:n (fun i -> out.(i) <- g xs.(i));
     out
   end
-
-let map_array_result t ?schedule f xs =
-  map_array t ?schedule
-    (fun x -> match f x with y -> Stdlib.Ok y | exception e -> Stdlib.Error e)
-    xs

@@ -67,28 +67,9 @@ val parallel_for : t -> ?schedule:schedule -> lo:int -> hi:int -> (int -> unit) 
     completes. Nested [parallel_for] on the same pool is not
     supported. *)
 
-val parallel_for_reduce :
-  t ->
-  ?schedule:schedule ->
-  lo:int ->
-  hi:int ->
-  init:'a ->
-  combine:('a -> 'a -> 'a) ->
-  (int -> 'a) ->
-  'a
-(** Fold the body over the range: each participant folds its share
-    with [combine] starting from [init], and the per-participant
-    results are combined (in participant order) with [init] again.
-    [combine] must be associative and [init] its identity for the
-    result to be schedule-independent. *)
-
-val map_array : t -> ?schedule:schedule -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map]. *)
-
 val map_array_result :
   t -> ?schedule:schedule -> ('a -> 'b) -> 'a array -> ('b, exn) Stdlib.result array
 (** Failure-isolating parallel map for batch evaluation: an exception
     raised by [f] on one element becomes that element's [Error] and
     every other element still completes — one crashing batch member
-    never aborts the batch (contrast {!map_array}, which re-raises
-    and loses the surviving results). *)
+    never aborts the batch. *)

@@ -5,12 +5,6 @@ type t =
   | Timeout
   | Infeasible of string
 
-let is_success = function
-  | Value _ -> true
-  | Transient _ | Permanent _ | Timeout | Infeasible _ -> false
-
-let is_failure o = not (is_success o)
-
 let value = function
   | Value v -> Some v
   | Transient _ | Permanent _ | Timeout | Infeasible _ -> None
@@ -21,15 +15,5 @@ let kind = function
   | Permanent _ -> "permanent"
   | Timeout -> "timeout"
   | Infeasible _ -> "infeasible"
-
-let describe = function
-  | Value v -> Printf.sprintf "ok(%g)" v
-  | Transient "" -> "transient"
-  | Transient m -> "transient: " ^ m
-  | Permanent "" -> "permanent"
-  | Permanent m -> "permanent: " ^ m
-  | Timeout -> "timeout"
-  | Infeasible "" -> "infeasible"
-  | Infeasible m -> "infeasible: " ^ m
 
 let of_option = function Some v -> Value v | None -> Permanent "evaluation returned no value"

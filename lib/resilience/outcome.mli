@@ -19,9 +19,6 @@ type t =
           and feeds the bad density exactly like a failure, is never
           retried, and never enters the good density [pg] *)
 
-val is_success : t -> bool
-val is_failure : t -> bool
-
 val value : t -> float option
 (** The measurement of a [Value], [None] otherwise. *)
 
@@ -29,9 +26,6 @@ val kind : t -> string
 (** Stable one-word tag: ["ok"], ["transient"], ["permanent"],
     ["timeout"], ["infeasible"] — the strings the run-log v2 format
     uses. *)
-
-val describe : t -> string
-(** Human-readable rendering including the diagnostic message. *)
 
 val of_option : float option -> t
 (** Adapter for [float option] objectives: [None] becomes a

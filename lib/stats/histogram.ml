@@ -37,7 +37,6 @@ let prob t c =
   (t.counts.(c) +. t.smoothing) /. (t.total +. (t.smoothing *. k))
 
 let probs t = Array.init (Array.length t.counts) (prob t)
-let log_probs t = Array.init (Array.length t.counts) (fun c -> log (prob t c))
 
 let merge_weighted ~prior ~w t =
   if Array.length prior.counts <> Array.length t.counts then

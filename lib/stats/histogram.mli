@@ -35,12 +35,6 @@ val prob : t -> int -> float
 val probs : t -> float array
 (** Smoothed probability vector, summing to 1. *)
 
-val log_probs : t -> float array
-(** [log]s of the smoothed probability vector — the per-category
-    log-probability table of the compiled scorer, with the
-    normalization division folded in once per category instead of once
-    per lookup. Entries equal [log (prob t c)] bit-for-bit. *)
-
 val merge_weighted : prior:t -> w:float -> t -> t
 (** [merge_weighted ~prior ~w h] is a histogram whose raw counts are
     [w * prior + h] — the weighted-sum prior construction of paper

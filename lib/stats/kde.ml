@@ -70,7 +70,6 @@ let log_pdf t x =
   if p >= min_density then log p else log_min_density
 
 let pdf_grid t xs = Array.map (fun x -> pdf t x) xs
-let log_pdf_grid t xs = Array.map (fun x -> log_pdf t x) xs
 
 let sample t rng =
   let i = Prng.Rng.categorical rng t.weights in

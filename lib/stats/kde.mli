@@ -53,9 +53,6 @@ val pdf_grid : t -> float array -> float array
     batched KDE evaluation (one O(n_samples) pass per distinct
     candidate value instead of per candidate). *)
 
-val log_pdf_grid : t -> float array -> float array
-(** Evaluate {!log_pdf} once per grid point. *)
-
 val sample : t -> Prng.Rng.t -> float
 (** Draw from the estimated density (pick a kernel center by weight,
     then add Gaussian noise) — the Proposal selection strategy of

@@ -18,7 +18,6 @@ type t =
       k : int;
       selected : int;
       workers : int;
-      schedule : string;
       excluded : int;
       visited : int;
       dur_ms : float;
@@ -103,13 +102,12 @@ let to_fields ev =
       ]
   | Compile { pool_size; n_params; dur_ms } ->
       [ ("pool_size", int_ pool_size); ("n_params", int_ n_params); ("dur_ms", num dur_ms) ]
-  | Rank { pool_size; k; selected; workers; schedule; excluded; visited; dur_ms } ->
+  | Rank { pool_size; k; selected; workers; excluded; visited; dur_ms } ->
       [
         ("pool_size", int_ pool_size);
         ("k", int_ k);
         ("selected", int_ selected);
         ("workers", int_ workers);
-        ("schedule", Jsonl.String schedule);
         ("excluded", int_ excluded);
         ("visited", int_ visited);
         ("dur_ms", num dur_ms);
@@ -251,7 +249,8 @@ let of_fields fields =
       Compile { pool_size = i "pool_size"; n_params = i "n_params"; dur_ms = f "dur_ms" }
   | "rank" ->
       (* The exclusion counters postdate the first trace schema;
-         default them so older traces still decode. *)
+         default them so older traces still decode. Older traces also
+         carry a "schedule" label, which is ignored. *)
       let count key = match fo key with Some v -> int_of_float v | None -> 0 in
       Rank
         {
@@ -259,7 +258,6 @@ let of_fields fields =
           k = i "k";
           selected = i "selected";
           workers = i "workers";
-          schedule = s "schedule";
           excluded = count "excluded";
           visited = count "visited";
           dur_ms = f "dur_ms";

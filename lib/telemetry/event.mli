@@ -40,8 +40,11 @@ type t =
       pool_size : int;
       k : int;
       selected : int;
-      workers : int;  (** loop participants; 1 for the sequential scan *)
-      schedule : string;  (** "seq", "static", "dynamicN", or "guided" *)
+      workers : int;
+          (** always 1: ranking is one sequential scan. Kept because
+              trace readers (the end-to-end benchmark's
+              [strategy.rank_workers]) still read it; older traces
+              recorded a parallel scan's participant count here *)
       excluded : int;
           (** size of the exclusion set the scan skipped (evaluated and
               in-flight pool rows); 0 when decoded from an older

@@ -1,7 +1,6 @@
 (* Tests for the compiled scoring path: naive/compiled score
-   equivalence, deterministic parallel ranking, Topk tie-breaking, the
-   shared density floor, and campaign-level parity (parallel and
-   resumed runs replay the sequential campaign bit-for-bit). *)
+   equivalence, Topk tie-breaking, the shared density floor, virtual
+   pools, and the exactness of the branch-and-bound ranking scan. *)
 
 let check = Alcotest.check
 
@@ -9,13 +8,6 @@ let ulp_diff a b =
   Int64.abs (Int64.sub (Int64.bits_of_float a) (Int64.bits_of_float b))
 
 let same_configs a b = List.length a = List.length b && List.for_all2 Param.Config.equal a b
-
-let schedules = [ Parallel.Pool.Static; Parallel.Pool.Dynamic 4; Parallel.Pool.Guided ]
-
-let schedule_label = function
-  | Parallel.Pool.Static -> "static"
-  | Parallel.Pool.Dynamic n -> Printf.sprintf "dynamic-%d" n
-  | Parallel.Pool.Guided -> "guided"
 
 (* ---- compiled scorer vs naive scorer ---- *)
 
@@ -81,7 +73,7 @@ let prop_compiled_matches_naive =
              <= 1L)
         (Array.init (Array.length pool) Fun.id))
 
-(* ---- deterministic parallel ranking ---- *)
+(* ---- shared fixtures ---- *)
 
 let space3 =
   Param.Space.make
@@ -95,37 +87,6 @@ let obs3 =
   let rng = Prng.Rng.create 7 in
   Array.init 30 (fun _ ->
       (Param.Space.random_config space3 rng, float_of_int (1 + Prng.Rng.int rng 1000)))
-
-let test_parallel_select_matches_sequential () =
-  let surrogate = Hiperbot.Surrogate.fit space3 obs3 in
-  let pool = Param.Space.enumerate space3 in
-  let encoded = Hiperbot.Surrogate.Pool.encode space3 pool in
-  let evaluated = Param.Config.Table.create 8 in
-  Array.iteri (fun i c -> if i mod 5 = 0 then Param.Config.Table.replace evaluated c ()) pool;
-  let rng = Prng.Rng.create 3 in
-  let sequential =
-    Hiperbot.Strategy.select_many ~encoded Hiperbot.Strategy.Ranking ~k:7 ~rng ~surrogate ~pool
-      ~evaluated
-  in
-  List.iter
-    (fun num_domains ->
-      Parallel.Pool.with_pool ~num_domains (fun workers ->
-          List.iter
-            (fun schedule ->
-              let got =
-                (* ~parallel_threshold:0: the pool is far below the
-                   default threshold, which would silently force the
-                   sequential path and test nothing. *)
-                Hiperbot.Strategy.select_many ~workers ~schedule ~parallel_threshold:0 ~encoded
-                  Hiperbot.Strategy.Ranking ~k:7 ~rng ~surrogate ~pool ~evaluated
-              in
-              check Alcotest.bool
-                (Printf.sprintf "parallel(%d domains, %s) = sequential" num_domains
-                   (schedule_label schedule))
-                true
-                (same_configs sequential got))
-            schedules))
-    [ 0; 1; 3 ]
 
 (* ---- Topk tie-breaking ---- *)
 
@@ -147,8 +108,7 @@ let test_topk_ties_break_on_index () =
 
 (* All four observations share one configuration value per parameter,
    so the good and bad histograms coincide and every candidate scores
-   exactly log 1 = 0: selection must fall back to pool order, in every
-   execution mode. *)
+   exactly log 1 = 0: selection must fall back to pool order. *)
 let test_all_equal_scores_select_pool_order () =
   let space =
     Param.Space.make
@@ -170,18 +130,7 @@ let test_all_equal_scores_select_pool_order () =
   let got =
     Hiperbot.Strategy.select_many Hiperbot.Strategy.Ranking ~k:4 ~rng ~surrogate ~pool ~evaluated
   in
-  check Alcotest.bool "sequential: first k in pool order" true (same_configs expected got);
-  Parallel.Pool.with_pool ~num_domains:3 (fun workers ->
-      List.iter
-        (fun schedule ->
-          let got =
-            Hiperbot.Strategy.select_many ~workers ~schedule ~parallel_threshold:0
-              Hiperbot.Strategy.Ranking ~k:4 ~rng ~surrogate ~pool ~evaluated
-          in
-          check Alcotest.bool
-            (Printf.sprintf "parallel %s: first k in pool order" (schedule_label schedule))
-            true (same_configs expected got))
-        schedules)
+  check Alcotest.bool "first k in pool order" true (same_configs expected got)
 
 (* ---- shared density floor ---- *)
 
@@ -207,79 +156,6 @@ let test_density_floor_unified () =
   let table = Hiperbot.Density.log_pdf_table d [| far |] in
   check (Alcotest.float 0.) "log_pdf_table agrees with the clamp" Stats.Kde.log_min_density
     table.(0)
-
-(* ---- campaign-level parity ---- *)
-
-let objective3 = Gen.hash_objective
-
-let tuner_options =
-  { Hiperbot.Tuner.default_options with n_init = 4; batch_size = 2 }
-
-let same_result (a : Hiperbot.Tuner.result) (b : Hiperbot.Tuner.result) =
-  Array.length a.Hiperbot.Tuner.history = Array.length b.Hiperbot.Tuner.history
-  && Array.for_all2
-       (fun (c1, y1) (c2, y2) -> Param.Config.equal c1 c2 && y1 = y2)
-       a.Hiperbot.Tuner.history b.Hiperbot.Tuner.history
-  && Param.Config.equal a.Hiperbot.Tuner.best_config b.Hiperbot.Tuner.best_config
-  && a.Hiperbot.Tuner.best_value = b.Hiperbot.Tuner.best_value
-  && a.Hiperbot.Tuner.trajectory = b.Hiperbot.Tuner.trajectory
-
-let test_parallel_campaign_matches_sequential () =
-  let run pool schedule =
-    Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~options:tuner_options ?pool ?schedule
-         ~rng:(Prng.Rng.create 42) ~space:space3 ~objective:(Gen.total objective3) ~budget:20 ())
-  in
-  let sequential = run None None in
-  List.iter
-    (fun num_domains ->
-      Parallel.Pool.with_pool ~num_domains (fun workers ->
-          List.iter
-            (fun schedule ->
-              check Alcotest.bool
-                (Printf.sprintf "campaign(%d domains, %s) = sequential" num_domains
-                   (schedule_label schedule))
-                true
-                (same_result sequential (run (Some workers) (Some schedule))))
-            schedules))
-    [ 1; 3 ]
-
-(* Interrupt a parallel campaign after [cut] evaluations, then resume
-   it from an in-memory run log holding the recorded prefix (still on
-   the parallel path): the resumed run must retrace the uninterrupted
-   one bit-for-bit. *)
-let test_parallel_resume_replays_bit_for_bit () =
-  let objective = Gen.total objective3 in
-  Parallel.Pool.with_pool ~num_domains:3 (fun workers ->
-      let recorded = ref [] in
-      let on_outcome index config (v : Resilience.Evaluator.verdict) =
-        recorded :=
-          {
-            Dataset.Runlog.index;
-            config;
-            status = Gen.status_of_outcome v.Resilience.Evaluator.outcome;
-            attempts = v.Resilience.Evaluator.attempts;
-          }
-          :: !recorded
-      in
-      let full =
-        Hiperbot.Tuner.run_with_policy ~options:tuner_options ~on_outcome ~pool:workers
-          ~rng:(Prng.Rng.create 5) ~space:space3 ~objective ~budget:15 ()
-      in
-      let entries = List.rev !recorded in
-      check Alcotest.int "captured every evaluation" 15 (List.length entries);
-      let cut = 7 in
-      let log =
-        Dataset.Runlog.create ~name:"cut" ~seed:5 ~space:space3
-          (List.filteri (fun i _ -> i < cut) entries)
-      in
-      let resumed =
-        Hiperbot.Tuner.resume ~options:tuner_options ~pool:workers ~log ~objective ~budget:15 ()
-      in
-      match (full, resumed) with
-      | Stdlib.Ok a, Stdlib.Ok b ->
-          check Alcotest.bool "resumed campaign = uninterrupted campaign" true (same_result a b)
-      | _ -> Alcotest.fail "campaign unexpectedly produced no best configuration")
 
 (* ---- streaming top-k == materialized top-k ---- *)
 
@@ -407,26 +283,19 @@ let test_virtual_pool_matches_materialized () =
   let rng = Prng.Rng.create 2 in
   let sel p = Hiperbot.Strategy.select_many_encoded ~k:5 ~rng ~surrogate ~encoded:p ~evaluated () in
   check Alcotest.bool "virtual selection = materialized selection" true
-    (same_configs (sel enc) (sel virt));
-  Parallel.Pool.with_pool ~num_domains:3 (fun workers ->
-      check Alcotest.bool "parallel virtual selection = sequential" true
-        (same_configs (sel enc)
-           (Hiperbot.Strategy.select_many_encoded ~workers ~parallel_threshold:0 ~k:5 ~rng
-              ~surrogate ~encoded:virt ~evaluated ())))
+    (same_configs (sel enc) (sel virt))
 
 (* ---- branch and bound is exact in floating point ---- *)
 
 (* Virtual pools of 5-7 parameters whose compiled tables are
    overwritten with values from {-0.2, -0.1, 0, 0.1, 0.2}: not exactly
    representable, so sums taken in different orders round
-   differently, and so heavily tied that the best score recurs across
-   parallel chunks. A subtree bound summed in any order other than a
-   row's own can fall an ulp below that row; once another chunk has
-   published the row's score as the shared threshold, the
-   smaller-index tie is pruned (the right-to-left bound failed ~4% of
-   these cases). Every row in a random exclusion set must be skipped.
-   At configuration level, the sequential and parallel scans must both
-   equal a naive scan of every unexcluded row. *)
+   differently, and so heavily tied that the best score recurs many
+   times. A subtree bound summed in any order other than a row's own
+   can fall an ulp below that row, and pruning on it could skip a row
+   of the top k. Every row in a random exclusion set must be skipped.
+   At configuration level, the scan must equal a naive scan of every
+   unexcluded row. *)
 let prop_branch_and_bound_exact =
   let gen =
     let open QCheck2.Gen in
@@ -438,7 +307,7 @@ let prop_branch_and_bound_exact =
     (radices, tenths, excluded, k)
   in
   QCheck2.Test.make
-    ~name:"strategy: branch and bound = naive scan on tie-heavy tables, sequential and parallel"
+    ~name:"strategy: branch and bound = naive scan on tie-heavy tables"
     ~count:300
     ~print:(fun (radices, tenths, excluded, k) ->
       Printf.sprintf "radices=[%s] tenths=[%s] excluded=[%s] k=%d"
@@ -465,9 +334,9 @@ let prop_branch_and_bound_exact =
       List.iter
         (fun i -> Param.Config.Table.replace evaluated (Hiperbot.Surrogate.Pool.config encoded i) ())
         excluded;
-      let select ?workers () =
-        Hiperbot.Strategy.select_many_encoded ?workers ~parallel_threshold:0 ~compiled ~k
-          ~rng:(Prng.Rng.create 1) ~surrogate ~encoded ~evaluated ()
+      let selected =
+        Hiperbot.Strategy.select_many_encoded ~compiled ~k ~rng:(Prng.Rng.create 1) ~surrogate
+          ~encoded ~evaluated ()
       in
       let naive =
         let top = Hiperbot.Strategy.Topk.create k in
@@ -480,14 +349,12 @@ let prop_branch_and_bound_exact =
         done;
         Hiperbot.Strategy.Topk.to_list_desc top
       in
-      let sequential = select () in
-      let parallel = Parallel.Pool.with_pool ~num_domains:1 (fun workers -> select ~workers ()) in
-      same_configs naive sequential && same_configs naive parallel)
+      same_configs naive selected)
 
 (* One ranking call over a 10^7-row virtual pool with 200 evaluated
    rows must not allocate anything proportional to the pool: the
    exclusion set is built from the evaluated side and the scan keeps
-   its prefix sums and threshold in preallocated float arrays. *)
+   its prefix sums in a preallocated float array. *)
 let test_rank_allocation_bounded () =
   let space =
     Param.Space.make
@@ -500,7 +367,7 @@ let test_rank_allocation_bounded () =
   let obs =
     Array.init 200 (fun _ ->
         let c = Param.Space.random_config space rng in
-        (c, objective3 c))
+        (c, Gen.hash_objective c))
   in
   let evaluated = Param.Config.Table.create 256 in
   Array.iter (fun (c, _) -> Param.Config.Table.replace evaluated c ()) obs;
@@ -530,7 +397,7 @@ let test_init_exits_early_when_pool_covered () =
       [ Param.Spec.categorical "c" [ "a"; "b"; "x" ]; Param.Spec.ordinal_ints "o" [ 1; 2; 3; 4 ] ]
   in
   let pool = Param.Space.enumerate space in
-  let warm_start = Array.map (fun c -> (c, objective3 c)) pool in
+  let warm_start = Array.map (fun c -> (c, Gen.hash_objective c)) pool in
   let rng = Prng.Rng.create 77 in
   let objective ~attempt:_ _ = Alcotest.fail "no evaluation should run" in
   (match
@@ -545,17 +412,11 @@ let test_init_exits_early_when_pool_covered () =
 let suite =
   ( "compiled",
     [
-      Alcotest.test_case "parallel select = sequential (domains x schedules)" `Quick
-        test_parallel_select_matches_sequential;
       Alcotest.test_case "topk ties break on index / insertion order" `Quick
         test_topk_ties_break_on_index;
       Alcotest.test_case "all-equal scores select pool order" `Quick
         test_all_equal_scores_select_pool_order;
       Alcotest.test_case "density floor unified across paths" `Quick test_density_floor_unified;
-      Alcotest.test_case "parallel campaign = sequential campaign" `Quick
-        test_parallel_campaign_matches_sequential;
-      Alcotest.test_case "parallel resume replays bit-for-bit" `Quick
-        test_parallel_resume_replays_bit_for_bit;
       Alcotest.test_case "covered pool exits init without rng draws" `Quick
         test_init_exits_early_when_pool_covered;
       Alcotest.test_case "virtual pool = materialized pool" `Quick

@@ -44,32 +44,6 @@ let test_zero_workers_sequential () =
       Parallel.Pool.parallel_for pool ~lo:0 ~hi:5 (fun i -> order := i :: !order);
       check Alcotest.(list int) "sequential order preserved" [ 0; 1; 2; 3; 4 ] (List.rev !order))
 
-let test_reduce () =
-  Parallel.Pool.with_pool ~num_domains:2 (fun pool ->
-      List.iter
-        (fun (name, schedule) ->
-          let total =
-            Parallel.Pool.parallel_for_reduce pool ~schedule ~lo:1 ~hi:101 ~init:0
-              ~combine:( + )
-              (fun i -> i)
-          in
-          check Alcotest.int (name ^ " reduce sum") 5050 total)
-        schedules)
-
-let test_reduce_empty () =
-  Parallel.Pool.with_pool ~num_domains:1 (fun pool ->
-      let r =
-        Parallel.Pool.parallel_for_reduce pool ~lo:0 ~hi:0 ~init:42 ~combine:( + ) (fun _ -> 0)
-      in
-      check Alcotest.int "empty reduce returns init" 42 r)
-
-let test_map_array () =
-  Parallel.Pool.with_pool ~num_domains:2 (fun pool ->
-      let xs = Array.init 257 (fun i -> i) in
-      let ys = Parallel.Pool.map_array pool (fun x -> x * x) xs in
-      Array.iteri (fun i y -> if y <> i * i then Alcotest.failf "map wrong at %d" i) ys;
-      check Alcotest.(array int) "empty map" [||] (Parallel.Pool.map_array pool (fun x -> x) [||]))
-
 let test_map_array_result_isolates_failures () =
   (* One crashing element must not poison the rest of the batch — the
      straggler/failure-tolerant evaluation path relies on this. *)
@@ -144,9 +118,6 @@ let suite =
       tc "offset range" `Quick test_offset_range;
       tc "empty range" `Quick test_empty_range;
       tc "zero workers is sequential" `Quick test_zero_workers_sequential;
-      tc "reduce" `Quick test_reduce;
-      tc "reduce empty" `Quick test_reduce_empty;
-      tc "map_array" `Quick test_map_array;
       tc "map_array_result isolates failures" `Quick test_map_array_result_isolates_failures;
       tc "pool reuse" `Quick test_pool_reuse;
       tc "exception propagates" `Quick test_exception_propagates;

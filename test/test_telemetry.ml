@@ -49,8 +49,7 @@ let all_events : Telemetry.Event.t list =
         pool_size = 1620;
         k = 2;
         selected = 2;
-        workers = 4;
-        schedule = "dynamic:64";
+        workers = 1;
         excluded = 37;
         visited = 1583;
         dur_ms = 1.5;
@@ -244,6 +243,10 @@ let test_kripke_campaign_trace () =
   check Alcotest.bool "at least one refit" true (refits >= 1);
   check Alcotest.int "one compile per refit" refits compiles;
   check Alcotest.int "one rank per refit" refits ranks;
+  (* Ranking is one sequential scan: every Rank span reports a single
+     participant. *)
+  check Alcotest.int "every rank scan runs on one worker" ranks
+    (count (function Telemetry.Event.Rank { workers = 1; _ } -> true | _ -> false) events);
   (* One eval per consumed budget unit; attempts line up with the
      tuner's own accounting. *)
   let evals = count (function Telemetry.Event.Eval _ -> true | _ -> false) events in
@@ -369,22 +372,33 @@ let test_trust_decodes_with_defaults () =
   | _ -> Alcotest.fail "minimal gate event must decode as Gate"
 
 (* Rank events written before the exclusion counters existed carry
-   neither field; both decode as 0. *)
+   neither field; both decode as 0. Older traces also carry the
+   parallel scan's "schedule" label and worker count: the label is
+   ignored and the count is kept as recorded. *)
 let test_rank_decodes_with_defaults () =
+  (match
+     Telemetry.Event.of_fields
+       [
+         ("ev", Telemetry.Jsonl.String "rank");
+         ("pool_size", Telemetry.Jsonl.Number 1620.);
+         ("k", Telemetry.Jsonl.Number 1.);
+         ("selected", Telemetry.Jsonl.Number 1.);
+         ("workers", Telemetry.Jsonl.Number 1.);
+         ("schedule", Telemetry.Jsonl.String "seq");
+         ("dur_ms", Telemetry.Jsonl.Number 0.25);
+       ]
+   with
+  | Telemetry.Event.Rank { pool_size = 1620; excluded = 0; visited = 0; _ } -> ()
+  | _ -> Alcotest.fail "a rank event without exclusion counters must decode with zeros");
   match
     Telemetry.Event.of_fields
-      [
-        ("ev", Telemetry.Jsonl.String "rank");
-        ("pool_size", Telemetry.Jsonl.Number 1620.);
-        ("k", Telemetry.Jsonl.Number 1.);
-        ("selected", Telemetry.Jsonl.Number 1.);
-        ("workers", Telemetry.Jsonl.Number 1.);
-        ("schedule", Telemetry.Jsonl.String "seq");
-        ("dur_ms", Telemetry.Jsonl.Number 0.25);
-      ]
+      (Telemetry.Jsonl.decode
+         {|{"ts":0.5,"ev":"rank","pool_size":65536,"k":2,"selected":2,"workers":4,"schedule":"dynamic:64","excluded":9,"visited":60000,"dur_ms":1.25}|})
   with
-  | Telemetry.Event.Rank { pool_size = 1620; excluded = 0; visited = 0; _ } -> ()
-  | _ -> Alcotest.fail "a rank event without exclusion counters must decode with zeros"
+  | Telemetry.Event.Rank
+      { pool_size = 65536; k = 2; selected = 2; workers = 4; excluded = 9; visited = 60000; _ } ->
+      ()
+  | _ -> Alcotest.fail "a parallel-era rank line must still decode"
 
 let test_summary_gate_lines () =
   let s = Telemetry.Summary.create () in
