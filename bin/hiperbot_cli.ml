@@ -268,9 +268,45 @@ let eta_arg =
   in
   Arg.(value & opt (some float) None & info [ "eta" ] ~docv:"F" ~doc)
 
-(* Invalid options surface as [Invalid_argument] from the engine's
-   setup, before the first evaluation; report them as a CLI error. *)
-let engine_setup f = try Ok (f ()) with Invalid_argument msg -> Error msg
+(* The run-log plumbing every tuning engine shares. With [resume],
+   load the log at [save] (dropping a torn final line) and check it
+   against the dataset's space; open the writer; print the resume
+   lines; run the engine; then close the writer and finish the trace
+   whatever happened. A malformed or divergent log ([Failure]), options
+   the engine rejects before its first evaluation ([Invalid_argument])
+   and an unwritable path ([Sys_error]) come back as [Error]. *)
+let with_run_log ~save ~resume ~name ~seed ~space ~finish_trace run =
+  let writer = ref None in
+  let result =
+    try
+      let log =
+        match save with
+        | Some path when resume && Sys.file_exists path ->
+            Some (Dataset.Runlog.load ~recover:true path)
+        | Some _ | None -> None
+      in
+      match log with
+      | Some log when Param.Space.specs log.Dataset.Runlog.space <> Param.Space.specs space ->
+          Error "run log space does not match the dataset"
+      | _ ->
+          writer :=
+            (match (save, log) with
+            | Some path, Some log -> Some (Dataset.Runlog.writer_resume ~path log)
+            | Some path, None -> Some (Dataset.Runlog.writer_create ~path ~name ~seed ~space)
+            | None, _ -> None);
+          Option.iter
+            (fun (log : Dataset.Runlog.t) ->
+              if log.seed <> seed then
+                Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n" log.seed
+                  seed;
+              Printf.printf "resuming after %d recorded evaluations\n" (Array.length log.entries))
+            log;
+          Ok (run ~log ~writer:!writer)
+    with Failure msg | Invalid_argument msg | Sys_error msg -> Error msg
+  in
+  Option.iter Dataset.Runlog.writer_close !writer;
+  finish_trace ();
+  result
 
 (* Tune a dataset objective, a table lookup that never fails, with the
    synchronous driver. *)
@@ -282,13 +318,6 @@ let tune_total ?options ?candidates ?on_gate ~rng ~space ~objective ~budget () =
   with
   | Stdlib.Ok r -> r
   | Stdlib.Error _ -> failwith "every evaluation failed"
-
-let status_of_outcome = function
-  | Resilience.Outcome.Value y -> Dataset.Runlog.Ok y
-  | Resilience.Outcome.Transient _ -> Dataset.Runlog.Failed Dataset.Runlog.Transient
-  | Resilience.Outcome.Permanent _ -> Dataset.Runlog.Failed Dataset.Runlog.Permanent
-  | Resilience.Outcome.Timeout -> Dataset.Runlog.Failed Dataset.Runlog.Timeout
-  | Resilience.Outcome.Infeasible _ -> Dataset.Runlog.Failed Dataset.Runlog.Infeasible
 
 let tune_cmd =
   let transfer_from_arg =
@@ -429,6 +458,21 @@ let tune_cmd =
             Baselines.Outcome.of_tuner_result result
           in
           let options = Result.get_ok hiperbot_options in
+          let with_run_log run =
+            with_run_log ~save ~resume ~name:("tune:" ^ dataset) ~seed ~space ~finish_trace run
+          in
+          let report_best (outcome : Baselines.Outcome.t) =
+            Printf.printf "best after %d evaluations: %.4g\n"
+              (Array.length outcome.Baselines.Outcome.history)
+              outcome.Baselines.Outcome.best_value;
+            Printf.printf "  %s\n"
+              (Param.Space.to_string space outcome.Baselines.Outcome.best_config);
+            Printf.printf "exhaustive best: %.4g\n" (Dataset.Table.best_value table);
+            (match save with
+            | Some path -> Printf.printf "run log written to %s\n" path
+            | None -> ());
+            `Ok ()
+          in
           if fidelity <> None then begin
             (* Multi-fidelity path: successive-halving brackets over the
                dataset's natural fidelity ladder, rung state persisted as
@@ -452,105 +496,57 @@ let tune_cmd =
               fid.Hpcsim.Registry.objective_at (offset + rung) config
             in
             let k = Option.value async ~default:1 in
-            let existing_log =
-              match save with
-              | Some path when resume && Sys.file_exists path ->
-                  Some (Dataset.Runlog.load ~recover:true path)
-              | _ -> None
-            in
-            match existing_log with
-            | Some log
-              when Param.Space.specs log.Dataset.Runlog.space <> Param.Space.specs space ->
-                `Error (false, "run log space does not match the dataset")
-            | _ -> begin
-                let writer =
-                  match (save, existing_log) with
-                  | Some path, Some log -> Some (Dataset.Runlog.writer_resume ~path log)
-                  | Some path, None ->
-                      Some
-                        (Dataset.Runlog.writer_create ~path ~name:("tune:" ^ dataset) ~seed
-                           ~space)
-                  | None, _ -> None
-                in
-                let on_eval i config y =
-                  (match writer with
-                  | Some w ->
-                      Dataset.Runlog.writer_record w
-                        {
-                          Dataset.Runlog.index = i;
-                          config;
-                          status = Dataset.Runlog.Ok y;
-                          attempts = 1;
-                        }
-                  | None -> ());
-                  print_evaluation i config y
-                in
-                let on_fid (f : Dataset.Runlog.fid) =
-                  (match writer with
-                  | Some w -> Dataset.Runlog.writer_record_fid w f
-                  | None -> ());
-                  if verbose then
-                    Printf.printf "  b%d/r%d  %10.4g  %s\n" f.Dataset.Runlog.f_bracket
-                      f.Dataset.Runlog.f_rung f.Dataset.Runlog.f_value
-                      (Param.Space.to_string space f.Dataset.Runlog.f_config)
-                in
-                let on_rung (rg : Dataset.Runlog.rung) =
-                  (match writer with
-                  | Some w -> Dataset.Runlog.writer_record_rung w rg
-                  | None -> ());
-                  Printf.printf "bracket %d rung %d closed: %d evaluated, %d promoted (best %.4g)\n"
-                    rg.Dataset.Runlog.r_bracket rg.Dataset.Runlog.r_rung
-                    rg.Dataset.Runlog.r_evaluated rg.Dataset.Runlog.r_promoted
-                    rg.Dataset.Runlog.r_best
-                in
-                let fid_result =
-                  engine_setup @@ fun () ->
-                  match existing_log with
-                  | Some log ->
-                      if log.Dataset.Runlog.seed <> seed then
-                        Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n"
-                          log.Dataset.Runlog.seed seed;
-                      Printf.printf "resuming after %d recorded evaluations\n"
-                        (Array.length log.Dataset.Runlog.entries);
-                      Hiperbot.Fidelity.resume ~telemetry ~options ~on_eval ~on_fid ~on_rung
-                        ~plan ~k ~log ~objective:fid_objective ~budget ()
-                  | None ->
-                      Hiperbot.Fidelity.run ~telemetry ~options ~on_eval ~on_fid ~on_rung
-                        ~plan ~k ~rng ~space ~objective:fid_objective ~budget ()
-                in
-                (match writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
-                finish_trace ();
-                match fid_result with
-                | Error msg -> `Error (false, msg)
-                | Ok (Stdlib.Error err) ->
-                    `Error
-                      ( false,
-                        Printf.sprintf
-                          "no full-fidelity evaluation completed (%d low-fidelity evaluations \
-                           spent); raise --budget or lower --fidelity"
-                          err.Hiperbot.Tuner.error_attempts )
-                | Ok (Stdlib.Ok fres) ->
-                    let outcome = print_tuner_result fres.Hiperbot.Fidelity.run in
-                    let rungs =
-                      String.concat "/"
-                        (Array.to_list
-                           (Array.map string_of_int fres.Hiperbot.Fidelity.rung_evals))
-                    in
+            let fid_result =
+              with_run_log @@ fun ~log ~writer ->
+              let on_eval i config y =
+                Option.iter
+                  (fun w ->
+                    Dataset.Runlog.writer_record w
+                      { Dataset.Runlog.index = i; config; status = Ok y; attempts = 1 })
+                  writer;
+                print_evaluation i config y
+              in
+              let on_record (record : Dataset.Runlog.record) =
+                Option.iter (fun w -> Dataset.Runlog.writer_append w record) writer;
+                match record with
+                | Fid f ->
+                    if verbose then
+                      Printf.printf "  b%d/r%d  %10.4g  %s\n" f.f_bracket f.f_rung f.f_value
+                        (Param.Space.to_string space f.f_config)
+                | Rung rg ->
                     Printf.printf
-                      "fidelity: %d brackets, %s evaluations per rung, total cost %.4g \
-                       full-fidelity-equivalents\n"
-                      fres.Hiperbot.Fidelity.n_brackets rungs fres.Hiperbot.Fidelity.total_cost;
-                    Printf.printf "best after %d evaluations: %.4g\n"
-                      (Array.length outcome.Baselines.Outcome.history)
-                      outcome.Baselines.Outcome.best_value;
-                    Printf.printf "  %s\n"
-                      (Param.Space.to_string space outcome.Baselines.Outcome.best_config);
-                    Printf.printf "exhaustive best: %.4g\n" (Dataset.Table.best_value table);
-                    (match save with
-                    | Some path -> Printf.printf "run log written to %s\n" path
-                    | None -> ());
-                    `Ok ()
-              end
+                      "bracket %d rung %d closed: %d evaluated, %d promoted (best %.4g)\n"
+                      rg.r_bracket rg.r_rung rg.r_evaluated rg.r_promoted rg.r_best
+                | Gate _ | Obj _ -> ()
+              in
+              match log with
+              | Some log ->
+                  Hiperbot.Fidelity.resume ~telemetry ~options ~on_eval ~on_record ~plan ~k ~log
+                    ~objective:fid_objective ~budget ()
+              | None ->
+                  Hiperbot.Fidelity.run ~telemetry ~options ~on_eval ~on_record ~plan ~k ~rng
+                    ~space ~objective:fid_objective ~budget ()
+            in
+            match fid_result with
+            | Error msg -> `Error (false, msg)
+            | Ok (Stdlib.Error err) ->
+                `Error
+                  ( false,
+                    Printf.sprintf
+                      "no full-fidelity evaluation completed (%d low-fidelity evaluations \
+                       spent); raise --budget or lower --fidelity"
+                      err.Hiperbot.Tuner.error_attempts )
+            | Ok (Stdlib.Ok fres) ->
+                let outcome = print_tuner_result fres.Hiperbot.Fidelity.run in
+                let rungs =
+                  String.concat "/"
+                    (Array.to_list (Array.map string_of_int fres.Hiperbot.Fidelity.rung_evals))
+                in
+                Printf.printf
+                  "fidelity: %d brackets, %s evaluations per rung, total cost %.4g \
+                   full-fidelity-equivalents\n"
+                  fres.Hiperbot.Fidelity.n_brackets rungs fres.Hiperbot.Fidelity.total_cost;
+                report_best outcome
           end
           else if method_ = `Hiperbot then begin
             (* Outcome-taxonomy objective, retry policy, flush-per-entry
@@ -571,132 +567,64 @@ let tune_cmd =
               | Some fs -> Hpcsim.Faults.inject fs objective ~attempt c
               | None -> Resilience.Outcome.Value (objective c)
             in
-            let existing_log =
-              match save with
-              | Some path when resume && Sys.file_exists path ->
-                  Some (Dataset.Runlog.load ~recover:true path)
-              | _ -> None
+            let tuner_result =
+              with_run_log @@ fun ~log ~writer ->
+              let on_outcome i config (v : Resilience.Evaluator.verdict) =
+                Option.iter
+                  (fun w ->
+                    Dataset.Runlog.writer_record w (Hiperbot.Campaign.entry_of_verdict i config v))
+                  writer;
+                match v.Resilience.Evaluator.outcome with
+                | Resilience.Outcome.Value y -> print_evaluation i config y
+                | failure ->
+                    if verbose then
+                      Printf.printf "%4d  %10s  %s\n" i
+                        (Resilience.Outcome.kind failure)
+                        (Param.Space.to_string space config)
+              in
+              (* Gate decisions join the run log as #gate lines, so an
+                 interrupted gated campaign resumes with its trust
+                 verdicts verified against the record. *)
+              let on_gate g =
+                Option.iter (fun w -> Dataset.Runlog.writer_append w (Gate g)) writer
+              in
+              match (log, async) with
+              | Some log, Some k ->
+                  Hiperbot.Tuner.resume_async ~telemetry ~options ~policy ~on_outcome ~on_gate ~k
+                    ~log ~objective:outcome_objective ~budget ()
+              | Some log, None ->
+                  Hiperbot.Tuner.resume ~telemetry ~options ~policy ~on_outcome ~on_gate ~log
+                    ~objective:outcome_objective ~budget ()
+              | None, Some k ->
+                  Hiperbot.Tuner.run_async ~telemetry ~options ~policy ~on_outcome ~on_gate ~k ~rng
+                    ~space ~objective:outcome_objective ~budget ()
+              | None, None ->
+                  Hiperbot.Tuner.run_with_policy ~telemetry ~options ~policy ~on_outcome ~on_gate
+                    ~rng ~space ~objective:outcome_objective ~budget ()
             in
-            (match existing_log with
-            | Some log
-              when Param.Space.specs log.Dataset.Runlog.space <> Param.Space.specs space ->
-                `Error (false, "run log space does not match the dataset")
-            | _ -> begin
-                let writer =
-                  match (save, existing_log) with
-                  | Some path, Some log -> Some (Dataset.Runlog.writer_resume ~path log)
-                  | Some path, None ->
-                      Some
-                        (Dataset.Runlog.writer_create ~path ~name:("tune:" ^ dataset) ~seed
-                           ~space)
-                  | None, _ -> None
-                in
-                let on_outcome i config (v : Resilience.Evaluator.verdict) =
-                  (match writer with
-                  | Some w ->
-                      Dataset.Runlog.writer_record w
-                        {
-                          Dataset.Runlog.index = i;
-                          config;
-                          status = status_of_outcome v.Resilience.Evaluator.outcome;
-                          attempts = v.Resilience.Evaluator.attempts;
-                        }
-                  | None -> ());
-                  match v.Resilience.Evaluator.outcome with
-                  | Resilience.Outcome.Value y -> print_evaluation i config y
-                  | failure ->
-                      if verbose then
-                        Printf.printf "%4d  %10s  %s\n" i
-                          (Resilience.Outcome.kind failure)
-                          (Param.Space.to_string space config)
-                in
-                (* Gate decisions join the run log as #gate lines, so
-                   an interrupted gated campaign resumes with its
-                   trust verdicts verified against the record. *)
-                let on_gate g =
-                  match writer with
-                  | Some w -> Dataset.Runlog.writer_record_gate w g
-                  | None -> ()
-                in
-                let tuner_result =
-                  engine_setup @@ fun () ->
-                  match existing_log with
-                  | Some log -> begin
-                      if log.Dataset.Runlog.seed <> seed then
-                        Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n"
-                          log.Dataset.Runlog.seed seed;
-                      Printf.printf "resuming after %d recorded evaluations\n"
-                        (Array.length log.Dataset.Runlog.entries);
-                      match async with
-                      | Some k ->
-                          Hiperbot.Tuner.resume_async ~telemetry ~options ~policy ~on_outcome
-                            ~on_gate ~k ~log ~objective:outcome_objective ~budget ()
-                      | None ->
-                          Hiperbot.Tuner.resume ~telemetry ~options ~policy ~on_outcome
-                            ~on_gate ~log ~objective:outcome_objective ~budget ()
-                    end
-                  | None -> (
-                      match async with
-                      | Some k ->
-                          Hiperbot.Tuner.run_async ~telemetry ~options ~policy ~on_outcome
-                            ~on_gate ~k ~rng ~space ~objective:outcome_objective ~budget ()
-                      | None ->
-                          Hiperbot.Tuner.run_with_policy ~telemetry ~options ~policy
-                            ~on_outcome ~on_gate ~rng ~space ~objective:outcome_objective
-                            ~budget ())
-                in
-                (match writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
-                finish_trace ();
-                match tuner_result with
-                | Error msg -> `Error (false, msg)
-                | Ok (Stdlib.Error err) ->
-                    `Error
-                      ( false,
-                        Printf.sprintf
-                          "every evaluation failed (%d failures, %d attempts); no best \
-                           configuration"
-                          (Array.length err.Hiperbot.Tuner.error_failures)
-                          err.Hiperbot.Tuner.error_attempts )
-                | Ok (Stdlib.Ok result) ->
-                    let outcome = print_tuner_result result in
-                    Printf.printf "best after %d evaluations: %.4g\n"
-                      (Array.length outcome.Baselines.Outcome.history)
-                      outcome.Baselines.Outcome.best_value;
-                    Printf.printf "  %s\n"
-                      (Param.Space.to_string space outcome.Baselines.Outcome.best_config);
-                    Printf.printf "exhaustive best: %.4g\n" (Dataset.Table.best_value table);
-                    (match save with
-                    | Some path -> Printf.printf "run log written to %s\n" path
-                    | None -> ());
-                    `Ok ()
-              end)
+            match tuner_result with
+            | Error msg -> `Error (false, msg)
+            | Ok (Stdlib.Error err) ->
+                `Error
+                  ( false,
+                    Printf.sprintf
+                      "every evaluation failed (%d failures, %d attempts); no best configuration"
+                      (Array.length err.Hiperbot.Tuner.error_failures)
+                      err.Hiperbot.Tuner.error_attempts )
+            | Ok (Stdlib.Ok result) -> report_best (print_tuner_result result)
           end
           else begin
-            let writer =
-              Option.map
-                (fun path ->
-                  Dataset.Runlog.writer_create ~path ~name:("tune:" ^ dataset) ~seed ~space)
-                save
-            in
-            let outcome =
+            match
+              with_run_log @@ fun ~log:_ ~writer:_ ->
               match method_ with
               | `Random -> Baselines.Random_search.run ~rng ~space ~objective ~budget ()
               | `Geist -> Baselines.Geist.run ~rng ~space ~objective ~budget ()
               | `Gp -> Baselines.Gp_tuner.run ~rng ~space ~objective ~budget ()
               | `Gbt -> Baselines.Gbt_tuner.run ~rng ~space ~objective ~budget ()
               | `Hiperbot -> assert false (* tuned by the branch above *)
-            in
-            (match writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
-            finish_trace ();
-            Printf.printf "best after %d evaluations: %.4g\n"
-              (Array.length outcome.Baselines.Outcome.history)
-              outcome.Baselines.Outcome.best_value;
-            Printf.printf "  %s\n" (Param.Space.to_string space outcome.Baselines.Outcome.best_config);
-            Printf.printf "exhaustive best: %.4g\n" (Dataset.Table.best_value table);
-            (match save with
-            | Some path -> Printf.printf "run log written to %s\n" path
-            | None -> ());
-            `Ok ()
+            with
+            | Error msg -> `Error (false, msg)
+            | Ok outcome -> report_best outcome
           end
         end
   in
@@ -946,6 +874,7 @@ let replay_cmd =
             Dataset.Runlog.Transient;
             Dataset.Runlog.Permanent;
             Dataset.Runlog.Timeout;
+            Dataset.Runlog.Infeasible;
           ];
         (match Dataset.Runlog.best log with
         | Some (c, y) -> Printf.printf "best: %.4g at %s\n" y (Param.Space.to_string space c)
@@ -1028,7 +957,7 @@ let serve_cmd =
       `P "Protocol (one request per line; responses start with `ok' or `err'):";
       `Pre
         "  open <name> seed=<n> budget=<n> space=<spec;...> [k=<n>] [n_init=<n>] \
-         [batch=<n>] [early_stop=<n>]\n\
+         [early_stop=<n>]\n\
         \  suggest <name>\n\
         \  report <name> <id> ok:<value>|fail:<kind> [attempts=<n>]\n\
         \  status <name>\n\

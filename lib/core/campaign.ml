@@ -111,7 +111,8 @@ let gate_emitter ?on_gate ?gate ~recorded () =
   fun (d : Gate.decision) ->
     let g = runlog_gate_of d in
     if !next < Array.length recorded then begin
-      if not (Dataset.Runlog.gate_equal recorded.(!next) g) then failwith gate_divergence_msg;
+      if not (Dataset.Runlog.equal (Gate recorded.(!next)) (Gate g)) then
+        failwith gate_divergence_msg;
       incr next
     end
     else match on_gate with Some f -> f g | None -> ()
@@ -302,6 +303,19 @@ let replay_of_log ~policy log =
           retry_cost = Resilience.Policy.total_backoff policy ~attempts:e.Dataset.Runlog.attempts;
         } ))
     log.Dataset.Runlog.entries
+
+(* The inverse direction: a verdict as the run-log entry that records
+   it, in the shape of [on_outcome]. *)
+let entry_of_verdict index config (v : Resilience.Evaluator.verdict) =
+  let status =
+    match v.Resilience.Evaluator.outcome with
+    | Resilience.Outcome.Value y -> Dataset.Runlog.Ok y
+    | Resilience.Outcome.Transient _ -> Dataset.Runlog.Failed Transient
+    | Resilience.Outcome.Permanent _ -> Dataset.Runlog.Failed Permanent
+    | Resilience.Outcome.Timeout -> Dataset.Runlog.Failed Timeout
+    | Resilience.Outcome.Infeasible _ -> Dataset.Runlog.Failed Infeasible
+  in
+  { Dataset.Runlog.index; config; status; attempts = v.Resilience.Evaluator.attempts }
 
 (* ---- the machine ---- *)
 

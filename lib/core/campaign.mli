@@ -201,6 +201,15 @@ val replay_of_log :
     entry's retry cost from the policy's backoff schedule. Raises
     [Failure] if the log's indices are not dense from 0. *)
 
+val entry_of_verdict :
+  int -> Param.Config.t -> Resilience.Evaluator.verdict -> Dataset.Runlog.entry
+(** [entry_of_verdict index config verdict] is the run-log entry that
+    records a verdict — the inverse of {!replay_of_log}, in the shape
+    of an [on_outcome] callback, so a driver persists outcomes with
+    [fun i c v -> Dataset.Runlog.writer_record w (entry_of_verdict i c v)].
+    Every failure keeps its kind ([Crash] is only ever read from v1
+    logs). *)
+
 val of_log :
   ?telemetry:Telemetry.Trace.t ->
   ?options:options ->

@@ -125,15 +125,20 @@ type slot = {
   sl_done : float;  (* simulated completion time *)
 }
 
-let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_options) ?candidates
-    ?on_eval ?on_fid ?on_rung ?(recorded_fids = [||]) ?(recorded_rungs = [||]) ?(replay = [||])
-    ~plan ~k ~rng ~space ~objective ~budget () =
+(* The scheduler proper. [replay], [replay_fids] and
+   [replay_rungs] are the resume side, all empty for a fresh run:
+   the first results of each stream are taken from the records
+   instead of calling [objective], and each record is verified
+   against the recomputed schedule. *)
+let run_from ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_options)
+    ?candidates ?on_eval ?on_record ~replay ~replay_fids ~replay_rungs ~plan ~k ~rng ~space
+    ~objective ~budget () =
   validate_plan plan;
   if k < 1 then invalid_arg "Fidelity.run: k must be at least 1";
   if budget < 1 then invalid_arg "Fidelity.run: budget must be at least 1";
   let n_rungs = Array.length plan.costs in
   if n_rungs = 1 then begin
-    if Array.length recorded_fids > 0 || Array.length recorded_rungs > 0 then
+    if Array.length replay_fids > 0 || Array.length replay_rungs > 0 then
       failwith
         "Fidelity.resume: the run log records bracket state but this plan has a single rung \
          (restore the original multi-rung plan, or start fresh without resuming)";
@@ -337,12 +342,12 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
           r_best = best_v;
         }
       in
-      if !next_rung_rec < Array.length recorded_rungs then begin
-        if not (Dataset.Runlog.rung_equal recorded_rungs.(!next_rung_rec) record) then
+      if !next_rung_rec < Array.length replay_rungs then begin
+        if not (Dataset.Runlog.equal (Rung replay_rungs.(!next_rung_rec)) (Rung record)) then
           failwith rung_divergence_msg;
         incr next_rung_rec
       end
-      else match on_rung with Some f -> f record | None -> ()
+      else match on_record with Some f -> f (Dataset.Runlog.Rung record) | None -> ()
     in
     (* Process the earliest simulated completion: replay prefixes
        short-circuit the objective call (top-rung completions against
@@ -379,8 +384,8 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
             (v, true, 0.)
           end
           else live ()
-        else if !next_fid < Array.length recorded_fids then begin
-          let rf = recorded_fids.(!next_fid) in
+        else if !next_fid < Array.length replay_fids then begin
+          let rf = replay_fids.(!next_fid) in
           if
             rf.Dataset.Runlog.f_bracket <> !bracket
             || rf.Dataset.Runlog.f_rung <> r
@@ -421,9 +426,9 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
         low_obs.(r) <- (config, value) :: low_obs.(r);
         low_hist_rev := (r, config, value) :: !low_hist_rev;
         if not replayed then
-          match on_fid with
+          match on_record with
           | Some f ->
-              f { Dataset.Runlog.f_bracket = !bracket; f_rung = r; f_value = value; f_config = config }
+              f (Fid { f_bracket = !bracket; f_rung = r; f_value = value; f_config = config })
           | None -> ()
       end;
       if Telemetry.Trace.enabled telemetry then
@@ -466,8 +471,8 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
     done;
     if
       !full_completed < Array.length replay
-      || !next_fid < Array.length recorded_fids
-      || !next_rung_rec < Array.length recorded_rungs
+      || !next_fid < Array.length replay_fids
+      || !next_rung_rec < Array.length replay_rungs
     then failwith overrun_msg;
     if Telemetry.Trace.enabled telemetry then
       Telemetry.Trace.emit telemetry
@@ -504,8 +509,13 @@ let run ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_option
           }
   end
 
-let resume ?telemetry ?options ?candidates ?on_eval ?on_fid ?on_rung ~plan ~k ~log ~objective
+let run ?telemetry ?options ?candidates ?on_eval ?on_record ~plan ~k ~rng ~space ~objective
     ~budget () =
+  run_from ?telemetry ?options ?candidates ?on_eval ?on_record ~replay:[||] ~replay_fids:[||]
+    ~replay_rungs:[||] ~plan ~k ~rng ~space ~objective ~budget ()
+
+let resume ?telemetry ?options ?candidates ?on_eval ?on_record ~plan ~k ~log ~objective ~budget
+    () =
   let replay =
     Array.mapi
       (fun i (e : Dataset.Runlog.entry) ->
@@ -522,6 +532,6 @@ let resume ?telemetry ?options ?candidates ?on_eval ?on_fid ?on_rung ~plan ~k ~l
   if Array.length replay > budget then
     invalid_arg "Fidelity.resume: budget is smaller than the recorded evaluation count";
   let rng = Prng.Rng.create log.Dataset.Runlog.seed in
-  run ?telemetry ?options ?candidates ?on_eval ?on_fid ?on_rung
-    ~recorded_fids:log.Dataset.Runlog.fids ~recorded_rungs:log.Dataset.Runlog.rungs ~replay
+  run_from ?telemetry ?options ?candidates ?on_eval ?on_record
+    ~replay_fids:log.Dataset.Runlog.fids ~replay_rungs:log.Dataset.Runlog.rungs ~replay
     ~plan ~k ~rng ~space:log.Dataset.Runlog.space ~objective ~budget ()

@@ -76,11 +76,7 @@ val run :
   ?options:Tuner.options ->
   ?candidates:Param.Config.t array ->
   ?on_eval:(int -> Param.Config.t -> float -> unit) ->
-  ?on_fid:(Dataset.Runlog.fid -> unit) ->
-  ?on_rung:(Dataset.Runlog.rung -> unit) ->
-  ?recorded_fids:Dataset.Runlog.fid array ->
-  ?recorded_rungs:Dataset.Runlog.rung array ->
-  ?replay:(Param.Config.t * float) array ->
+  ?on_record:(Dataset.Runlog.record -> unit) ->
   plan:plan ->
   k:int ->
   rng:Prng.Rng.t ->
@@ -118,19 +114,15 @@ val run :
     completion order), promotes the best [ceil (n / eta)] (at least
     one) to the next rung, and abandons the rest. Each closure of a
     non-top rung emits a [Promote] (and, when anything was dropped,
-    a [Demote]) telemetry event and one {!Dataset.Runlog.rung}
-    record through [on_rung].
+    a [Demote]) telemetry event and one [Rung] record through
+    [on_record].
 
     {b Persistence.} [on_eval i config value] fires per top-rung
     completion (0-based, completion order) — the run-log entry
-    stream. [on_fid] fires per low-rung completion with the
-    {!Dataset.Runlog.fid} record to persist. Neither fires for
-    replayed results. [replay], [recorded_fids], and
-    [recorded_rungs] are the resume side (see {!resume}): the first
-    results of each stream are taken from the records instead of
-    calling [objective], and each record is verified against the
-    recomputed schedule — raising [Failure] on any divergence,
-    including records the resumed campaign never reaches.
+    stream. [on_record] fires per low-rung completion with the
+    [Fid] record to persist, and per closure with the [Rung] record;
+    {!Dataset.Runlog.writer_append} persists either. Neither callback
+    fires for replayed results (see {!resume}).
 
     Returns [Error] only when no full-fidelity evaluation completed
     (e.g. the cost budget was exhausted mid-bracket);
@@ -141,8 +133,7 @@ val resume :
   ?options:Tuner.options ->
   ?candidates:Param.Config.t array ->
   ?on_eval:(int -> Param.Config.t -> float -> unit) ->
-  ?on_fid:(Dataset.Runlog.fid -> unit) ->
-  ?on_rung:(Dataset.Runlog.rung -> unit) ->
+  ?on_record:(Dataset.Runlog.record -> unit) ->
   plan:plan ->
   k:int ->
   log:Dataset.Runlog.t ->
@@ -154,10 +145,12 @@ val resume :
     and continues it: the rng is rebuilt from [log.seed], the
     recorded entries replay as the top-rung completion prefix, and
     the recorded [#fid] / [#rung] streams replay as the low-rung and
-    closure prefixes. Given the same [plan], [options], [k], and
+    closure prefixes: each result is taken from the record instead of
+    calling [objective], and each record is verified against the
+    recomputed schedule. Given the same [plan], [options], [k], and
     objective, an interrupted-then-resumed campaign is bit-for-bit
-    identical to an uninterrupted one; any tampering with the
-    recorded streams — or resuming under a changed plan — raises
+    identical to an uninterrupted one. Tampered records, a changed
+    plan, or records the resumed campaign never reaches raise
     [Failure]. Raises [Invalid_argument] if the log holds more
     entries than [budget], and [Failure] on recorded evaluation
     failures (fidelity objectives are total) or non-dense indices. *)

@@ -25,13 +25,6 @@ let action_to_string = function
   | Drop -> "drop"
   | Fallback -> "fallback"
 
-let action_of_string = function
-  | "attenuate" -> Some Attenuate
-  | "restore" -> Some Restore
-  | "drop" -> Some Drop
-  | "fallback" -> Some Fallback
-  | _ -> None
-
 type snapshot = {
   s_refit : int;
   s_source : int;

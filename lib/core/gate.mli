@@ -66,7 +66,6 @@ type action =
   | Fallback  (** the last live source dropped; the pooled prior is gone *)
 
 val action_to_string : action -> string
-val action_of_string : string -> action option
 
 type snapshot = {
   s_refit : int;  (** trust-update ordinal (refits past [min_obs]) *)

@@ -64,9 +64,10 @@ val create :
   t
 (** Start a multi-objective campaign. [on_vector] fires once per
     successful evaluation with the entry index and the raw vector —
-    hook {!Dataset.Runlog.writer_record_obj} there to persist [#obj]
-    lines alongside the scalar rows the campaign's [on_outcome]
-    writes. All other arguments pass through to {!Campaign.create}. *)
+    pass it to {!Dataset.Runlog.writer_append} as an [Obj] record
+    there to persist [#obj] lines alongside the scalar rows the
+    campaign's [on_outcome] writes. All other arguments pass through
+    to {!Campaign.create}. *)
 
 val suggest : ?at:float -> t -> Campaign.step
 (** Delegates to {!Campaign.suggest}. *)

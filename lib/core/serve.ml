@@ -80,13 +80,18 @@ let valid_session_name name =
 let split_words line =
   String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
 
-(* "key=value" with the value allowed to contain further '='s (space
-   renderings do: "space=level=cat:O0,O1"). *)
-let parse_kv token =
-  match String.index_opt token '=' with
-  | None -> None
-  | Some i ->
-      Some (String.sub token 0 i, String.sub token (i + 1) (String.length token - i - 1))
+(* "key=value" tokens, the value allowed to contain further '='s
+   (space renderings do: "space=level=cat:O0,O1"). A token that is not
+   [key=value] with a key [cmd] reads is an error, so a misspelt
+   option is reported instead of silently taking its default. *)
+let parse_args ~cmd ~keys tokens =
+  List.map
+    (fun token ->
+      match String.index_opt token '=' with
+      | Some i when List.mem (String.sub token 0 i) keys ->
+          (String.sub token 0 i, String.sub token (i + 1) (String.length token - i - 1))
+      | Some _ | None -> failwith (Printf.sprintf "Serve: %s: unknown option %S" cmd token))
+    tokens
 
 let int_arg ~cmd key args =
   match List.assoc_opt key args with
@@ -122,30 +127,12 @@ let same_space a b =
 
 (* ---- sessions ---- *)
 
-let entry_of_verdict idx config (v : Resilience.Evaluator.verdict) =
-  let status =
-    match v.Resilience.Evaluator.outcome with
-    | Resilience.Outcome.Value y -> Dataset.Runlog.Ok y
-    | Resilience.Outcome.Transient _ -> Dataset.Runlog.Failed Dataset.Runlog.Transient
-    | Resilience.Outcome.Permanent _ -> Dataset.Runlog.Failed Dataset.Runlog.Permanent
-    | Resilience.Outcome.Timeout -> Dataset.Runlog.Failed Dataset.Runlog.Timeout
-    | Resilience.Outcome.Infeasible _ -> Dataset.Runlog.Failed Dataset.Runlog.Infeasible
-  in
-  {
-    Dataset.Runlog.index = idx;
-    config;
-    status;
-    attempts = v.Resilience.Evaluator.attempts;
-  }
-
-let session_options base ~cmd args =
-  let n_init = int_arg ~cmd "n_init" args in
-  let batch = int_arg ~cmd "batch" args in
-  let early_stop = int_arg ~cmd "early_stop" args in
+let session_options base args =
+  let n_init = int_arg ~cmd:"open" "n_init" args in
+  let early_stop = int_arg ~cmd:"open" "early_stop" args in
   {
     base with
     Campaign.n_init = Option.value n_init ~default:base.Campaign.n_init;
-    batch_size = Option.value batch ~default:base.Campaign.batch_size;
     early_stop = (match early_stop with Some e -> Some e | None -> base.Campaign.early_stop);
   }
 
@@ -170,7 +157,7 @@ let open_session t name args =
     | Some s -> space_of_wire s
     | None -> failwith "Serve: open requires space=<spec;spec;...>"
   in
-  let options = session_options t.options ~cmd:"open" args in
+  let options = session_options t.options args in
   let shared_pool = shared_pool_for t space in
   let path = Option.map (fun d -> Filename.concat d (name ^ ".runlog")) t.dir in
   let recovered =
@@ -181,11 +168,11 @@ let open_session t name args =
   let writer = ref None in
   let on_outcome idx config verdict =
     match !writer with
-    | Some w -> Dataset.Runlog.writer_record w (entry_of_verdict idx config verdict)
+    | Some w -> Dataset.Runlog.writer_record w (Campaign.entry_of_verdict idx config verdict)
     | None -> ()
   in
   let on_gate g =
-    match !writer with Some w -> Dataset.Runlog.writer_record_gate w g | None -> ()
+    match !writer with Some w -> Dataset.Runlog.writer_append w (Gate g) | None -> ()
   in
   let campaign =
     match recovered with
@@ -301,7 +288,7 @@ let report_session t name id_word rest =
   let verdict_word, args =
     match rest with
     | [] -> failwith "Serve: report requires a verdict (ok:<value> or fail:<kind>)"
-    | w :: more -> (w, List.filter_map parse_kv more)
+    | w :: more -> (w, parse_args ~cmd:"report" ~keys:[ "attempts" ] more)
   in
   let attempts = Option.value (int_arg ~cmd:"report" "attempts" args) ~default:1 in
   if attempts < 1 then failwith "Serve: report: attempts must be at least 1";
@@ -353,7 +340,10 @@ let handle t line =
     match split_words line with
     | [] -> "err empty request"
     | "ping" :: _ -> "ok pong"
-    | "open" :: name :: rest -> open_session t name (List.filter_map parse_kv rest)
+    | "open" :: name :: rest ->
+        open_session t name
+          (parse_args ~cmd:"open" ~keys:[ "seed"; "budget"; "k"; "n_init"; "early_stop"; "space" ]
+             rest)
     | "suggest" :: name :: _ -> suggest_session t name
     | "report" :: name :: id :: rest -> report_session t name id rest
     | "report" :: _ -> "err Serve: report requires <session> <id> <verdict>"

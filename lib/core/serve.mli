@@ -53,9 +53,10 @@
     [suggest] answers [ok suggest <name> <id> <config>], [ok wait
     <name>] (k suggestions already outstanding), or [ok finished
     <name> evaluated=<n> best=<v|none>]. [report] takes [ok:<float>]
-    or [fail:<transient|permanent|timeout|crash>] with an optional
-    [attempts=<n>]. [open] options: [k] (default 1), [n_init],
-    [batch], [early_stop] override the server's base options. *)
+    or [fail:<transient|permanent|timeout|infeasible|crash>] with an
+    optional [attempts=<n>]. [open] options: [k] (default 1),
+    [n_init], [early_stop] override the server's base options. Any
+    other [open] or [report] token is answered with [err]. *)
 
 type t
 
@@ -64,7 +65,7 @@ val create : ?dir:string -> ?options:Campaign.options -> unit -> t
     runlog persistence and crash recovery; without it sessions are
     in-memory only. [options] seeds every session's campaign options
     (default {!Campaign.default_options}); per-session protocol
-    options override its [n_init]/[batch_size]/[early_stop]. *)
+    options override its [n_init]/[early_stop]. *)
 
 val handle : t -> string -> string
 (** Process one request line and return the response line. Never

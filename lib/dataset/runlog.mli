@@ -55,10 +55,6 @@ type gate = {
     against the recorded prefix, so a resumed campaign's gate state is
     bit-identical to the uninterrupted one's. *)
 
-val gate_equal : gate -> gate -> bool
-(** Field-wise equality; trust compares with [Float.equal]
-    (bit-meaningful, NaN-safe). *)
-
 type fid = {
   f_bracket : int;  (** successive-halving bracket ordinal *)
   f_rung : int;  (** rung index within the bracket (0 = cheapest) *)
@@ -69,8 +65,6 @@ type fid = {
     fidelity evaluations are ordinary entries; everything below the
     top rung is recorded here so a resumed bracket replays recorded
     values instead of re-running cheap evaluations. *)
-
-val fid_equal : fid -> fid -> bool
 
 type rung = {
   r_bracket : int;
@@ -84,8 +78,6 @@ type rung = {
     verifies it against the recorded prefix — same contract as
     {!gate}. *)
 
-val rung_equal : rung -> rung -> bool
-
 type obj = {
   o_index : int;  (** index of the entry this vector annotates *)
   o_values : float array;  (** raw objective vector, persisted bit-exactly *)
@@ -96,7 +88,14 @@ type obj = {
     so a resumed campaign can rebuild the Pareto front and verify the
     recorded scalarisations bit-exactly. *)
 
-val obj_equal : obj -> obj -> bool
+type record = Gate of gate | Fid of fid | Rung of rung | Obj of obj
+(** A decision line: everything a run log holds besides its entry
+    rows. One codec renders, parses, validates (the checks {!create}
+    lists) and appends all four kinds. *)
+
+val equal : record -> record -> bool
+(** Same kind and field-wise equal; floats compare with
+    [Float.equal] (bit-meaningful, NaN-safe). *)
 
 type t = {
   name : string;
@@ -185,19 +184,20 @@ val value_of_string : Param.Spec.t -> string -> Param.Value.t
 val to_string : ?version:int -> t -> string
 (** Serialize to the format above; [version] is 2 (default) or 1.
     Version 1 is lossy: every failure kind collapses to [failed],
-    attempt counts are dropped, and gate/fid/rung lines are omitted.
-    Gate decisions render as [#gate refit,source,action,trust,below],
-    low-fidelity observations as [#fid bracket,rung,value,v1,v2,...],
-    rung closures as [#rung bracket,rung,evaluated,promoted,best] and
-    objective vectors as [#obj index,v1,v2,...] lines after the
-    evaluation rows (floats in hex form for bit-exact round-trips). Continuous parameters are not supported (the
+    attempt counts are dropped, and decision lines are omitted. In
+    v2 the decision lines follow the entry rows, grouped by kind:
+    [#gate refit,source,action,trust,below],
+    [#fid bracket,rung,value,v1,v2,...],
+    [#rung bracket,rung,evaluated,promoted,best] and
+    [#obj index,v1,v2,...] (floats in hex form for bit-exact
+    round-trips). Continuous parameters are not supported (the
     reproduction's spaces are finite); raises [Invalid_argument] on a
     continuous spec or an unknown version. *)
 
 val of_string : ?recover:bool -> string -> t
-(** Parse v1 or v2 text. [#gate], [#fid], [#rung] and [#obj] lines may
-    interleave with evaluation rows anywhere after the column header;
-    each stream keeps its own order. Raises [Failure] on malformed
+(** Parse v1 or v2 text. Decision lines may interleave with
+    evaluation rows anywhere after the column header; each kind keeps
+    its own order. Raises [Failure] on malformed
     input. With [~recover:true] (default false) a malformed {e final}
     row or decision line — the residue of a crash mid-write — is
     dropped instead; malformed rows anywhere else still raise. *)
@@ -209,8 +209,8 @@ val load : ?recover:bool -> string -> t
 
 (** {2 Incremental, crash-safe writing}
 
-    A [writer] emits the v2 header immediately and then one CSV row
-    per recorded entry, flushing after every write — the append-
+    A [writer] emits the v2 header immediately and then one line per
+    entry or decision record, flushing after every write — the append-
     oriented discipline that makes tuning campaigns recoverable: kill
     the process at any point and the file on disk is a valid (at worst
     final-line-truncated) run log of everything evaluated so far. *)
@@ -231,27 +231,16 @@ val writer_record : writer -> entry -> unit
 (** Append one entry and flush. Raises [Invalid_argument] on a closed
     writer. *)
 
-val writer_record_gate : writer -> gate -> unit
-(** Append one [#gate] decision line and flush — interleaved with the
+val writer_append : writer -> record -> unit
+(** Append one decision line and flush — interleaved with the
     evaluation rows in whatever order the campaign produces them.
-    Raises [Invalid_argument] on a closed writer or an invalid gate. *)
-
-val writer_record_fid : writer -> fid -> unit
-(** Append one [#fid] observation line and flush. Raises
-    [Invalid_argument] on a closed writer or an invalid fid. *)
-
-val writer_record_rung : writer -> rung -> unit
-(** Append one [#rung] closure line and flush. Raises
-    [Invalid_argument] on a closed writer or an invalid rung. *)
-
-val writer_record_obj : writer -> obj -> unit
-(** Append one [#obj] objective-vector line and flush. Raises
-    [Invalid_argument] on a closed writer or an invalid vector. *)
+    Raises [Invalid_argument] on a closed writer or an invalid
+    record. *)
 
 val writer_close : writer -> unit
 (** Close the underlying channel and rewrite the file in canonical
     form — entries sorted by index, then [#gate], [#fid], [#rung] and
-    [#obj] lines (decision streams chronological, objective vectors
+    [#obj] lines (each decision kind chronological, objective vectors
     sorted by entry index), via an atomic
     temp-file rename — so a completed log is byte-identical whether
     the campaign ran straight through or was interrupted and resumed

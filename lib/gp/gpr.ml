@@ -46,8 +46,6 @@ let predict t x =
   let variance_std = Stdlib.max 0. variance_std in
   (t.mu +. (t.sigma *. mean_std), t.sigma *. t.sigma *. variance_std)
 
-let predict_mean t x = fst (predict t x)
-
 let standard_normal_pdf z = exp (-0.5 *. z *. z) /. sqrt (2. *. Float.pi)
 
 (* Abramowitz-Stegun style CDF via erf-free rational approximation is

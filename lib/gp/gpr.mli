@@ -21,8 +21,6 @@ val predict : t -> float array -> float * float
 (** [(mean, variance)] of the posterior at a point; variance is
     clamped to be non-negative. *)
 
-val predict_mean : t -> float array -> float
-
 val expected_improvement : t -> best:float -> float array -> float
 (** EI for minimization against the incumbent [best] (original target
     scale): [E max(best - Y, 0)] under the posterior. *)

@@ -68,18 +68,3 @@ let matmul_objective ~pool ?(n = 128) () =
     time (fun () ->
         Matmul.multiply ~pool ~schedule ~order ~block_i:(block "block_i") ~block_j:(block "block_j")
           ~block_k:(block "block_k") ~a ~b n)
-
-(* ---- spmv ---- *)
-
-let spmv_space = Param.Space.make [ Param.Spec.categorical "schedule" schedule_labels ]
-
-let spmv_objective ~pool ?(n = 4096) ?(avg_nnz = 16) ?(skew = 0.8) ?(repeats = 8) () =
-  let rng = Prng.Rng.create 54321 in
-  let m = Spmv.random_skewed ~rng ~n ~avg_nnz ~skew in
-  let x = Array.init n (fun _ -> Prng.Rng.float rng -. 0.5) in
-  fun config ->
-    let schedule = schedule_of_label (label spmv_space config "schedule") in
-    time (fun () ->
-        for _ = 1 to repeats do
-          ignore (Spmv.multiply ~pool ~schedule m x)
-        done)

@@ -28,13 +28,3 @@ val matmul_space : Param.Space.t
 val matmul_objective : pool:Parallel.Pool.t -> ?n:int -> unit -> Param.Config.t -> float
 (** Wall-clock seconds for one [n x n] (default 128) blocked multiply
     under the configuration. *)
-
-val spmv_space : Param.Space.t
-(** schedule only — SpMV's tunable is how rows are scheduled. *)
-
-val spmv_objective :
-  pool:Parallel.Pool.t -> ?n:int -> ?avg_nnz:int -> ?skew:float -> ?repeats:int -> unit ->
-  Param.Config.t -> float
-(** Wall-clock seconds for [repeats] (default 8) products with a
-    skewed random CSR matrix (default n = 4096, avg_nnz = 16,
-    skew = 0.8). *)

@@ -31,7 +31,6 @@ let of_arrays arrs =
     init rows cols (fun i j -> arrs.(i).(j))
   end
 
-let to_arrays m = Array.init m.rows (fun i -> Array.sub m.data (i * m.cols) m.cols)
 let row m i = Array.sub m.data (i * m.cols) m.cols
 let col m j = Array.init m.rows (fun i -> get m i j)
 let transpose m = init m.cols m.rows (fun i j -> get m j i)

@@ -14,7 +14,6 @@ val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 val copy : t -> t
 val of_arrays : float array array -> t
-val to_arrays : t -> float array array
 val row : t -> int -> Vec.t
 val col : t -> int -> Vec.t
 val transpose : t -> t

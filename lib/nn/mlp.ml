@@ -76,8 +76,6 @@ let predict t x =
   let out = forward t x in
   out.(0)
 
-let predict_batch t xs = Array.map (predict t) xs
-
 (* One forward pass retaining per-layer inputs and pre-activations,
    then backprop; gradients are accumulated into [gw]/[gb]. Returns
    the sample's squared error. *)

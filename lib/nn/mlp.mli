@@ -24,7 +24,6 @@ val copy : t -> t
 
 val n_parameters : t -> int
 val predict : t -> float array -> float
-val predict_batch : t -> float array array -> float array
 
 type training = {
   epochs : int;

@@ -17,8 +17,6 @@ let js p q =
   (* m dominates both p and q, so both KL terms are finite. *)
   (0.5 *. kl p m) +. (0.5 *. kl q m)
 
-let js_distance p q = sqrt (js p q)
-
 let js_of_pdfs ~lo ~hi ~n f g =
   if n <= 0 then invalid_arg "Divergence.js_of_pdfs: non-positive grid size";
   if not (lo < hi) then invalid_arg "Divergence.js_of_pdfs: empty interval";

@@ -16,9 +16,6 @@ val js : float array -> float array -> float
 (** Jensen–Shannon divergence (eq. 13). Symmetric, finite, bounded by
     log 2, and zero iff the distributions are identical. *)
 
-val js_distance : float array -> float array -> float
-(** [sqrt (js p q)], a metric. *)
-
 val js_of_pdfs : lo:float -> hi:float -> n:int -> (float -> float) -> (float -> float) -> float
 (** JS divergence between two continuous densities, approximated by
     discretizing both onto [n] equal-width cells spanning [lo, hi] and

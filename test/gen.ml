@@ -37,12 +37,10 @@ let ok = function
   | Stdlib.Ok r -> r
   | Stdlib.Error _ -> Alcotest.fail "every evaluation failed"
 
-let status_of_outcome = function
-  | Resilience.Outcome.Value y -> Dataset.Runlog.Ok y
-  | Resilience.Outcome.Transient _ -> Dataset.Runlog.Failed Dataset.Runlog.Transient
-  | Resilience.Outcome.Permanent _ -> Dataset.Runlog.Failed Dataset.Runlog.Permanent
-  | Resilience.Outcome.Timeout -> Dataset.Runlog.Failed Dataset.Runlog.Timeout
-  | Resilience.Outcome.Infeasible _ -> Dataset.Runlog.Failed Dataset.Runlog.Infeasible
+let contains_substring haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
 
 (* Bit-for-bit comparison of two tuner results, failure lists and
    retry accounting included. *)

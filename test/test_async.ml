@@ -249,13 +249,7 @@ let test_async_resume_determinism () =
   let entries =
     List.rev !recorded
     |> List.filteri (fun i _ -> i < interrupt_after)
-    |> List.map (fun (i, c, (v : Resilience.Evaluator.verdict)) ->
-           {
-             Dataset.Runlog.index = i;
-             config = c;
-             status = Gen.status_of_outcome v.Resilience.Evaluator.outcome;
-             attempts = v.Resilience.Evaluator.attempts;
-           })
+    |> List.map (fun (i, c, v) -> Hiperbot.Campaign.entry_of_verdict i c v)
   in
   let log = Dataset.Runlog.create ~name:"kripke" ~seed ~space entries in
   let resumed =

@@ -217,13 +217,7 @@ let prop_resume_any_cut =
       let resumed_at cut =
         let entries =
           List.filteri (fun i _ -> i < cut) recorded
-          |> List.map (fun (i, c, (v : Resilience.Evaluator.verdict)) ->
-                 {
-                   Dataset.Runlog.index = i;
-                   config = c;
-                   status = Gen.status_of_outcome v.Resilience.Evaluator.outcome;
-                   attempts = v.Resilience.Evaluator.attempts;
-                 })
+          |> List.map (fun (i, c, v) -> Hiperbot.Campaign.entry_of_verdict i c v)
         in
         let cut_gates =
           List.filter_map (fun (n, g) -> if n <= cut then Some g else None) gates
@@ -328,13 +322,7 @@ let prop_exclusion_tracks_seen =
       let recorded = List.rev !recorded in
       let entries =
         List.map
-          (fun (i, c, (v : Resilience.Evaluator.verdict)) ->
-            {
-              Dataset.Runlog.index = i;
-              config = c;
-              status = Gen.status_of_outcome v.Resilience.Evaluator.outcome;
-              attempts = v.Resilience.Evaluator.attempts;
-            })
+          (fun (i, c, v) -> Hiperbot.Campaign.entry_of_verdict i c v)
           recorded
       in
       let resumed_at cut =

@@ -126,7 +126,7 @@ let test_promotion_math () =
   let res =
     fid_result
       (Fidelity.run ~plan:two_rung_plan ~k:3
-         ~on_rung:(fun r -> rungs := r :: !rungs)
+         ~on_record:(function Rung r -> rungs := r :: !rungs | _ -> ())
          ~rng:(Prng.Rng.create 5) ~space:Gen.cat_ord_space ~objective:rank_objective ~budget:100
          ())
   in
@@ -228,10 +228,9 @@ let test_multi_bracket () =
 
 (* ---- interrupt / resume ---- *)
 
-type recorded =
-  | E of Dataset.Runlog.entry
-  | F of Dataset.Runlog.fid
-  | R of Dataset.Runlog.rung
+(* What a fidelity campaign persists, in emission order: entry rows
+   and decision lines. *)
+type recorded = E of Dataset.Runlog.entry | D of Dataset.Runlog.record
 
 let record_run ?recorded_log ~plan ~k ~seed ~space ~objective ~budget () =
   let events = ref [] in
@@ -240,21 +239,20 @@ let record_run ?recorded_log ~plan ~k ~seed ~space ~objective ~budget () =
       E { Dataset.Runlog.index; config; status = Dataset.Runlog.Ok value; attempts = 1 }
       :: !events
   in
-  let on_fid f = events := F f :: !events in
-  let on_rung r = events := R r :: !events in
+  let on_record r = events := D r :: !events in
   let res =
     match recorded_log with
     | None ->
-        Fidelity.run ~on_eval ~on_fid ~on_rung ~plan ~k ~rng:(Prng.Rng.create seed) ~space
-          ~objective ~budget ()
-    | Some log -> Fidelity.resume ~on_eval ~on_fid ~on_rung ~plan ~k ~log ~objective ~budget ()
+        Fidelity.run ~on_eval ~on_record ~plan ~k ~rng:(Prng.Rng.create seed) ~space ~objective
+          ~budget ()
+    | Some log -> Fidelity.resume ~on_eval ~on_record ~plan ~k ~log ~objective ~budget ()
   in
   (fid_result res, List.rev !events)
 
 let log_of_events ~seed ~space events =
   let entries = List.filter_map (function E e -> Some e | _ -> None) events in
-  let fids = List.filter_map (function F f -> Some f | _ -> None) events in
-  let rungs = List.filter_map (function R r -> Some r | _ -> None) events in
+  let fids = List.filter_map (function D (Fid f) -> Some f | _ -> None) events in
+  let rungs = List.filter_map (function D (Rung r) -> Some r | _ -> None) events in
   Dataset.Runlog.create ~fids ~rungs ~name:"fidelity-test" ~seed ~space entries
 
 let recorded_equal a b =
@@ -265,8 +263,7 @@ let recorded_equal a b =
       && (match (x.Dataset.Runlog.status, y.Dataset.Runlog.status) with
          | Dataset.Runlog.Ok u, Dataset.Runlog.Ok v -> Float.equal u v
          | _ -> false)
-  | F x, F y -> Dataset.Runlog.fid_equal x y
-  | R x, R y -> Dataset.Runlog.rung_equal x y
+  | D x, D y -> Dataset.Runlog.equal x y
   | _ -> false
 
 let fid_results_identical (a : Fidelity.result) (b : Fidelity.result) =
@@ -328,7 +325,7 @@ let test_resume_divergence_fails () =
   in
   (* Tampered rung record: the recomputed closure no longer matches. *)
   let tamper_rung = function
-    | R r -> R { r with Dataset.Runlog.r_best = r.Dataset.Runlog.r_best +. 1. }
+    | D (Rung r) -> D (Rung { r with r_best = r.r_best +. 1. })
     | ev -> ev
   in
   expect_failure "tampered #rung" (fun () -> resume_with (List.map tamper_rung events));
@@ -337,7 +334,7 @@ let test_resume_divergence_fails () =
   let tampered_fid =
     List.map
       (function
-        | F f -> F { f with Dataset.Runlog.f_value = f.Dataset.Runlog.f_value *. 2. }
+        | D (Fid f) -> D (Fid { f with f_value = f.f_value *. 2. })
         | ev -> ev)
       events
   in
@@ -365,15 +362,15 @@ let test_exclusion_tracks_rung0 () =
     let sink, collected = Telemetry.Trace.memory_sink () in
     let telemetry = Telemetry.Trace.make [ sink ] in
     let fids = ref [] in
-    let on_fid f = fids := f :: !fids in
+    let on_record = function Dataset.Runlog.Fid f -> fids := f :: !fids | _ -> () in
     ignore
       (fid_result
          (match log with
          | None ->
-             Fidelity.run ~telemetry ~on_fid ~plan ~k:3 ~rng:(Prng.Rng.create seed) ~space
+             Fidelity.run ~telemetry ~on_record ~plan ~k:3 ~rng:(Prng.Rng.create seed) ~space
                ~objective:scaled_objective ~budget:200 ()
          | Some log ->
-             Fidelity.resume ~telemetry ~on_fid ~plan ~k:3 ~log ~objective:scaled_objective
+             Fidelity.resume ~telemetry ~on_record ~plan ~k:3 ~log ~objective:scaled_objective
                ~budget:200 ()));
     let excluded =
       List.filter_map

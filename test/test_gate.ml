@@ -303,13 +303,7 @@ let test_gate_resume_parity () =
   let entries =
     List.rev !recorded
     |> List.filteri (fun i _ -> i < interrupt_after)
-    |> List.map (fun (i, c, (v : Resilience.Evaluator.verdict)) ->
-           {
-             Dataset.Runlog.index = i;
-             config = c;
-             status = Gen.status_of_outcome v.Resilience.Evaluator.outcome;
-             attempts = v.Resilience.Evaluator.attempts;
-           })
+    |> List.map (fun (i, c, v) -> Hiperbot.Campaign.entry_of_verdict i c v)
   in
   let log =
     Dataset.Runlog.create ~gates:(List.rev !gates) ~name:"hypre_trgt" ~seed ~space entries
@@ -390,7 +384,7 @@ let test_gate_async () =
     (Gen.results_identical async3a async3b);
   check Alcotest.bool "gate decision stream deterministic at k=3" true
     (List.length gates3a = List.length gates3b
-    && List.for_all2 Dataset.Runlog.gate_equal gates3a gates3b)
+    && List.for_all2 (fun a b -> Dataset.Runlog.equal (Gate a) (Gate b)) gates3a gates3b)
 
 let suite =
   let tc = Alcotest.test_case in

@@ -124,12 +124,7 @@ let test_runlog_warm_start_continuation () =
   let rec_ = Dataset.Runlog.recorder ~name:"phase1" ~seed:80 ~space in
   let on_outcome index config (v : Resilience.Evaluator.verdict) =
     Dataset.Runlog.record_entry rec_
-      {
-        Dataset.Runlog.index;
-        config;
-        status = Gen.status_of_outcome v.Resilience.Evaluator.outcome;
-        attempts = v.Resilience.Evaluator.attempts;
-      }
+      (Hiperbot.Campaign.entry_of_verdict index config v)
   in
   let phase1 =
     Gen.ok

@@ -263,15 +263,10 @@ let moo_with_writer ~path ~seed ~budget ~stop_after =
   let w = Dataset.Runlog.writer_create ~path ~name:"moo-tensor" ~seed ~space:tensor_space in
   let on_outcome idx config verdict =
     Dataset.Runlog.writer_record w
-      {
-        Dataset.Runlog.index = idx;
-        config;
-        status = Gen.status_of_outcome verdict.Resilience.Evaluator.outcome;
-        attempts = verdict.Resilience.Evaluator.attempts;
-      }
+      (Hiperbot.Campaign.entry_of_verdict idx config verdict)
   in
   let on_vector idx v =
-    Dataset.Runlog.writer_record_obj w { Dataset.Runlog.o_index = idx; o_values = v }
+    Dataset.Runlog.writer_append w (Obj { o_index = idx; o_values = v })
   in
   let t =
     Hiperbot.Moo.create ~on_outcome ~on_vector ~moo:tensor_moo ~mode:Hiperbot.Campaign.Sync

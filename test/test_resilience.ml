@@ -224,8 +224,6 @@ let test_faulty_campaign_hypre () = check_faulty_campaign ~dataset:"hypre" ~seed
 
 (* ---- Interrupt-then-resume determinism ---- *)
 
-let status_of_outcome = Gen.status_of_outcome
-
 let results_identical = Gen.results_identical
 
 (* Run an uninterrupted faulty campaign of [budget] evaluations while
@@ -253,13 +251,7 @@ let check_resume_determinism ~dataset ~seed =
   let entries =
     List.rev !recorded
     |> List.filteri (fun i _ -> i < interrupt_after)
-    |> List.map (fun (i, c, (v : Resilience.Evaluator.verdict)) ->
-           {
-             Dataset.Runlog.index = i;
-             config = c;
-             status = status_of_outcome v.Resilience.Evaluator.outcome;
-             attempts = v.Resilience.Evaluator.attempts;
-           })
+    |> List.map (fun (i, c, v) -> Hiperbot.Campaign.entry_of_verdict i c v)
   in
   let log = Dataset.Runlog.create ~name:dataset ~seed ~space entries in
   let resumed =
@@ -311,12 +303,7 @@ let test_resume_end_to_end_through_file () =
            ~on_outcome:(fun i c v ->
              if i < 12 then begin
                Dataset.Runlog.writer_record writer
-                 {
-                   Dataset.Runlog.index = i;
-                   config = c;
-                   status = status_of_outcome v.Resilience.Evaluator.outcome;
-                   attempts = v.Resilience.Evaluator.attempts;
-                 };
+                 (Hiperbot.Campaign.entry_of_verdict i c v);
                incr wrote
              end)
            ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()

@@ -11,6 +11,12 @@ let space =
 
 let config c o = [| Param.Value.Categorical c; Param.Value.Ordinal o |]
 
+let read_bytes path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let sample_log () =
   Dataset.Runlog.create ~name:"demo" ~seed:42 ~space
     [
@@ -31,12 +37,27 @@ let entries_equal (a : Dataset.Runlog.entry) (b : Dataset.Runlog.entry) =
   | Dataset.Runlog.Failed x, Dataset.Runlog.Failed y -> x = y
   | _ -> false
 
+(* One decision stream against another, record by record, through
+   the codec's own equality. *)
+let stream_equal wrap a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Dataset.Runlog.equal (wrap x) (wrap y)) a b
+
+let gates_equal = stream_equal (fun g -> Dataset.Runlog.Gate g)
+let fids_equal = stream_equal (fun f -> Dataset.Runlog.Fid f)
+let rungs_equal = stream_equal (fun r -> Dataset.Runlog.Rung r)
+let objs_equal = stream_equal (fun o -> Dataset.Runlog.Obj o)
+
 let logs_equal (a : Dataset.Runlog.t) (b : Dataset.Runlog.t) =
   a.Dataset.Runlog.name = b.Dataset.Runlog.name
   && a.Dataset.Runlog.seed = b.Dataset.Runlog.seed
   && Param.Space.specs a.Dataset.Runlog.space = Param.Space.specs b.Dataset.Runlog.space
   && Array.length a.Dataset.Runlog.entries = Array.length b.Dataset.Runlog.entries
   && Array.for_all2 entries_equal a.Dataset.Runlog.entries b.Dataset.Runlog.entries
+  && gates_equal a.Dataset.Runlog.gates b.Dataset.Runlog.gates
+  && fids_equal a.Dataset.Runlog.fids b.Dataset.Runlog.fids
+  && rungs_equal a.Dataset.Runlog.rungs b.Dataset.Runlog.rungs
+  && objs_equal a.Dataset.Runlog.objs b.Dataset.Runlog.objs
 
 let test_create_sorts_and_validates () =
   let log = sample_log () in
@@ -164,14 +185,64 @@ let gen_entry =
           | 1 -> Dataset.Runlog.Failed Dataset.Runlog.Crash
           | 2 -> Dataset.Runlog.Failed Dataset.Runlog.Transient
           | 3 -> Dataset.Runlog.Failed Dataset.Runlog.Permanent
-          | _ -> Dataset.Runlog.Failed Dataset.Runlog.Timeout
+          | 4 -> Dataset.Runlog.Failed Dataset.Runlog.Timeout
+          | _ -> Dataset.Runlog.Failed Dataset.Runlog.Infeasible
         in
         { Dataset.Runlog.index; config = config c o; status; attempts })
       (tup5 (int_range 0 10000)
          (tup2 (int_range 0 1) (int_range 0 2))
-         (int_range 0 4)
+         (int_range 0 5)
          (map (fun x -> float_of_int x /. 16.) (int_range (-1000) 1000))
          (int_range 1 9)))
+
+(* Decision streams carry arbitrary finite floats: their hex
+   rendering must round-trip every bit, not just dyadic values. *)
+let gen_value = QCheck2.Gen.float_range (-1e6) 1e6
+
+let gen_gate =
+  QCheck2.Gen.(
+    map
+      (fun (g_refit, g_source, g_action, g_trust, g_below) ->
+        { Dataset.Runlog.g_refit; g_source; g_action; g_trust; g_below })
+      (tup5 (int_range 0 50) (int_range (-1) 3)
+         (oneofl [ "attenuate"; "restore"; "drop"; "fallback" ])
+         gen_value (int_range 0 5)))
+
+let gen_fid =
+  QCheck2.Gen.(
+    map
+      (fun (f_bracket, f_rung, f_value, (c, o)) ->
+        { Dataset.Runlog.f_bracket; f_rung; f_value; f_config = config c o })
+      (tup4 (int_range 0 5) (int_range 0 3) gen_value
+         (tup2 (int_range 0 1) (int_range 0 2))))
+
+let gen_rung =
+  QCheck2.Gen.(
+    map
+      (fun (r_bracket, r_rung, (r_evaluated, r_promoted), r_best) ->
+        { Dataset.Runlog.r_bracket; r_rung; r_evaluated; r_promoted; r_best })
+      (tup4 (int_range 0 5) (int_range 0 3)
+         (int_range 1 20 >>= fun n -> map (fun p -> (n, p)) (int_range 0 n))
+         gen_value))
+
+(* Objective vectors share one arity per log and have distinct
+   indices; [Runlog.create] sorts them by index. *)
+let gen_objs =
+  QCheck2.Gen.(
+    int_range 1 3 >>= fun arity ->
+    map
+      (fun rows ->
+        let seen = Hashtbl.create 8 in
+        List.filter_map
+          (fun (o_index, o_values) ->
+            if Hashtbl.mem seen o_index then None
+            else begin
+              Hashtbl.add seen o_index ();
+              Some { Dataset.Runlog.o_index; o_values }
+            end)
+          rows)
+      (list_size (int_range 0 5)
+         (pair (int_range 0 30) (array_size (return arity) gen_value))))
 
 let distinct_indices entries =
   let seen = Hashtbl.create 16 in
@@ -184,18 +255,37 @@ let distinct_indices entries =
       end)
     entries
 
+(* Entries of every status plus random streams of all four decision
+   kinds. *)
 let gen_log =
   QCheck2.Gen.(
     map
-      (fun (name_tag, seed, entries) ->
-        Dataset.Runlog.create
+      (fun ((name_tag, seed, entries), (gates, fids, rungs, objs)) ->
+        Dataset.Runlog.create ~gates ~fids ~rungs ~objs
           ~name:(Printf.sprintf "prop-%d" name_tag)
           ~seed ~space (distinct_indices entries))
-      (tup3 (int_range 0 99) (int_range 0 10000) (list_size (int_range 0 25) gen_entry)))
+      (pair
+         (tup3 (int_range 0 99) (int_range 0 10000) (list_size (int_range 0 25) gen_entry))
+         (tup4
+            (list_size (int_range 0 5) gen_gate)
+            (list_size (int_range 0 5) gen_fid)
+            (list_size (int_range 0 5) gen_rung)
+            gen_objs)))
+
+(* The same logs without decision lines, so the final line of the
+   rendering is always an entry row (the truncation properties chop
+   it). *)
+let gen_entry_log =
+  QCheck2.Gen.map
+    (fun (log : Dataset.Runlog.t) ->
+      Dataset.Runlog.create ~name:log.Dataset.Runlog.name ~seed:log.Dataset.Runlog.seed ~space
+        (Array.to_list log.Dataset.Runlog.entries))
+    gen_log
 
 let prop_v2_roundtrip =
-  QCheck2.Test.make ~name:"runlog: of_string (to_string t) = t (v2, all failure kinds)" ~count:100
-    gen_log (fun log ->
+  QCheck2.Test.make
+    ~name:"runlog: of_string (to_string t) = t (v2, all failure kinds and decision kinds)"
+    ~count:100 gen_log (fun log ->
       logs_equal log (Dataset.Runlog.of_string (Dataset.Runlog.to_string log)))
 
 let prop_v1_roundtrip =
@@ -225,7 +315,7 @@ let prop_truncation_recovery =
      entries; without recovery a mid-row chop must raise. *)
   QCheck2.Test.make ~name:"runlog: truncated final line parses up to the last complete entry"
     ~count:100
-    QCheck2.Gen.(tup2 gen_log (int_range 1 30))
+    QCheck2.Gen.(tup2 gen_entry_log (int_range 1 30))
     (fun (log, chop) ->
       QCheck2.assume (Array.length log.Dataset.Runlog.entries > 0);
       let text = Dataset.Runlog.to_string log in
@@ -246,7 +336,7 @@ let prop_truncation_recovery =
 
 let prop_truncation_strict_raises =
   QCheck2.Test.make ~name:"runlog: truncated final line raises without ~recover" ~count:50
-    QCheck2.Gen.(tup2 gen_log (int_range 2 30))
+    QCheck2.Gen.(tup2 gen_entry_log (int_range 2 30))
     (fun (log, chop) ->
       QCheck2.assume (Array.length log.Dataset.Runlog.entries > 0);
       let text = Dataset.Runlog.to_string log in
@@ -345,9 +435,6 @@ let sample_gates =
     { Dataset.Runlog.g_refit = 2; g_source = -1; g_action = "fallback"; g_trust = 0.; g_below = 0 };
   ]
 
-let gates_equal a b =
-  Array.length a = Array.length b && Array.for_all2 Dataset.Runlog.gate_equal a b
-
 let test_gate_roundtrip () =
   let base = sample_log () in
   let log =
@@ -407,10 +494,10 @@ let test_writer_gates () =
       in
       Dataset.Runlog.writer_record w
         { Dataset.Runlog.index = 0; config = config 0 0; status = Dataset.Runlog.Ok 2.0; attempts = 1 };
-      Dataset.Runlog.writer_record_gate w g0;
+      Dataset.Runlog.writer_append w (Gate g0);
       Dataset.Runlog.writer_record w
         { Dataset.Runlog.index = 1; config = config 1 1; status = Dataset.Runlog.Ok 1.0; attempts = 1 };
-      Dataset.Runlog.writer_record_gate w g1;
+      Dataset.Runlog.writer_append w (Gate g1);
       (* Flush-per-record covers gate lines too: both streams must be on
          disk before the writer closes. *)
       let mid = Dataset.Runlog.load path in
@@ -422,7 +509,7 @@ let test_writer_gates () =
       (* Resuming rewrites the clean file with the gate stream intact and
          keeps appending to it. *)
       let w2 = Dataset.Runlog.writer_resume ~path final in
-      Dataset.Runlog.writer_record_gate w2 g2;
+      Dataset.Runlog.writer_append w2 (Gate g2);
       Dataset.Runlog.writer_close w2;
       let resumed = Dataset.Runlog.load path in
       check Alcotest.bool "resume preserves and extends gates" true
@@ -434,14 +521,8 @@ let test_writer_gates () =
          canonical rendering — the invariant that keeps a resumed
          campaign's completed log byte-identical to an uninterrupted
          one. *)
-      let ic = open_in_bin path in
-      let bytes =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
       check Alcotest.bool "closed file is canonical bytes" true
-        (String.equal bytes (Dataset.Runlog.to_string resumed)))
+        (String.equal (read_bytes path) (Dataset.Runlog.to_string resumed)))
 
 let suite =
   let tc = Alcotest.test_case in
@@ -481,11 +562,6 @@ let sample_rungs =
     { Dataset.Runlog.r_bracket = 0; r_rung = 0; r_evaluated = 4; r_promoted = 2; r_best = 2.75 };
     { Dataset.Runlog.r_bracket = 1; r_rung = 0; r_evaluated = 3; r_promoted = 1; r_best = 1.0625 };
   ]
-
-let fids_equal a b = Array.length a = Array.length b && Array.for_all2 Dataset.Runlog.fid_equal a b
-
-let rungs_equal a b =
-  Array.length a = Array.length b && Array.for_all2 Dataset.Runlog.rung_equal a b
 
 let test_fid_rung_roundtrip () =
   let base = sample_log () in
@@ -550,9 +626,9 @@ let test_writer_fid_rung () =
       in
       let r0, r1 = match sample_rungs with [ a; b ] -> (a, b) | _ -> assert false in
       let w = Dataset.Runlog.writer_create ~path ~name:"sh" ~seed:9 ~space in
-      Dataset.Runlog.writer_record_fid w f0;
-      Dataset.Runlog.writer_record_fid w f1;
-      Dataset.Runlog.writer_record_rung w r0;
+      Dataset.Runlog.writer_append w (Fid f0);
+      Dataset.Runlog.writer_append w (Fid f1);
+      Dataset.Runlog.writer_append w (Rung r0);
       Dataset.Runlog.writer_record w
         { Dataset.Runlog.index = 0; config = config 1 1; status = Dataset.Runlog.Ok 1.5; attempts = 1 };
       let mid = Dataset.Runlog.load path in
@@ -561,22 +637,16 @@ let test_writer_fid_rung () =
       Dataset.Runlog.writer_close w;
       let final = Dataset.Runlog.load path in
       let w2 = Dataset.Runlog.writer_resume ~path final in
-      Dataset.Runlog.writer_record_fid w2 f2;
-      Dataset.Runlog.writer_record_rung w2 r1;
+      Dataset.Runlog.writer_append w2 (Fid f2);
+      Dataset.Runlog.writer_append w2 (Rung r1);
       Dataset.Runlog.writer_close w2;
       let resumed = Dataset.Runlog.load path in
       check Alcotest.bool "resume preserves and extends fids" true
         (fids_equal [| f0; f1; f2 |] resumed.Dataset.Runlog.fids);
       check Alcotest.bool "resume preserves and extends rungs" true
         (rungs_equal [| r0; r1 |] resumed.Dataset.Runlog.rungs);
-      let ic = open_in_bin path in
-      let bytes =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
       check Alcotest.bool "closed file is canonical bytes" true
-        (String.equal bytes (Dataset.Runlog.to_string resumed)))
+        (String.equal (read_bytes path) (Dataset.Runlog.to_string resumed)))
 
 let suite =
   let name, cases = suite in
@@ -595,8 +665,6 @@ let sample_objs =
     { Dataset.Runlog.o_index = 0; o_values = [| 5.5; 120.25 |] };
     { Dataset.Runlog.o_index = 2; o_values = [| 3.25; 0x1.91p7 |] };
   ]
-
-let objs_equal a b = Array.length a = Array.length b && Array.for_all2 Dataset.Runlog.obj_equal a b
 
 let test_obj_roundtrip () =
   let log =
@@ -655,7 +723,7 @@ let test_writer_objs () =
       let w = Dataset.Runlog.writer_create ~path ~name:"moo" ~seed:9 ~space in
       Dataset.Runlog.writer_record w
         { Dataset.Runlog.index = 0; config = config 0 0; status = Dataset.Runlog.Ok 2.5; attempts = 1 };
-      Dataset.Runlog.writer_record_obj w { Dataset.Runlog.o_index = 0; o_values = [| 2.5; 40. |] };
+      Dataset.Runlog.writer_append w (Obj { o_index = 0; o_values = [| 2.5; 40. |] });
       Dataset.Runlog.writer_record w
         { Dataset.Runlog.index = 1; config = config 1 1;
           status = Dataset.Runlog.Failed Dataset.Runlog.Infeasible; attempts = 1 };
@@ -663,8 +731,8 @@ let test_writer_objs () =
       let log = Dataset.Runlog.load path in
       check Alcotest.int "one obj row" 1 (Array.length log.Dataset.Runlog.objs);
       check Alcotest.bool "vector persisted" true
-        (Dataset.Runlog.obj_equal log.Dataset.Runlog.objs.(0)
-           { Dataset.Runlog.o_index = 0; o_values = [| 2.5; 40. |] });
+        (Dataset.Runlog.equal (Obj log.Dataset.Runlog.objs.(0))
+           (Obj { o_index = 0; o_values = [| 2.5; 40. |] }));
       check Alcotest.int "infeasible persisted" 1
         (Dataset.Runlog.count_kind log Dataset.Runlog.Infeasible);
       (* Canonical close is idempotent across a save/load cycle. *)
@@ -699,4 +767,99 @@ let suite =
         Alcotest.test_case "obj validation" `Quick test_obj_validation;
         Alcotest.test_case "writer records objs" `Quick test_writer_objs;
         Alcotest.test_case "torn obj line recovers" `Quick test_obj_truncation_recover;
+      ] )
+
+(* ---- Golden fixture: every entry status and every decision kind ---- *)
+
+let golden =
+  lazy
+    (read_bytes
+       (Filename.concat
+          (Filename.dirname Sys.executable_name)
+          (Filename.concat "fixtures" "all_kinds.runlog")))
+
+let check_golden what text =
+  if text <> Lazy.force golden then
+    Alcotest.failf "%s drifted from fixtures/all_kinds.runlog:\n--- expected ---\n%s--- actual ---\n%s---"
+      what (Lazy.force golden) text
+
+let test_golden_roundtrip () =
+  let log = Dataset.Runlog.of_string (Lazy.force golden) in
+  List.iter
+    (fun kind ->
+      check Alcotest.bool
+        (Dataset.Runlog.failure_kind_to_string kind ^ " entry present")
+        true
+        (Dataset.Runlog.count_kind log kind > 0))
+    Dataset.Runlog.[ Crash; Transient; Permanent; Timeout; Infeasible ];
+  check Alcotest.bool "one line of each decision kind at least" true
+    (Array.length log.Dataset.Runlog.gates > 0
+    && Array.length log.Dataset.Runlog.fids > 0
+    && Array.length log.Dataset.Runlog.rungs > 0
+    && Array.length log.Dataset.Runlog.objs > 0);
+  check_golden "to_string (of_string fixture)" (Dataset.Runlog.to_string log)
+
+(* A writer fed the fixture's records in a scrambled interleaving —
+   entries newest first, decision kinds in reverse order, objective
+   vectors out of index order — closes to the fixture's bytes. *)
+let test_golden_writer () =
+  let log = Dataset.Runlog.of_string (Lazy.force golden) in
+  let path = Filename.temp_file "runlog_golden" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let w =
+        Dataset.Runlog.writer_create ~path ~name:log.Dataset.Runlog.name
+          ~seed:log.Dataset.Runlog.seed ~space:log.Dataset.Runlog.space
+      in
+      let records =
+        List.concat
+          [
+            List.rev_map (fun o -> Dataset.Runlog.Obj o) (Array.to_list log.Dataset.Runlog.objs);
+            List.map (fun r -> Dataset.Runlog.Rung r) (Array.to_list log.Dataset.Runlog.rungs);
+            List.map (fun f -> Dataset.Runlog.Fid f) (Array.to_list log.Dataset.Runlog.fids);
+            List.map (fun g -> Dataset.Runlog.Gate g) (Array.to_list log.Dataset.Runlog.gates);
+          ]
+      in
+      let rec interleave entries records =
+        match (entries, records) with
+        | [], rs -> List.iter (Dataset.Runlog.writer_append w) rs
+        | es, [] -> List.iter (Dataset.Runlog.writer_record w) es
+        | e :: es, r :: rs ->
+            Dataset.Runlog.writer_record w e;
+            Dataset.Runlog.writer_append w r;
+            interleave es rs
+      in
+      interleave (List.rev (Array.to_list log.Dataset.Runlog.entries)) records;
+      Dataset.Runlog.writer_close w;
+      check_golden "closed writer" (read_bytes path))
+
+let test_writer_append_rejects () =
+  let path = Filename.temp_file "runlog_reject" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let w = Dataset.Runlog.writer_create ~path ~name:"reject" ~seed:1 ~space in
+      let header = read_bytes path in
+      Alcotest.check_raises "invalid record"
+        (Invalid_argument "Runlog: rung promoted-count must lie in [0, evaluated]") (fun () ->
+          Dataset.Runlog.writer_append w
+            (Rung { r_bracket = 0; r_rung = 0; r_evaluated = 1; r_promoted = 2; r_best = 0. }));
+      check Alcotest.string "a rejected record writes nothing" header (read_bytes path);
+      Dataset.Runlog.writer_close w;
+      Alcotest.check_raises "closed writer" (Invalid_argument "Runlog: record on a closed writer")
+        (fun () ->
+          Dataset.Runlog.writer_append w
+            (Gate { g_refit = 0; g_source = 0; g_action = "drop"; g_trust = 0.; g_below = 0 })))
+
+let suite =
+  let name, cases = suite in
+  ( name,
+    cases
+    @ [
+        Alcotest.test_case "golden fixture roundtrips byte-exactly" `Quick test_golden_roundtrip;
+        Alcotest.test_case "interleaved writer closes to the golden bytes" `Quick
+          test_golden_writer;
+        Alcotest.test_case "writer_append rejects invalid records" `Quick
+          test_writer_append_rejects;
       ] )

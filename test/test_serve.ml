@@ -143,6 +143,22 @@ let test_malformed_input () =
   err "report s1 0 fail:weird";
   err "report s1 0 ok:1.0 attempts=0";
   err "report s1 99 ok:1.0";
+  (* Unknown options and bare words are refused by name rather than
+     silently dropped; [batch] is unknown too, since a served session
+     is asynchronous and only synchronous campaigns batch. *)
+  let err_naming line token =
+    err line;
+    let reply = Hiperbot.Serve.handle server line in
+    check Alcotest.bool
+      (Printf.sprintf "%S names %S (got %S)" line token reply)
+      true
+      (Gen.contains_substring reply (Printf.sprintf "%S" token))
+  in
+  err_naming "open s2 seed=1 budget=5 space=a=cat:x,y,z bogus=3" "bogus=3";
+  err_naming "open s2 seed=1 budget=5 space=a=cat:x,y,z junk" "junk";
+  err_naming "open s2 seed=1 budget=5 space=a=cat:x,y,z batch=2" "batch=2";
+  err_naming "report s1 0 ok:1.0 junk" "junk";
+  err_naming "report s1 0 ok:1.0 tries=2" "tries=2";
   (* The session is still alive and consistent after all of that. *)
   check Alcotest.string "session survived the abuse"
     "ok status s1 state=running evaluated=0 pending=1 best=none"

@@ -6,11 +6,6 @@
 
 let check = Alcotest.check
 
-let contains_substring haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  go 0
-
 let temp_path suffix =
   let path = Filename.temp_file "hiperbot_trace" suffix in
   at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
@@ -278,12 +273,10 @@ let test_kripke_campaign_trace () =
   let rendered = Telemetry.Summary.render s in
   check Alcotest.bool "summary renders refits" true
     (String.length rendered > 0
-    && contains_substring rendered "refit"
-    && contains_substring rendered "rank")
+    && Gen.contains_substring rendered "refit"
+    && Gen.contains_substring rendered "rank")
 
 (* ---- resume with tracing is still bit-identical ---- *)
-
-let status_of_outcome = Gen.status_of_outcome
 
 let test_resume_with_trace_parity () =
   let t = (Hpcsim.Registry.find "kripke").Hpcsim.Registry.table () in
@@ -305,13 +298,7 @@ let test_resume_with_trace_parity () =
   let entries =
     List.rev !recorded
     |> List.filteri (fun i _ -> i < interrupt_after)
-    |> List.map (fun (i, c, (v : Resilience.Evaluator.verdict)) ->
-           {
-             Dataset.Runlog.index = i;
-             config = c;
-             status = status_of_outcome v.Resilience.Evaluator.outcome;
-             attempts = v.Resilience.Evaluator.attempts;
-           })
+    |> List.map (fun (i, c, v) -> Hiperbot.Campaign.entry_of_verdict i c v)
   in
   let log = Dataset.Runlog.create ~name:"kripke" ~seed:5 ~space entries in
   let sink, collected = Telemetry.Trace.memory_sink () in
@@ -423,7 +410,7 @@ let test_summary_gate_lines () =
   | l -> Alcotest.fail (Printf.sprintf "expected 2 sources, got %d" (List.length l)));
   let rendered = Telemetry.Summary.render s in
   check Alcotest.bool "per-source lines rendered" true
-    (contains_substring rendered "source 0" && contains_substring rendered "dropped");
+    (Gen.contains_substring rendered "source 0" && Gen.contains_substring rendered "dropped");
   feed 5. (Telemetry.Event.Gate { refit = 1; source = -1; action = "fallback"; trust = 0. });
   check Alcotest.bool "fallback refit recorded" true
     (Telemetry.Summary.fallback_refit s = Some 1);
@@ -432,7 +419,7 @@ let test_summary_gate_lines () =
   Telemetry.Summary.observe bare ~ts:0.
     (Telemetry.Event.Init_draw { index = 0; redraws = 0; duplicate = false });
   check Alcotest.bool "no transfer block without gate events" false
-    (contains_substring (Telemetry.Summary.render bare) "transfer")
+    (Gen.contains_substring (Telemetry.Summary.render bare) "transfer")
 
 let test_summary_fidelity_lines () =
   let s = Telemetry.Summary.create () in
@@ -446,14 +433,14 @@ let test_summary_fidelity_lines () =
   check Alcotest.int "demotions counted" 12 (Telemetry.Summary.demotions s);
   let rendered = Telemetry.Summary.render s in
   check Alcotest.bool "fidelity line rendered" true
-    (contains_substring rendered "fidelity"
-    && contains_substring rendered "2 rung closures over 2 brackets");
+    (Gen.contains_substring rendered "fidelity"
+    && Gen.contains_substring rendered "2 rung closures over 2 brackets");
   (* A flat campaign keeps its summary free of fidelity lines. *)
   let bare = Telemetry.Summary.create () in
   Telemetry.Summary.observe bare ~ts:0.
     (Telemetry.Event.Init_draw { index = 0; redraws = 0; duplicate = false });
   check Alcotest.bool "no fidelity block without promote events" false
-    (contains_substring (Telemetry.Summary.render bare) "fidelity")
+    (Gen.contains_substring (Telemetry.Summary.render bare) "fidelity")
 
 (* Golden test: the `trace' subcommand's summary rendering of a
    checked-in fixture trace must match the checked-in expected text.

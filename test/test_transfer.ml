@@ -168,13 +168,7 @@ let test_transfer_resume_parity () =
   let entries =
     List.rev !recorded
     |> List.filteri (fun i _ -> i < interrupt_after)
-    |> List.map (fun (i, c, (v : Resilience.Evaluator.verdict)) ->
-           {
-             Dataset.Runlog.index = i;
-             config = c;
-             status = Gen.status_of_outcome v.Resilience.Evaluator.outcome;
-             attempts = v.Resilience.Evaluator.attempts;
-           })
+    |> List.map (fun (i, c, v) -> Hiperbot.Campaign.entry_of_verdict i c v)
   in
   let log = Dataset.Runlog.create ~name:"kripke_trgt" ~seed ~space entries in
   let resumed =
