@@ -58,7 +58,13 @@ let completion_count outcome =
   | Stdlib.Error (e : Hiperbot.Tuner.run_error) ->
       Array.length e.Hiperbot.Tuner.error_failures
 
-(* ---- property: k=1 degrades exactly to run_with_policy ---- *)
+(* ---- property: k=1 degrades exactly to run_with_policy ----
+
+   The coarse objective (four distinct values) makes non-improving
+   completions common, so the early-stop counter actually reaches its
+   patience; the warm start gives guided selection observations before
+   any completion lands. [stopped_early] is compared on top of
+   [Gen.results_identical], which skips it. *)
 
 let campaign_gen =
   let open QCheck2.Gen in
@@ -73,21 +79,45 @@ let print_campaign (space, faults, seed, n_init, budget) =
   Printf.sprintf "%s %s seed=%d n_init=%d budget=%d" (Gen.space_to_string space)
     (Gen.fault_spec_to_string faults) seed n_init budget
 
+let k1_gen =
+  let open QCheck2.Gen in
+  let* ((space, _, _, _, _) as campaign) = campaign_gen in
+  let* early_stop = opt (int_range 1 6) in
+  let+ warm_start = opt (Gen.observations_gen ~min_n:1 ~max_n:5 space) in
+  (campaign, early_stop, warm_start)
+
+let print_k1 (((space, _, _, _, _) as campaign), early_stop, warm_start) =
+  Printf.sprintf "%s early_stop=%s warm=%s" (print_campaign campaign)
+    (match early_stop with Some e -> string_of_int e | None -> "none")
+    (match warm_start with
+    | Some w ->
+        String.concat ";"
+          (Array.to_list
+             (Array.map (fun (c, y) -> Printf.sprintf "%s=%g" (Gen.config_to_string space c) y) w))
+    | None -> "none")
+
+let coarse_objective c = float_of_int ((Param.Config.hash c land 0x3) + 1)
+
+let stopped_early_identical a b =
+  match (a, b) with
+  | Stdlib.Ok a, Stdlib.Ok b -> a.Hiperbot.Tuner.stopped_early = b.Hiperbot.Tuner.stopped_early
+  | _ -> true
+
 let prop_k1_bit_identical =
   QCheck2.Test.make ~name:"async: k=1 = run_with_policy over random spaces/seeds/faults"
-    ~count:60 ~print:print_campaign campaign_gen
-    (fun (space, faults, seed, n_init, budget) ->
-      let objective = Hpcsim.Faults.inject faults Gen.hash_objective in
-      let options = { Hiperbot.Tuner.default_options with n_init } in
+    ~count:60 ~print:print_k1 k1_gen
+    (fun ((space, faults, seed, n_init, budget), early_stop, warm_start) ->
+      let objective = Hpcsim.Faults.inject faults coarse_objective in
+      let options = { Hiperbot.Tuner.default_options with n_init; early_stop } in
       let sync =
-        Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3
+        Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3 ?warm_start
           ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
       in
       let asynchronous =
-        Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3 ~k:1
+        Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3 ?warm_start ~k:1
           ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
       in
-      run_outcomes_identical sync asynchronous)
+      run_outcomes_identical sync asynchronous && stopped_early_identical sync asynchronous)
 
 (* ---- property: async history is a permutation of the sync one ----
 
