@@ -307,19 +307,12 @@ let ablation_smoothing ~reps () =
     (Harness.selection_experiment ~reps ~ell:default_ell ~sizes:[| 32; 96; 192 |] table tuners)
 
 let ablation_bandwidth ~reps () =
-  Harness.section "Ablation: KDE bandwidth rule (continuous toy objective)";
+  Harness.section "Ablation: KDE bandwidth fraction (continuous toy objective)";
   let space = Param.Space.make [ Param.Spec.continuous "x" ~lo:0. ~hi:5. ] in
-  let rules =
-    [
-      ("fixed 5%", Hiperbot.Density.Fixed_fraction 0.05);
-      ("fixed 10%", Hiperbot.Density.Fixed_fraction 0.1);
-      ("fixed 25%", Hiperbot.Density.Fixed_fraction 0.25);
-      ("Silverman", Hiperbot.Density.Silverman);
-    ]
-  in
+  let fractions = [ ("fixed 5%", 0.05); ("fixed 10%", 0.1); ("fixed 25%", 0.25) ] in
   Printf.printf "budget=60 (10 init), best objective found, mean+-std over %d reps\n" reps;
   List.iter
-    (fun (label, bandwidth) ->
+    (fun (label, bandwidth_fraction) ->
       let options =
         {
           Hiperbot.Tuner.default_options with
@@ -328,7 +321,7 @@ let ablation_bandwidth ~reps () =
           surrogate =
             {
               Hiperbot.Surrogate.default_options with
-              density = { Hiperbot.Density.default_options with bandwidth };
+              density = { Hiperbot.Density.default_options with bandwidth_fraction };
             };
         }
       in
@@ -338,7 +331,7 @@ let ablation_bandwidth ~reps () =
               .Hiperbot.Tuner.best_value)
       in
       Printf.printf "%-12s %10.4f+-%6.4f\n%!" label s.Metrics.Runner.mean s.Metrics.Runner.std)
-    rules
+    fractions
 
 let ablation_transfer_weight ~reps () =
   Harness.section "Ablation: transfer prior weight w (Kripke 16 -> 64 nodes)";
@@ -376,21 +369,6 @@ let ablation_surrogates ~reps () =
   let tuners = [ Harness.gp_tuner table; Harness.gbt_tuner table; Harness.hiperbot_tuner table ] in
   ignore
     (Harness.selection_experiment ~reps ~ell:default_ell ~sizes:[| 50; 100; 150 |] table tuners)
-
-let ablation_batch ~reps () =
-  Harness.section "Ablation: batch size (one refit per batch, Kripke)";
-  let table = (Hpcsim.Registry.find "kripke").Hpcsim.Registry.table () in
-  let tuners =
-    List.map
-      (fun batch_size ->
-        Harness.hiperbot_tuner
-          ~label:(Printf.sprintf "batch=%d" batch_size)
-          ~options:{ Hiperbot.Tuner.default_options with batch_size }
-          table)
-      [ 1; 5; 10; 20 ]
-  in
-  ignore
-    (Harness.selection_experiment ~reps ~ell:default_ell ~sizes:[| 64; 128; 192 |] table tuners)
 
 let ablation_early_stop ~reps () =
   Harness.section "Ablation: early-stop patience (Kripke, budget cap 192)";
@@ -436,13 +414,12 @@ let all =
     { id = "fig8b"; describe = "HYPRE transfer (Fig. 8b)"; run = fig8b };
     { id = "ablation_strategy"; describe = "Ranking vs Proposal"; run = ablation_strategy };
     { id = "ablation_smoothing"; describe = "histogram smoothing"; run = ablation_smoothing };
-    { id = "ablation_bandwidth"; describe = "KDE bandwidth rule"; run = ablation_bandwidth };
+    { id = "ablation_bandwidth"; describe = "KDE bandwidth fraction"; run = ablation_bandwidth };
     {
       id = "ablation_transfer_weight";
       describe = "transfer prior weight";
       run = ablation_transfer_weight;
     };
     { id = "ablation_surrogates"; describe = "TPE vs GP-EI vs GBT surrogates"; run = ablation_surrogates };
-    { id = "ablation_batch"; describe = "batch selection size"; run = ablation_batch };
     { id = "ablation_early_stop"; describe = "early-stop patience"; run = ablation_early_stop };
   ]

@@ -219,7 +219,7 @@ let trace_summary_arg =
   Arg.(value & flag & info [ "trace-summary" ] ~doc)
 
 let save_arg =
-  let doc = "Write a run log of every evaluation to $(docv), one flushed line per evaluation so an interrupted run is recoverable (see Dataset.Runlog)." in
+  let doc = "Write a run log of every evaluation to $(docv), one flushed line per evaluation so an interrupted run is recoverable (see Dataset.Runlog). Hiperbot method only." in
   Arg.(value & opt (some string) None & info [ "save" ] ~docv:"PATH" ~doc)
 
 let resume_arg =
@@ -243,7 +243,7 @@ let timeout_arg =
   Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"COST" ~doc)
 
 let async_arg =
-  let doc = "Run the asynchronous campaign engine with up to $(docv) evaluations in flight: the surrogate refits on every completion and pending configurations are penalized as constant liars. $(docv) = 1 retraces the synchronous engine bit-for-bit. Composes with --faults, --retries, --timeout, --save/--resume, and --trace. Hiperbot method only." in
+  let doc = "Run the asynchronous campaign engine with up to $(docv) evaluations in flight: the surrogate refits on every completion and pending configurations are penalized as constant liars. $(docv) = 1 is the synchronous engine: the same step path, so the same history and a byte-identical --save run log. Composes with --faults, --retries, --timeout, --save/--resume, and --trace. Hiperbot method only." in
   Arg.(value & opt (some int) None & info [ "async" ] ~docv:"K" ~doc)
 
 let fidelity_arg =
@@ -372,8 +372,11 @@ let tune_cmd =
                              sources)
                       with Invalid_argument msg -> Error msg)))
         in
-        if (resume || faults > 0. || async <> None) && method_ <> `Hiperbot then
-          `Error (false, "--resume, --faults, and --async are only supported with --method hiperbot")
+        if (save <> None || resume || faults > 0. || async <> None) && method_ <> `Hiperbot then
+          `Error
+            ( false,
+              "--save, --resume, --faults, and --async are only supported with --method hiperbot"
+            )
         else if (match async with Some k -> k < 1 | None -> false) then
           `Error (false, "--async K must be at least 1")
         else if resume && save = None then `Error (false, "--resume requires --save PATH")
@@ -614,8 +617,9 @@ let tune_cmd =
             | Ok (Stdlib.Ok result) -> report_best (print_tuner_result result)
           end
           else begin
+            (* Baselines keep no run log and no trace (both refused
+               above); only their option checks can fail. *)
             match
-              with_run_log @@ fun ~log:_ ~writer:_ ->
               match method_ with
               | `Random -> Baselines.Random_search.run ~rng ~space ~objective ~budget ()
               | `Geist -> Baselines.Geist.run ~rng ~space ~objective ~budget ()
@@ -623,8 +627,8 @@ let tune_cmd =
               | `Gbt -> Baselines.Gbt_tuner.run ~rng ~space ~objective ~budget ()
               | `Hiperbot -> assert false (* tuned by the branch above *)
             with
-            | Error msg -> `Error (false, msg)
-            | Ok outcome -> report_best outcome
+            | outcome -> report_best outcome
+            | exception Invalid_argument msg -> `Error (false, msg)
           end
         end
   in

@@ -1,8 +1,8 @@
 (* Three extensions beyond the paper, together:
 
-   - batch selection: one surrogate refit proposes several
-     configurations, as you would when several cluster allocations can
-     run in parallel;
+   - asynchronous tuning: four evaluations in flight at once, as you
+     would run when several cluster allocations are available; the
+     surrogate refits whenever one of them completes;
    - resilient tuning under a retry policy: some configurations crash
      permanently (thread counts the application rejects), others fail
      transiently and succeed on retry, and stragglers blow the
@@ -48,15 +48,17 @@ let () =
     {
       Hiperbot.Tuner.default_options with
       n_init = 10;
-      batch_size = 4; (* four runs per surrogate refit *)
-      early_stop = Some 20; (* stop when 20 evaluations stop improving *)
+      early_stop = Some 20; (* stop when 20 guided evaluations stop improving *)
     }
   in
   (* Up to 3 attempts per configuration; runtimes above 60 are killed
      as stragglers and recorded as timeouts. *)
   let policy = { Resilience.Policy.default with max_attempts = 3; timeout = Some 60. } in
+  (* Four evaluations in flight; completion order follows a simulated
+     clock (each run takes its measured runtime), so the campaign is
+     reproducible from its seed. *)
   let outcome =
-    Hiperbot.Tuner.run_with_policy ~options ~policy
+    Hiperbot.Tuner.run_async ~k:4 ~options ~policy
       ~on_outcome:(fun i c v ->
         match v.Resilience.Evaluator.outcome with
         | Resilience.Outcome.Value y ->

@@ -2,9 +2,10 @@
    asynchronous engines in [Tuner] are thin drivers over this module,
    so bit-compatibility with the historical recursive loops is
    structural: there is exactly one implementation of init draws,
-   gated refits, selection, replay verification, and bookkeeping, and
-   the drivers only decide how verdicts are produced and in what
-   order completions land. Every helper here preserves the engines'
+   gated refits, selection, replay verification, and bookkeeping — one
+   step path, with [Sync] running it at one slot in flight — and the
+   drivers only decide how verdicts are produced and in what order
+   completions land. Every helper here preserves the engines'
    side-effect order (rng draws, telemetry emission, callback calls)
    exactly — that order is what the bit-exact resume and k=1 parity
    guarantees rest on. *)
@@ -26,7 +27,6 @@ type options = {
   surrogate : Surrogate.options;
   strategy : Strategy.t;
   prior : prior option;
-  batch_size : int;
   early_stop : int option;
 }
 
@@ -36,7 +36,6 @@ let default_options =
     surrogate = Surrogate.default_options;
     strategy = Strategy.default;
     prior = None;
-    batch_size = 1;
     early_stop = None;
   }
 
@@ -188,7 +187,6 @@ let fit_gated ~telemetry ~options ~gate ~emit_gate ~refit ~space ~anchor ~extra_
 let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
   if budget < 1 then invalid_arg "Campaign.create: budget must be at least 1";
   if options.n_init < 1 then invalid_arg "Campaign.create: n_init must be at least 1";
-  if options.batch_size < 1 then invalid_arg "Campaign.create: batch_size must be at least 1";
   (match options.early_stop with
   | Some k when k < 1 -> invalid_arg "Campaign.create: early_stop must be at least 1"
   | Some _ | None -> ());
@@ -253,17 +251,17 @@ let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
   in
   (encoded, candidates, n_init)
 
-(* Guided selection: Ranking campaigns always rank over the encoded
-   pool, reusing the refit engine's compiled scorer; Proposal samples
-   from pg and never looks at a pool. *)
-let select_batch ~telemetry ~options ~encoded ~compiled ~k ~rng ~surrogate ~evaluated ~excluded
-    () =
+(* Guided selection of the next configuration: Ranking campaigns
+   always rank over the encoded pool, reusing the refit engine's
+   compiled scorer; Proposal samples from pg and never looks at a
+   pool. *)
+let select_next ~telemetry ~options ~encoded ~compiled ~rng ~surrogate ~evaluated ~excluded () =
   match (options.strategy, encoded) with
   | Strategy.Ranking, Some e ->
-      Strategy.select_many_excluding ~telemetry ?compiled ~k ~surrogate ~encoded:e ~excluded ()
+      Strategy.select_many_excluding ~telemetry ?compiled ~k:1 ~surrogate ~encoded:e ~excluded ()
   | Strategy.Ranking, None -> assert false (* campaign_setup always encodes for Ranking *)
   | (Strategy.Proposal _ as strategy), _ ->
-      Strategy.select_many ~telemetry strategy ~k ~rng ~surrogate ~pool:[||] ~evaluated
+      Strategy.select_many ~telemetry strategy ~k:1 ~rng ~surrogate ~pool:[||] ~evaluated
 
 (* A configuration joins the seen set when it is issued or
    warm-started, and its pool rows join the exclusion set at the same
@@ -348,8 +346,8 @@ type t = {
   (* Deduplication at suggestion time: a configuration joins [seen]
      when issued (or warm-started), so in-flight configurations are
      excluded from init draws and guided selection exactly like
-     completed ones. In [Sync] mode at most one suggestion is
-     outstanding between reads, so this holds the same
+     completed ones. With one slot in flight ([Sync], [Async 1]) no
+     suggestion is outstanding at a read, so this holds the same
      configurations the old core's evaluated-at-report table did at
      every read point. *)
   seen : unit Param.Config.Table.t;
@@ -359,7 +357,6 @@ type t = {
   campaign_t0 : float;
   mutable phase : phase;
   mutable init_drawn : int;
-  mutable batch_queue : Param.Config.t list;  (* Sync: selected, not yet issued *)
   mutable pend : pending_slot list;  (* newest first, like the engines' in_flight *)
   mutable submitted : int;
   mutable completed : int;
@@ -367,10 +364,10 @@ type t = {
   mutable failures_rev : (Param.Config.t * Resilience.Outcome.t) list;
   (* The gate's unbiased anchor evidence: warm-start data plus the
      random-init completions that have landed so far (guided
-     completions are excluded — they are prior-biased). In [Sync]
-     mode every unguided completion lands before the first guided
-     refit, so this equals the old core's history-at-first-refit
-     snapshot exactly. *)
+     completions are excluded — they are prior-biased). With one slot
+     in flight every unguided completion lands before the first
+     guided refit, so this equals the old core's history-at-first-
+     refit snapshot exactly. *)
   mutable anchor_rev : (Param.Config.t * float) list;
   mutable trajectory_rev : float list;
   mutable best_so_far : (Param.Config.t * float) option;
@@ -417,7 +414,7 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
          {
            budget;
            n_init;
-           batch_size = (match mode with Sync -> options.batch_size | Async k -> k);
+           batch_size = (match mode with Sync -> 1 | Async k -> k);
            n_warm = Array.length warm_start;
            n_replay = Array.length replay;
          });
@@ -442,7 +439,6 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
     campaign_t0;
     phase = Initializing;
     init_drawn = 0;
-    batch_queue = [];
     pend = [];
     submitted = 0;
     completed = 0;
@@ -537,69 +533,24 @@ let issue t ~at ~guided config =
   | Sync -> ());
   Suggest sug
 
-(* One gated refit + selection of [k] configurations, consuming the
-   rng exactly like the engines (including refits whose selection
+(* One gated refit + selection of the next configuration, consuming
+   the rng exactly like the engines (including refits whose selection
    comes back empty). *)
-let refit_and_select t ~k ~extra_bad =
+let refit_and_select t ~extra_bad =
   let obs = observations t in
   let surrogate, compiled =
     fit_gated ~telemetry:t.telemetry ~options:t.options ~gate:t.gate ~emit_gate:t.emit_gate
       ~refit:t.refit ~space:t.c_space ~anchor:(anchor t) ~extra_bad obs
   in
   t.final_surrogate <- Some surrogate;
-  select_batch ~telemetry:t.telemetry ~options:t.options ~encoded:t.encoded ~compiled ~k
-    ~rng:t.rng ~surrogate ~evaluated:t.seen ~excluded:t.excluded ()
-
-let rec suggest_sync t ~at =
-  if t.pend <> [] then Wait
-  else
-    match t.phase with
-    | Initializing ->
-        if t.init_drawn < t.n_init && not (pool_exhausted t) then begin
-          let c, redraws = draw_fresh t in
-          let duplicate = Param.Config.Table.mem t.seen c in
-          if Telemetry.Trace.enabled t.telemetry then
-            Telemetry.Trace.emit t.telemetry
-              (Telemetry.Event.Init_draw { index = t.init_drawn; redraws; duplicate });
-          t.init_drawn <- t.init_drawn + 1;
-          if duplicate then suggest_sync t ~at else issue t ~at ~guided:false c
-        end
-        else begin
-          t.phase <- Guiding;
-          t.since_improvement <- 0;
-          suggest_sync t ~at
-        end
-    | Guiding -> (
-        if t.completed >= t.c_budget || stale t then begin
-          t.batch_queue <- [];
-          finalize t;
-          Finished
-        end
-        else
-          match t.batch_queue with
-          | c :: rest ->
-              t.batch_queue <- rest;
-              issue t ~at ~guided:true c
-          | [] ->
-              if no_observations t then begin
-                finalize t;
-                Finished
-              end
-              else begin
-                let k = min t.options.batch_size (t.c_budget - t.completed) in
-                let extra_bad = Array.of_list (List.rev_map fst t.failures_rev) in
-                match refit_and_select t ~k ~extra_bad with
-                | [] ->
-                    finalize t;
-                    Finished
-                | batch ->
-                    t.batch_queue <- batch;
-                    suggest_sync t ~at
-              end)
+  select_next ~telemetry:t.telemetry ~options:t.options ~encoded:t.encoded ~compiled ~rng:t.rng
+    ~surrogate ~evaluated:t.seen ~excluded:t.excluded ()
 
 let init_exhausted t = t.init_drawn >= t.n_init || pool_exhausted t
 
-let rec suggest_async t ~at ~k =
+(* The one step path: keep up to [k] suggestions in flight. [Sync]
+   runs it at [k = 1]; it differs from [Async 1] only in telemetry. *)
+let rec suggest_k t ~at ~k =
   if t.no_more || List.length t.pend >= k || t.submitted >= t.c_budget || stale t then
     if t.pend = [] then begin
       finalize t;
@@ -616,13 +567,11 @@ let rec suggest_async t ~at ~k =
             Telemetry.Trace.emit t.telemetry
               (Telemetry.Event.Init_draw { index = t.init_drawn; redraws; duplicate });
           t.init_drawn <- t.init_drawn + 1;
-          if duplicate then suggest_async t ~at ~k else issue t ~at ~guided:false c
+          if duplicate then suggest_k t ~at ~k else issue t ~at ~guided:false c
         end
         else begin
-          (* No [since_improvement] reset here: the async engine never
-             had one (its counter only tracks guided completions). *)
           t.phase <- Guiding;
-          suggest_async t ~at ~k
+          suggest_k t ~at ~k
         end
     | Guiding ->
         if no_observations t then
@@ -641,7 +590,7 @@ let rec suggest_async t ~at ~k =
           let extra_bad =
             Array.append (Array.of_list (List.rev_map fst t.failures_rev)) pending
           in
-          match refit_and_select t ~k:1 ~extra_bad with
+          match refit_and_select t ~extra_bad with
           | [] ->
               t.no_more <- true;
               if t.pend = [] then begin
@@ -655,39 +604,18 @@ let rec suggest_async t ~at ~k =
 let suggest ?(at = 0.) t =
   match t.outcome with
   | Some _ -> Finished
-  | None -> (
-      match t.mode with
-      | Sync -> suggest_sync t ~at
-      | Async k -> suggest_async t ~at ~k)
+  | None -> suggest_k t ~at ~k:(match t.mode with Sync -> 1 | Async k -> k)
 
 (* Campaign completion is detected eagerly when the last outstanding
    report lands (so a server's [status] is accurate without a
    rng-consuming [suggest] call), with the same conditions — and the
    same [Campaign_end] emission point — the engine loops used. *)
 let settle t =
-  if Option.is_none t.outcome && t.pend = [] then
-    match t.mode with
-    | Sync -> (
-        match t.phase with
-        | Initializing ->
-            (* Budget exhausted by init draws alone: the old core left
-               the init loop, reset the staleness counter at the
-               init→guided transition, then skipped the guided loop. *)
-            if t.completed >= t.c_budget then begin
-              t.phase <- Guiding;
-              t.since_improvement <- 0;
-              finalize t
-            end
-        | Guiding ->
-            if t.completed >= t.c_budget || stale t then begin
-              t.batch_queue <- [];
-              finalize t
-            end)
-    | Async _ ->
-        if
-          t.no_more || t.submitted >= t.c_budget || stale t
-          || (init_exhausted t && no_observations t)
-        then finalize t
+  if
+    Option.is_none t.outcome && t.pend = []
+    && (t.no_more || t.submitted >= t.c_budget || stale t
+       || (init_exhausted t && no_observations t))
+  then finalize t
 
 let report ?(at = 0.) ?eval_ms t ~id verdict =
   if Option.is_some t.outcome then
@@ -714,28 +642,27 @@ let report ?(at = 0.) ?eval_ms t ~id verdict =
      match t.on_outcome with Some f -> f idx config verdict | None -> ());
   t.attempts_total <- t.attempts_total + verdict.Resilience.Evaluator.attempts;
   t.retry_cost_total <- t.retry_cost_total +. verdict.Resilience.Evaluator.retry_cost;
+  (* The early-stop counter counts non-improving guided completions
+     only: with [k > 1] random-init completions overlap guided ones and
+     must not poison it, and with one slot every init completion lands
+     before the first guided suggestion, so the count equals one
+     restarted at the init→guided switch. *)
+  let stale_step () =
+    if slot.p_sug.guided then t.since_improvement <- t.since_improvement + 1
+  in
   (match verdict.Resilience.Evaluator.outcome with
   | Resilience.Outcome.Value y ->
       t.history_rev <- (config, y) :: t.history_rev;
       if not slot.p_sug.guided then t.anchor_rev <- (config, y) :: t.anchor_rev;
       (match t.best_so_far with
-      | Some (_, by) when by <= y -> (
-          (* Sync counts every non-improving completion; async only
-             guided ones — the init phase there overlaps with guided
-             completions and must not poison the counter. *)
-          match t.mode with
-          | Sync -> t.since_improvement <- t.since_improvement + 1
-          | Async _ ->
-              if slot.p_sug.guided then t.since_improvement <- t.since_improvement + 1)
+      | Some (_, by) when by <= y -> stale_step ()
       | Some _ | None ->
           t.best_so_far <- Some (config, y);
           t.since_improvement <- 0);
       t.trajectory_rev <- snd (Option.get t.best_so_far) :: t.trajectory_rev
-  | failure -> (
+  | failure ->
       t.failures_rev <- (config, failure) :: t.failures_rev;
-      match t.mode with
-      | Sync -> t.since_improvement <- t.since_improvement + 1
-      | Async _ -> if slot.p_sug.guided then t.since_improvement <- t.since_improvement + 1));
+      stale_step ());
   if Telemetry.Trace.enabled t.telemetry then begin
     let outcome = verdict.Resilience.Evaluator.outcome in
     let dur_ms =

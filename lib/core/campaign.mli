@@ -48,7 +48,6 @@ type options = {
   surrogate : Surrogate.options;
   strategy : Strategy.t;
   prior : prior option;
-  batch_size : int;
   early_stop : int option;
 }
 
@@ -74,12 +73,14 @@ type run_error = {
 (** {2 The step machine} *)
 
 type mode =
-  | Sync  (** one suggestion outstanding at a time; batch members are issued one by one *)
+  | Sync
+      (** one suggestion outstanding at a time: the [Async 1] machine,
+          without [Submit]/[Complete] telemetry *)
   | Async of int
       (** up to [k] suggestions in flight, pending ones joining the
           surrogate's bad density as constant-liar observations.
           [Async 1] is bit-identical to [Sync] driven with the same
-          verdicts. *)
+          verdicts: both run the same step path. *)
 
 type suggestion = {
   id : int;  (** submission ordinal; the key {!report} expects back *)
@@ -129,8 +130,7 @@ val create :
       decisions to retrace; see {!of_log} for the usual way in.
 
     Raises [Invalid_argument], before anything is evaluated, on
-    invalid options: [budget], [n_init], [batch_size] and
-    [early_stop] below 1, [surrogate.alpha] outside (0, 1), a
+    invalid options: [budget], [n_init] and [early_stop] below 1, [surrogate.alpha] outside (0, 1), a
     [Proposal] with fewer than 1 candidate, an [Async k] with
     [k < 1], or an invalid candidate set or warm start. Every
     {!Tuner} driver inherits these checks. *)

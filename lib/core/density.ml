@@ -1,8 +1,6 @@
-type bandwidth_rule = Fixed_fraction of float | Silverman
+type options = { smoothing : float; bandwidth_fraction : float }
 
-type options = { smoothing : float; bandwidth : bandwidth_rule }
-
-let default_options = { smoothing = 1.0; bandwidth = Fixed_fraction 0.1 }
+let default_options = { smoothing = 1.0; bandwidth_fraction = 0.1 }
 
 type t =
   | Discrete of { spec : Param.Spec.t; hist : Stats.Histogram.t }
@@ -41,17 +39,13 @@ let fit ?(options = default_options) spec values =
     | None ->
         let lo, hi = continuous_range spec in
         let xs = Array.map Param.Value.to_float_raw values in
-        let bandwidth =
-          match options.bandwidth with
-          | Fixed_fraction f ->
-              if not (Float.is_finite f) || f < 0. then
-                invalid_arg "Density.fit: bandwidth fraction must be finite and non-negative";
-              (* Same floor as every other KDE constructor
-                 (Kde.min_bandwidth) so degenerate ranges behave
-                 identically whichever path built the estimate. *)
-              Stdlib.max Stats.Kde.min_bandwidth (f *. (hi -. lo))
-          | Silverman -> Stats.Kde.silverman_bandwidth xs
-        in
+        let f = options.bandwidth_fraction in
+        if not (Float.is_finite f) || f < 0. then
+          invalid_arg "Density.fit: bandwidth fraction must be finite and non-negative";
+        (* Same floor as every other KDE constructor (Kde.min_bandwidth)
+           so degenerate ranges behave identically whichever path built
+           the estimate. *)
+        let bandwidth = Stdlib.max Stats.Kde.min_bandwidth (f *. (hi -. lo)) in
         Continuous { spec; kde = Stats.Kde.create ~bandwidth xs; lo; hi }
   end
 

@@ -7,19 +7,16 @@
     (§III-B2). A [Uniform] variant covers the no-observations case so
     a surrogate is always well-defined. *)
 
-type bandwidth_rule =
-  | Fixed_fraction of float
-      (** bandwidth = fraction * (hi - lo) of the parameter's range —
-          the paper's fixed-bandwidth choice (default fraction 0.1) *)
-  | Silverman  (** data-driven rule of thumb (ablation) *)
-
 type options = {
   smoothing : float;  (** Laplace smoothing for discrete histograms *)
-  bandwidth : bandwidth_rule;
+  bandwidth_fraction : float;
+      (** KDE bandwidth = fraction * (hi - lo) of the parameter's
+          range — the paper's fixed-bandwidth choice; must be finite
+          and non-negative *)
 }
 
 val default_options : options
-(** smoothing 1.0, [Fixed_fraction 0.1]. *)
+(** smoothing 1.0, bandwidth fraction 0.1. *)
 
 type t
 

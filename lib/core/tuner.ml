@@ -22,7 +22,6 @@ type options = Campaign.options = {
   surrogate : Surrogate.options;
   strategy : Strategy.t;
   prior : prior option;
-  batch_size : int;
   early_stop : int option;
 }
 

@@ -11,10 +11,9 @@
     variant (§III-E): surrogates fitted on source-domain data are
     mixed into every refit, each with its own weight, optionally
     annealed by a decay schedule as target evidence accumulates
-    ({!Transfer.options} builds it). [batch_size] amortizes one refit
-    over several evaluations (e.g. to run several configurations in
-    parallel on a cluster); [early_stop] implements the paper's
-    sample-quality termination condition.
+    ({!Transfer.options} builds it). [early_stop] implements the
+    paper's sample-quality termination condition. To run several
+    configurations in parallel on a cluster, use {!run_async}.
 
     There is one driver per engine: {!run_with_policy} (synchronous)
     and {!run_async} (k evaluations in flight), each with its resume
@@ -62,7 +61,6 @@ type options = Campaign.options = {
   surrogate : Surrogate.options;
   strategy : Strategy.t;
   prior : prior option;  (** transfer prior sources and decay schedule *)
-  batch_size : int;  (** evaluations per surrogate refit (default 1) *)
   early_stop : int option;
       (** stop after this many consecutive guided evaluations without
           improving the best observed objective (default [None]:
@@ -71,7 +69,7 @@ type options = Campaign.options = {
 
 val default_options : options
 (** n_init 20, surrogate defaults (alpha 0.2), [Ranking], no prior,
-    batch 1, no early stop. *)
+    no early stop. *)
 
 type result = Campaign.result = {
   history : (Param.Config.t * float) array;
@@ -133,9 +131,9 @@ val run_with_policy :
     budget whatever its attempt count, so retried transients do not
     double-count. A failed configuration joins the bad density of
     every later surrogate fit and appears in [failures], not
-    [history]; a batch member whose verdict is [Timeout] (a
-    straggler exceeding the policy's cost budget) is recorded as a
-    failure and the batch completes. When every evaluation failed
+    [history]; a [Timeout] verdict (a straggler exceeding the
+    policy's cost budget) is recorded as a failure like any other.
+    When every evaluation failed
     the run returns [Error] with the structured failure report.
     [on_outcome i config verdict] fires once per consumed budget
     unit with the final verdict and its 0-based index.
@@ -230,9 +228,7 @@ val run_async :
   unit ->
   (result, run_error) Stdlib.result
 (** The asynchronous campaign engine: up to [k] evaluations are in
-    flight at once and the surrogate refits whenever a slot frees,
-    instead of waiting for a batch barrier ([options.batch_size] is
-    ignored — refit-on-completion replaces batching).
+    flight at once and the surrogate refits whenever a slot frees.
 
     {b Submission.} Slots are kept full: random-init draws while they
     last (same rng stream as the synchronous engine, duplicates burn
@@ -260,15 +256,15 @@ val run_async :
     processing order is simulation-driven, the same seed and the same
     duration function give a bit-identical history, trajectory, and
     best configuration for every worker count — and [~k:1] degrades
-    exactly to {!run_with_policy} (with the default batch size), the
-    equivalence the property tests assert. When [pool] is given,
-    [objective] must be thread-safe.
+    exactly to {!run_with_policy}, the equivalence the property tests
+    assert. When [pool] is given, [objective] must be thread-safe.
 
     [history], [trajectory], [on_outcome] indices, and run-log entries
     written from [on_outcome] are all in completion order. [telemetry]
     additionally carries one [Submit] and one [Complete] event per
     slot with the in-flight depth and simulated time ([Campaign_start]
-    records [k] in its [batch_size] field). [replay] is the resume
+    records [k] in its [batch_size] field, where a synchronous run
+    records 1). [replay] is the resume
     mechanism (see {!resume_async}); replayed verdicts are matched
     against the recorded completion order and raise [Failure] on
     divergence. *)

@@ -16,19 +16,6 @@ let default_bandwidth xs =
   let lo = Descriptive.min xs and hi = Descriptive.max xs in
   Stdlib.max min_bandwidth (0.1 *. (hi -. lo))
 
-let silverman_bandwidth xs =
-  let n = float_of_int (Array.length xs) in
-  let sigma = Descriptive.stddev xs in
-  let iqr = Quantile.iqr xs in
-  let spread =
-    match (sigma > 0., iqr > 0.) with
-    | true, true -> Stdlib.min sigma (iqr /. 1.34)
-    | true, false -> sigma
-    | false, true -> iqr /. 1.34
-    | false, false -> 0.
-  in
-  Stdlib.max min_bandwidth (0.9 *. spread *. (n ** -0.2))
-
 let create_weighted ?bandwidth pairs =
   if Array.length pairs = 0 then invalid_arg "Kde.create_weighted: empty data";
   let centers = Array.map fst pairs in

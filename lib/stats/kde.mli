@@ -1,10 +1,9 @@
 (** Gaussian kernel density estimation.
 
     HiPerBOt estimates the densities of continuous parameters with
-    Gaussian KDE using a fixed bandwidth (paper §III-B2). A
-    Silverman's-rule bandwidth is also provided for the ablation bench
-    in DESIGN.md. Sample weights support the transfer-learning prior
-    mix (paper eqs. 9–10). *)
+    Gaussian KDE using a fixed bandwidth (paper §III-B2). Sample
+    weights support the transfer-learning prior mix (paper
+    eqs. 9–10). *)
 
 type t
 
@@ -21,13 +20,9 @@ val create_weighted : ?bandwidth:float -> (float * float) array -> t
 
 val min_bandwidth : float
 (** The bandwidth floor ([1e-6]) shared by every KDE constructor,
-    including {!Hiperbot.Density}'s [Fixed_fraction] rule: degenerate
+    including {!Hiperbot.Density}'s fixed-fraction rule: degenerate
     data (point masses, zero-width ranges) is clamped here instead of
     producing a zero or denormal bandwidth. *)
-
-val silverman_bandwidth : float array -> float
-(** Silverman's rule of thumb: [0.9 * min(sigma, IQR/1.34) * n^(-1/5)],
-    clamped to a small positive floor for degenerate data. *)
 
 val bandwidth : t -> float
 val n_samples : t -> int

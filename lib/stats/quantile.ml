@@ -41,8 +41,6 @@ let percentile_rank xs v =
   let below = Array.fold_left (fun acc x -> if x < v then acc + 1 else acc) 0 xs in
   float_of_int below /. float_of_int (Array.length xs)
 
-let iqr xs = quantile xs 0.75 -. quantile xs 0.25
-
 let split_at_quantile ys alpha =
   let n = Array.length ys in
   if n = 0 then invalid_arg "Quantile.split_at_quantile: empty data";

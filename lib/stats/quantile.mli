@@ -21,9 +21,6 @@ val percentile_rank : float array -> float -> float
     entry is non-finite (NaN compares false against everything and
     would silently yield a 0-ish rank). *)
 
-val iqr : float array -> float
-(** Interquartile range. *)
-
 val split_at_quantile : float array -> float -> float * int array * int array
 (** [split_at_quantile ys alpha] returns [(threshold, good, bad)]
     where [good] are indices with [ys.(i) < threshold] and [bad] the

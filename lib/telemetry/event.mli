@@ -14,6 +14,9 @@ type t =
       budget : int;
       n_init : int;
       batch_size : int;
+          (** evaluations in flight at once: [k] for an async campaign,
+              1 for a synchronous one (the field keeps its historical
+              name so trace files keep their format) *)
       n_warm : int;  (** warm-start observations supplied *)
       n_replay : int;  (** recorded verdicts replayed by a resume *)
     }

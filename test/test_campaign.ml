@@ -348,7 +348,6 @@ let test_create_rejects_bad_options () =
     let alpha a = { d with surrogate = { d.surrogate with Hiperbot.Surrogate.alpha = a } } in
     [
       ("n_init 0", { d with n_init = 0 }, "n_init must be at least 1");
-      ("batch_size 0", { d with batch_size = 0 }, "batch_size must be at least 1");
       ("early_stop 0", { d with early_stop = Some 0 }, "early_stop must be at least 1");
       ("alpha 0", alpha 0., "alpha outside (0, 1)");
       ("alpha 1", alpha 1., "alpha outside (0, 1)");

@@ -11,8 +11,8 @@ let same_configs a b = List.length a = List.length b && List.for_all2 Param.Conf
 
 (* ---- compiled scorer vs naive scorer ---- *)
 
-(* Random space, observations, priors, extra_bad, and both bandwidth
-   rules: every pool element must score identically (<= 1 ulp; the
+(* Random space, observations, priors, extra_bad, and two bandwidth
+   fractions: every pool element must score identically (<= 1 ulp; the
    implementation is expected to be exactly bit-equal) through the
    naive per-config path and the compiled tables. Everything is built
    from the shared [Gen] generators, so a failure shrinks to a minimal
@@ -24,9 +24,7 @@ let prop_compiled_matches_naive =
     let* pool = Gen.configs_gen ~min_n:5 ~max_n:45 space in
     let* obs = Gen.observations_gen ~min_n:4 ~max_n:24 space in
     let* extra_bad = Gen.configs_gen ~min_n:0 ~max_n:3 space in
-    let* bandwidth =
-      oneofl [ Hiperbot.Density.Fixed_fraction 0.1; Hiperbot.Density.Silverman ]
-    in
+    let* bandwidth_fraction = oneofl [ 0.1; 0.25 ] in
     let* smoothing = oneofl [ 0.; 0.5; 1. ] in
     let* n_priors = int_range 0 2 in
     let* prior_obs =
@@ -36,7 +34,14 @@ let prop_compiled_matches_naive =
       flatten_l (List.init n_priors (fun _ -> oneofl [ 0.; 0.5; 1.; 5.; 50. ]))
     in
     let+ alpha = float_range 0.1 0.5 in
-    (space, pool, obs, extra_bad, bandwidth, smoothing, List.combine prior_obs prior_weights, alpha)
+    ( space,
+      pool,
+      obs,
+      extra_bad,
+      bandwidth_fraction,
+      smoothing,
+      List.combine prior_obs prior_weights,
+      alpha )
   in
   QCheck2.Test.make ~name:"surrogate: compiled log_ratio/score equal naive within 1 ulp"
     ~count:60
@@ -48,11 +53,11 @@ let prop_compiled_matches_naive =
            (List.map (fun (o, w) -> Printf.sprintf "%d@%g" (Array.length o) w) priors))
         alpha)
     gen
-    (fun (space, pool, obs, extra_bad, bandwidth, smoothing, prior_sources, alpha) ->
+    (fun (space, pool, obs, extra_bad, bandwidth_fraction, smoothing, prior_sources, alpha) ->
       let options =
         {
           Hiperbot.Surrogate.alpha;
-          density = { Hiperbot.Density.smoothing; bandwidth };
+          density = { Hiperbot.Density.smoothing; bandwidth_fraction };
         }
       in
       let priors =
@@ -147,7 +152,7 @@ let test_density_floor_unified () =
      (the naive path) equals the compiled table entry exactly. *)
   let spec = Param.Spec.continuous "r" ~lo:0. ~hi:10. in
   let options =
-    { Hiperbot.Density.default_options with bandwidth = Hiperbot.Density.Fixed_fraction 1e-9 }
+    { Hiperbot.Density.default_options with bandwidth_fraction = 1e-9 }
   in
   let d = Hiperbot.Density.fit ~options spec [| Param.Value.Continuous 0.1 |] in
   let far = Param.Value.Continuous 9. in

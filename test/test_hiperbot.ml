@@ -541,22 +541,6 @@ let test_select_many_respects_pool_size () =
   let batch = Hiperbot.Strategy.select_many Hiperbot.Strategy.Ranking ~k:5 ~rng ~surrogate:s ~pool ~evaluated in
   check Alcotest.int "only the remaining pool" 2 (List.length batch)
 
-let test_tuner_batch_mode () =
-  let objective, count = counted_objective () in
-  let options = { Hiperbot.Tuner.default_options with n_init = 4; batch_size = 3 } in
-  let result =
-    Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 113) ~space:space2
-         ~objective:(Gen.total objective) ~budget:10 ())
-  in
-  check Alcotest.bool "budget respected in batch mode" true (!count <= 10);
-  let seen = Param.Config.Table.create 10 in
-  Array.iter
-    (fun (c, _) ->
-      if Param.Config.Table.mem seen c then Alcotest.fail "duplicate in batch mode";
-      Param.Config.Table.replace seen c ())
-    result.Hiperbot.Tuner.history
-
 let test_tuner_early_stop () =
   (* Constant objective: nothing ever improves, so the run must stop
      after n_init + early_stop evaluations. *)
@@ -590,34 +574,23 @@ let test_tuner_no_early_stop_when_improving () =
   check Alcotest.bool "ran the full budget" true (Array.length result.Hiperbot.Tuner.history = 12);
   check Alcotest.bool "not stopped early" false result.Hiperbot.Tuner.stopped_early
 
-let test_tuner_early_stop_batch_interaction () =
-  (* Regression: the no-improvement counter counts evaluations, not
-     refit rounds. With a constant objective, early_stop = 4, and
-     n_init = 3, every batch size must stop after exactly 3 + 4
-     evaluations — a larger batch is cut short mid-batch, not allowed
-     to finish and then counted as one stale "round". *)
-  List.iter
-    (fun batch_size ->
-      let count = ref 0 in
-      let objective _ =
-        incr count;
-        7.
-      in
-      let options =
-        { Hiperbot.Tuner.default_options with n_init = 3; batch_size; early_stop = Some 4 }
-      in
-      let result =
-        Gen.ok
-          (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 116) ~space:space2
-             ~objective:(Gen.total objective) ~budget:50 ())
-      in
-      check Alcotest.bool
-        (Printf.sprintf "batch_size=%d: stopped early" batch_size)
-        true result.Hiperbot.Tuner.stopped_early;
-      check Alcotest.int
-        (Printf.sprintf "batch_size=%d: exactly n_init + early_stop evaluations" batch_size)
-        7 !count)
-    [ 1; 2; 3; 5 ]
+let test_tuner_early_stop_counts_evaluations () =
+  (* The no-improvement counter counts guided evaluations, starting
+     after the random init: with a constant objective, early_stop = 4,
+     and n_init = 3, the run stops after exactly 3 + 4 evaluations. *)
+  let count = ref 0 in
+  let objective _ =
+    incr count;
+    7.
+  in
+  let options = { Hiperbot.Tuner.default_options with n_init = 3; early_stop = Some 4 } in
+  let result =
+    Gen.ok
+      (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 116) ~space:space2
+         ~objective:(Gen.total objective) ~budget:50 ())
+  in
+  check Alcotest.bool "stopped early" true result.Hiperbot.Tuner.stopped_early;
+  check Alcotest.int "exactly n_init + early_stop evaluations" 7 !count
 
 (* ---- Importance edge cases (eqs. 13-14) ---- *)
 
@@ -682,10 +655,9 @@ let suite =
     @ [
         Alcotest.test_case "strategy: select_many ordered batch" `Quick test_select_many_distinct_and_ordered;
         Alcotest.test_case "strategy: select_many pool bound" `Quick test_select_many_respects_pool_size;
-        Alcotest.test_case "tuner: batch mode" `Quick test_tuner_batch_mode;
         Alcotest.test_case "tuner: early stop fires" `Quick test_tuner_early_stop;
         Alcotest.test_case "tuner: early stop quiescent while improving" `Quick test_tuner_no_early_stop_when_improving;
-        Alcotest.test_case "tuner: early stop counts evaluations across batch sizes" `Quick test_tuner_early_stop_batch_interaction;
+        Alcotest.test_case "tuner: early stop counts evaluations after init" `Quick test_tuner_early_stop_counts_evaluations;
         Alcotest.test_case "importance: one-choice parameter scores 0" `Quick test_importance_one_choice_param;
         Alcotest.test_case "importance: extreme alpha stays finite or errors" `Quick test_importance_extreme_alpha;
         Alcotest.test_case "importance: all-equal objectives finite" `Quick test_importance_all_equal_objectives;

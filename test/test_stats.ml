@@ -255,12 +255,6 @@ let test_kde_golden () =
     [| 0x1.0506cbcdf23c1p-2; 0x1.a9b9361a71676p-4 |]
     (Stats.Kde.pdf_grid merged [| 0.; 3.1 |])
 
-let test_silverman_positive () =
-  check Alcotest.bool "silverman positive on constant data" true
-    (Stats.Kde.silverman_bandwidth [| 3.; 3.; 3. |] > 0.);
-  check Alcotest.bool "silverman positive on spread data" true
-    (Stats.Kde.silverman_bandwidth [| 1.; 2.; 3.; 10. |] > 0.)
-
 (* ---- Divergence ---- *)
 
 let test_kl_js_basics () =
@@ -382,7 +376,6 @@ let suite =
       tc "kde sample near data" `Quick test_kde_sample_near_data;
       tc "kde merge prior" `Quick test_kde_merge;
       tc "kde golden values" `Quick test_kde_golden;
-      tc "silverman positive" `Quick test_silverman_positive;
       tc "normal erfc/cdf accuracy" `Quick test_normal_erfc_and_cdf;
       tc "normal ppf roundtrip" `Quick test_normal_ppf_roundtrip;
       tc "kl/js basics" `Quick test_kl_js_basics;
