@@ -106,15 +106,13 @@ let gate_emitter ?on_gate ?gate ~recorded () =
     failwith
       "Tuner.resume: the run log records gate decisions but this campaign has gating disabled \
        (restore the original prior and gate options, or start fresh without --resume)";
-  let next = ref 0 in
+  let is_new =
+    Dataset.Runlog.verify_prefix ~msg:gate_divergence_msg
+      (Array.map (fun g -> Dataset.Runlog.Gate g) recorded)
+  in
   fun (d : Gate.decision) ->
     let g = runlog_gate_of d in
-    if !next < Array.length recorded then begin
-      if not (Dataset.Runlog.equal (Gate recorded.(!next)) (Gate g)) then
-        failwith gate_divergence_msg;
-      incr next
-    end
-    else match on_gate with Some f -> f g | None -> ()
+    if is_new (Gate g) then Option.iter (fun f -> f g) on_gate
 
 (* One surrogate refit, gated when the campaign's prior asks for it:
    update the trust state against the campaign's unbiased anchor
@@ -319,7 +317,7 @@ let entry_of_verdict index config (v : Resilience.Evaluator.verdict) =
 
 type mode = Sync | Async of int
 
-type suggestion = { id : int; config : Param.Config.t; guided : bool }
+type suggestion = { id : int; config : Param.Config.t; guided : bool; at : float }
 
 type step = Suggest of suggestion | Wait | Finished
 
@@ -341,6 +339,7 @@ type t = {
   emit_gate : Gate.decision -> unit;
   on_outcome : (int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) option;
   warm_start : (Param.Config.t * float) array;
+  (* Recorded verdicts [of_log] retraces; empty for a fresh campaign. *)
   replay : (Param.Config.t * Resilience.Evaluator.verdict) array;
   n_init : int;
   (* Deduplication at suggestion time: a configuration joins [seen]
@@ -360,6 +359,9 @@ type t = {
   mutable pend : pending_slot list;  (* newest first, like the engines' in_flight *)
   mutable submitted : int;
   mutable completed : int;
+  (* (at, id) of the latest report: the async clock's position, and
+     the completion every later one must order after. *)
+  mutable last : float * int;
   mutable history_rev : (Param.Config.t * float) list;
   mutable failures_rev : (Param.Config.t * Resilience.Outcome.t) list;
   (* The gate's unbiased anchor evidence: warm-start data plus the
@@ -379,9 +381,11 @@ type t = {
   mutable outcome : (result, run_error) Stdlib.result option;
 }
 
-let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
-    ?(warm_start = [||]) ?candidates ?shared_pool ?on_outcome ?on_gate ?(recorded_gates = [||])
-    ?(replay = [||]) ~mode ~rng ~space ~budget () =
+(* [create], plus the recorded verdicts and gate decisions [of_log]
+   retraces. *)
+let start ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
+    ?(warm_start = [||]) ?candidates ?shared_pool ?on_outcome ?on_gate ~recorded_gates ~replay
+    ~mode ~rng ~space ~budget () =
   let campaign_t0 = Telemetry.Trace.now telemetry in
   (match mode with
   | Async k when k < 1 -> invalid_arg "Tuner.run_async: k must be at least 1"
@@ -392,8 +396,6 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
      the aliasing would silently corrupt a parked campaign. *)
   let warm_start = Array.copy warm_start in
   let candidates = Option.map Array.copy candidates in
-  let recorded_gates = Array.copy recorded_gates in
-  let replay = Array.copy replay in
   let encoded, candidates, n_init =
     campaign_setup ~options ~candidates ~shared_pool ~space ~budget
   in
@@ -442,6 +444,7 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
     pend = [];
     submitted = 0;
     completed = 0;
+    last = (0., -1);
     history_rev = [];
     failures_rev = [];
     anchor_rev = [];
@@ -454,6 +457,11 @@ let create ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
     no_more = false;
     outcome = None;
   }
+
+let create ?telemetry ?options ?warm_start ?candidates ?shared_pool ?on_outcome ?on_gate ~mode
+    ~rng ~space ~budget () =
+  start ?telemetry ?options ?warm_start ?candidates ?shared_pool ?on_outcome ?on_gate
+    ~recorded_gates:[||] ~replay:[||] ~mode ~rng ~space ~budget ()
 
 let stale t =
   match t.options.early_stop with Some e -> t.since_improvement >= e | None -> false
@@ -523,7 +531,7 @@ let issue t ~at ~guided config =
   mark_seen ~seen:t.seen ~excluded:t.excluded ~encoded:t.encoded config;
   let id = t.submitted in
   t.submitted <- id + 1;
-  let sug = { id; config; guided } in
+  let sug = { id; config; guided; at } in
   t.pend <- { p_sug = sug; p_t0 = Telemetry.Trace.now t.telemetry } :: t.pend;
   (match t.mode with
   | Async _ ->
@@ -631,13 +639,10 @@ let report ?(at = 0.) ?eval_ms t ~id verdict =
              id)
   in
   t.pend <- List.filter (fun p -> p.p_sug.id <> id) t.pend;
+  t.last <- (at, id);
   let config = slot.p_sug.config in
   let idx = t.completed in
   let replayed = idx < Array.length t.replay in
-  if replayed then begin
-    let recorded_config, _ = t.replay.(idx) in
-    if not (Param.Config.equal recorded_config config) then failwith divergence_msg
-  end;
   (if not replayed then
      match t.on_outcome with Some f -> f idx config verdict | None -> ());
   t.attempts_total <- t.attempts_total + verdict.Resilience.Evaluator.attempts;
@@ -710,30 +715,40 @@ let space t = t.c_space
 let budget t = t.c_budget
 let mode t = t.mode
 let excluded t = Strategy.Exclusion.elements t.excluded
+let last_completion t = t.last
 
 (* Retrace a recorded prefix: keep the in-flight set full (consuming
    the rng exactly like a live campaign) and complete pending
-   suggestions in recorded order. The engines instead replay through
-   their simulated clock and *verify* the completion order against
-   the log; here the log's order is authoritative — the two agree
-   because the engines fail loudly on any mismatch before a log like
-   that can exist, and a server's completion order is whatever its
-   clients reported, which is exactly what the log records. *)
-let fast_forward t =
+   suggestions in recorded order. Without a [duration] the log's order
+   is authoritative: a server's completion order is whatever its
+   clients reported, which is exactly what the log records. With one,
+   the completions retrace the async driver's simulated clock, which
+   orders each completion after the previous one, so a log that does
+   not cannot come from this campaign. (The driver applies the same
+   check to its first live completion.) *)
+let fast_forward ?duration t =
   let n = Array.length t.replay in
   let rec loop () =
     if t.completed < n then
-      match suggest t with
+      match suggest ~at:(fst t.last) t with
       | Suggest _ -> loop ()
       | Wait -> (
-          let recorded_config, recorded_verdict = t.replay.(t.completed) in
+          let recorded_config, verdict = t.replay.(t.completed) in
           match
-            List.find_opt
-              (fun p -> Param.Config.equal p.p_sug.config recorded_config)
-              t.pend
+            List.find_opt (fun p -> Param.Config.equal p.p_sug.config recorded_config) t.pend
           with
-          | Some p ->
-              report t ~id:p.p_sug.id recorded_verdict;
+          | Some { p_sug = { id; at; _ }; _ } ->
+              let at =
+                match duration with
+                | None -> 0.
+                | Some duration ->
+                    let d = duration recorded_config verdict in
+                    if (not (Float.is_finite d)) || d < 0. then
+                      invalid_arg "Tuner.run_async: duration must be finite and non-negative";
+                    if (at +. d, id) < t.last then failwith divergence_msg;
+                    at +. d
+              in
+              report ~at t ~id verdict;
               loop ()
           | None -> failwith divergence_msg)
       | Finished -> failwith divergence_msg
@@ -741,15 +756,15 @@ let fast_forward t =
   loop ()
 
 let of_log ?telemetry ?options ?(policy = Resilience.Policy.default) ?warm_start ?candidates
-    ?shared_pool ?on_outcome ?on_gate ~mode ~log ~budget () =
+    ?shared_pool ?on_outcome ?on_gate ?duration ~mode ~log ~budget () =
   let replay = replay_of_log ~policy log in
   if Array.length replay > budget then
     invalid_arg "Tuner.resume: budget is smaller than the recorded evaluation count";
   let rng = Prng.Rng.create log.Dataset.Runlog.seed in
   let t =
-    create ?telemetry ?options ?warm_start ?candidates ?shared_pool ?on_outcome ?on_gate
+    start ?telemetry ?options ?warm_start ?candidates ?shared_pool ?on_outcome ?on_gate
       ~recorded_gates:log.Dataset.Runlog.gates ~replay ~mode ~rng
       ~space:log.Dataset.Runlog.space ~budget ()
   in
-  fast_forward t;
+  fast_forward ?duration t;
   t

@@ -17,15 +17,14 @@
     replaced: driving it with the same rng seed, options, and
     verdicts reproduces [Tuner.run_with_policy] and
     [Tuner.run_async] histories exactly (property-tested in
-    [test/test_campaign.ml]). The replay/resume contract carries
-    over unchanged: a campaign created from a run log retraces the
+    [test/test_campaign.ml]). {!of_log} is the one resume path, for
+    every engine: a campaign rebuilt from a run log retraces the
     recorded prefix bit-for-bit and then continues live.
 
     Reentrancy note: unlike the one-shot {!Tuner} drivers, a
     campaign holds its inputs across steps, so [create] copies the
-    [warm_start], [candidates], [replay] and [recorded_gates] arrays
-    it is given — mutating the originals between steps cannot
-    corrupt the campaign. *)
+    [warm_start] and [candidates] arrays it is given — mutating the
+    originals between steps cannot corrupt the campaign. *)
 
 (** {2 Campaign configuration}
 
@@ -86,6 +85,7 @@ type suggestion = {
   id : int;  (** submission ordinal; the key {!report} expects back *)
   config : Param.Config.t;
   guided : bool;  (** [false] for random-init suggestions *)
+  at : float;  (** the [~at] of the {!suggest} call that issued it *)
 }
 
 type step =
@@ -105,17 +105,15 @@ val create :
   ?shared_pool:Surrogate.Pool.t ->
   ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  ?recorded_gates:Dataset.Runlog.gate array ->
-  ?replay:(Param.Config.t * Resilience.Evaluator.verdict) array ->
   mode:mode ->
   rng:Prng.Rng.t ->
   space:Param.Space.t ->
   budget:int ->
   unit ->
   t
-(** Validate the configuration and start a campaign (emitting
-    [Campaign_start]). Arguments mirror the [Tuner] entry points;
-    the additions are:
+(** Validate the configuration and start a fresh campaign (emitting
+    [Campaign_start]); {!of_log} resumes one. Arguments mirror the
+    [Tuner] entry points; the addition is:
 
     - [shared_pool]: reuse an already-encoded candidate pool instead
       of encoding one per campaign — the multi-tenant server keys
@@ -126,8 +124,6 @@ val create :
       the pool's space must match [space]; mutually exclusive with
       [candidates]. A boxed pool restricts init draws to its
       configurations, exactly like passing them as [candidates].
-    - [replay]/[recorded_gates]: recorded verdicts and gate
-      decisions to retrace; see {!of_log} for the usual way in.
 
     Raises [Invalid_argument], before anything is evaluated, on
     invalid options: [budget], [n_init] and [early_stop] below 1, [surrogate.alpha] outside (0, 1), a
@@ -148,14 +144,13 @@ val suggest : ?at:float -> t -> step
 
 val report : ?at:float -> ?eval_ms:float -> t -> id:int -> Resilience.Evaluator.verdict -> unit
 (** Hand back the verdict for pending suggestion [id]: bookkeeping,
-    replay verification, [on_outcome]/telemetry emission, and
-    completion of the campaign when this was the last outstanding
-    piece of work. Raises [Invalid_argument] if [id] is not pending
-    (never issued, already reported, or the campaign is finished) —
-    a duplicate or out-of-order report can never corrupt the state —
-    and [Failure] if the verdict's configuration diverges from the
-    replay record. [at]/[eval_ms] time the async [Complete]/[Eval]
-    telemetry only. *)
+    [on_outcome]/telemetry emission, and completion of the campaign
+    when this was the last outstanding piece of work. Raises
+    [Invalid_argument] if [id] is not pending (never issued, already
+    reported, or the campaign is finished) — a duplicate or
+    out-of-order report can never corrupt the state. [at] is the
+    completion time ({!last_completion}); [at]/[eval_ms] time the
+    async [Complete]/[Eval] telemetry. *)
 
 val result : t -> (result, run_error) Stdlib.result
 (** The campaign's outcome. Raises [Invalid_argument] until
@@ -172,8 +167,9 @@ val n_pending : t -> int
 
 val pending : t -> suggestion list
 (** Outstanding suggestions, oldest first. After {!of_log} recovery
-    these are the refilled in-flight slots a crashed campaign lost —
-    a server hands them back out before asking for new ones. *)
+    these are the slots the interrupted campaign had in flight at the
+    cut — a server hands them back out, and the async driver
+    re-evaluates them, before asking for new ones. *)
 
 val best : t -> (Param.Config.t * float) option
 val space : t -> Param.Space.t
@@ -186,6 +182,12 @@ val excluded : t -> int list
     issued or warm-started so far. Empty for [Proposal] campaigns,
     which have no pool. *)
 
+val last_completion : t -> float * int
+(** The [(at, id)] of the latest {!report}, [(0., -1)] before the
+    first: where the async driver's simulated clock stands. On that
+    clock each completion orders after the previous one (by time,
+    then id). *)
+
 (** {2 Resume} *)
 
 val divergence_msg : string
@@ -193,19 +195,12 @@ val divergence_msg : string
     from its record — shared with the drivers so every engine
     reports divergence identically. *)
 
-val replay_of_log :
-  policy:Resilience.Policy.t ->
-  Dataset.Runlog.t ->
-  (Param.Config.t * Resilience.Evaluator.verdict) array
-(** Recorded entries as replayable verdicts, reconstructing each
-    entry's retry cost from the policy's backoff schedule. Raises
-    [Failure] if the log's indices are not dense from 0. *)
-
 val entry_of_verdict :
   int -> Param.Config.t -> Resilience.Evaluator.verdict -> Dataset.Runlog.entry
 (** [entry_of_verdict index config verdict] is the run-log entry that
-    records a verdict — the inverse of {!replay_of_log}, in the shape
-    of an [on_outcome] callback, so a driver persists outcomes with
+    records a verdict — the inverse of how {!of_log} reads entries
+    back, in the shape of an [on_outcome] callback, so a driver
+    persists outcomes with
     [fun i c v -> Dataset.Runlog.writer_record w (entry_of_verdict i c v)].
     Every failure keeps its kind ([Crash] is only ever read from v1
     logs). *)
@@ -219,19 +214,34 @@ val of_log :
   ?shared_pool:Surrogate.Pool.t ->
   ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
+  ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
   mode:mode ->
   log:Dataset.Runlog.t ->
   budget:int ->
   unit ->
   t
 (** Rebuild a campaign from its run log — rng from the recorded
-    seed, space from the header — and fast-forward through the
-    recorded prefix: every recorded verdict is re-reported in
-    recorded order (suppressing [on_outcome], which already fired
-    in the original run), leaving a campaign bit-identical to the
-    interrupted one and positioned to continue. In [Async] mode the
-    in-flight slots the interrupted campaign held are refilled
-    deterministically and left in {!pending}. Raises [Failure] if
-    the log diverges from what the campaign would have done
-    (changed seed, options, or objective) and [Invalid_argument] if
-    the budget is smaller than the recorded evaluation count. *)
+    seed, space from the header, retry costs from [policy]'s backoff
+    schedule — and fast-forward through the recorded prefix: every
+    recorded verdict is re-reported in recorded order (suppressing
+    [on_outcome], which already fired in the original run), leaving a
+    campaign bit-identical to the interrupted one. Fast-forward stops
+    after the last recorded report: the slots in flight at the cut
+    stay in {!pending}, and the refill happens at the caller's next
+    {!suggest}. Recorded [#gate] decisions are verified as a prefix of
+    the recomputed ones; [on_gate] fires only past it.
+
+    With [duration] (the async driver's), the prefix retraces the
+    simulated clock: each recorded completion lands at its slot's
+    submission time plus [duration config verdict] and is reported
+    at that time, and the suggestions after it are issued at it.
+    Without it (a server, whose clients' report order is
+    authoritative, and every sync resume) the log's order stands and
+    every time is 0.
+
+    Raises [Failure] if the log's indices are not dense from 0 or it
+    diverges from what the campaign would have done (changed seed,
+    options or objective, or — with [duration] — a completion that
+    orders before the previous one), and [Invalid_argument] if the
+    budget is smaller than the recorded evaluation count or a
+    duration is not finite and non-negative. *)

@@ -74,21 +74,11 @@ let max_seed_redraws = 50
 (* A single-rung plan is a flat full-fidelity campaign: delegate to
    the async engine wholesale so the degenerate bracket is
    bit-identical to [Tuner.run_async] at the same [k] — same rng
-   stream, same submissions, same completion schedule. *)
-let run_flat ~telemetry ~options ?candidates ?on_eval ~replay ~k ~rng ~space ~objective ~budget
-    () =
-  let obj ~attempt:_ config = Resilience.Outcome.Value (objective ~rung:0 config) in
-  let replay_verdicts =
-    Array.map
-      (fun (c, y) ->
-        ( c,
-          {
-            Resilience.Evaluator.outcome = Resilience.Outcome.Value y;
-            attempts = 1;
-            retry_cost = 0.;
-          } ))
-      replay
-  in
+   stream, same submissions, same completion schedule — and resumes
+   through [Tuner.resume_async]. [drive] is that engine entry point,
+   given the flat campaign's outcome callback and objective. *)
+let run_flat ?on_eval ~objective drive =
+  let objective ~attempt:_ config = Resilience.Outcome.Value (objective ~rung:0 config) in
   let on_outcome =
     Option.map
       (fun f idx config (v : Resilience.Evaluator.verdict) ->
@@ -97,10 +87,7 @@ let run_flat ~telemetry ~options ?candidates ?on_eval ~replay ~k ~rng ~space ~ob
         | _ -> ())
       on_eval
   in
-  match
-    Tuner.run_async ~telemetry ~options ?candidates ?on_outcome ~replay:replay_verdicts ~k ~rng
-      ~space ~objective:obj ~budget ()
-  with
+  match drive ~on_outcome ~objective with
   | Stdlib.Error e -> Stdlib.Error e
   | Stdlib.Ok run ->
       let evals = Array.length run.Tuner.history + Array.length run.Tuner.failures in
@@ -129,10 +116,11 @@ type slot = {
    [replay_rungs] are the resume side, all empty for a fresh run:
    the first results of each stream are taken from the records
    instead of calling [objective], and each record is verified
-   against the recomputed schedule. *)
+   against the recomputed schedule. [flat] runs a single-rung plan
+   (see [run_flat]). *)
 let run_from ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_options)
-    ?candidates ?on_eval ?on_record ~replay ~replay_fids ~replay_rungs ~plan ~k ~rng ~space
-    ~objective ~budget () =
+    ?candidates ?on_eval ?on_record ~replay ~replay_fids ~replay_rungs ~flat ~plan ~k ~rng
+    ~space ~objective ~budget () =
   validate_plan plan;
   if k < 1 then invalid_arg "Fidelity.run: k must be at least 1";
   if budget < 1 then invalid_arg "Fidelity.run: budget must be at least 1";
@@ -142,7 +130,7 @@ let run_from ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_o
       failwith
         "Fidelity.resume: the run log records bracket state but this plan has a single rung \
          (restore the original multi-rung plan, or start fresh without resuming)";
-    run_flat ~telemetry ~options ?candidates ?on_eval ~replay ~k ~rng ~space ~objective ~budget ()
+    run_flat ?on_eval ~objective flat
   end
   else begin
     (match options.Tuner.prior with
@@ -196,7 +184,11 @@ let run_from ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_o
     let final_surrogate = ref None in
     let no_more = ref false in
     let next_fid = ref 0 in
-    let next_rung_rec = ref 0 in
+    let rung_is_new =
+      Dataset.Runlog.verify_prefix ~msg:rung_divergence_msg
+        (Array.map (fun r -> Dataset.Runlog.Rung r) replay_rungs)
+    in
+    let rungs_closed = ref 0 in
     (* Per-bracket state, reset at seeding. *)
     let queues = Array.init n_rungs (fun _ -> Queue.create ()) in
     let results = Array.make n_rungs [] in
@@ -334,20 +326,11 @@ let run_from ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_o
             (Telemetry.Event.Demote { bracket = !bracket; rung = r; dropped; total = n })
       end;
       let record =
-        {
-          Dataset.Runlog.r_bracket = !bracket;
-          r_rung = r;
-          r_evaluated = n;
-          r_promoted = kept;
-          r_best = best_v;
-        }
+        Dataset.Runlog.Rung
+          { r_bracket = !bracket; r_rung = r; r_evaluated = n; r_promoted = kept; r_best = best_v }
       in
-      if !next_rung_rec < Array.length replay_rungs then begin
-        if not (Dataset.Runlog.equal (Rung replay_rungs.(!next_rung_rec)) (Rung record)) then
-          failwith rung_divergence_msg;
-        incr next_rung_rec
-      end
-      else match on_record with Some f -> f (Dataset.Runlog.Rung record) | None -> ()
+      incr rungs_closed;
+      if rung_is_new record then Option.iter (fun f -> f record) on_record
     in
     (* Process the earliest simulated completion: replay prefixes
        short-circuit the objective call (top-rung completions against
@@ -472,7 +455,7 @@ let run_from ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_o
     if
       !full_completed < Array.length replay
       || !next_fid < Array.length replay_fids
-      || !next_rung_rec < Array.length replay_rungs
+      || !rungs_closed < Array.length replay_rungs
     then failwith overrun_msg;
     if Telemetry.Trace.enabled telemetry then
       Telemetry.Trace.emit telemetry
@@ -512,7 +495,11 @@ let run_from ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_o
 let run ?telemetry ?options ?candidates ?on_eval ?on_record ~plan ~k ~rng ~space ~objective
     ~budget () =
   run_from ?telemetry ?options ?candidates ?on_eval ?on_record ~replay:[||] ~replay_fids:[||]
-    ~replay_rungs:[||] ~plan ~k ~rng ~space ~objective ~budget ()
+    ~replay_rungs:[||]
+    ~flat:(fun ~on_outcome ~objective ->
+      Tuner.run_async ?telemetry ?options ?candidates ?on_outcome ~k ~rng ~space ~objective
+        ~budget ())
+    ~plan ~k ~rng ~space ~objective ~budget ()
 
 let resume ?telemetry ?options ?candidates ?on_eval ?on_record ~plan ~k ~log ~objective ~budget
     () =
@@ -534,4 +521,7 @@ let resume ?telemetry ?options ?candidates ?on_eval ?on_record ~plan ~k ~log ~ob
   let rng = Prng.Rng.create log.Dataset.Runlog.seed in
   run_from ?telemetry ?options ?candidates ?on_eval ?on_record
     ~replay_fids:log.Dataset.Runlog.fids ~replay_rungs:log.Dataset.Runlog.rungs ~replay
+    ~flat:(fun ~on_outcome ~objective ->
+      Tuner.resume_async ?telemetry ?options ?candidates ?on_outcome ~k ~log ~objective ~budget
+        ())
     ~plan ~k ~rng ~space:log.Dataset.Runlog.space ~objective ~budget ()

@@ -92,9 +92,10 @@ val run :
     finite value. [budget] caps total submissions across all rungs.
 
     {b Degenerate plan.} A single-rung plan delegates directly to
-    {!Tuner.run_async} at the same [k] — same options, same rng
-    stream, same submission and completion schedule — so a flat
-    fidelity campaign is bit-identical to the async engine's
+    {!Tuner.run_async} at the same [k] (and {!resume} to
+    {!Tuner.resume_async}) — same options, same rng stream, same
+    submission and completion schedule — so a flat fidelity campaign
+    is bit-identical to the async engine's
     ([eta], [cohort], [brackets], and [low_weight] are unused; the
     objective is called with [~rung:0]).
 

@@ -59,7 +59,6 @@ let create ~options ~n_sources =
     n_updates = 0;
   }
 
-let n_sources t = Array.length t.sources
 let n_updates t = t.n_updates
 let trust t i = t.sources.(i).trust
 let dropped t i = t.sources.(i).dropped

@@ -94,7 +94,6 @@ val create : options:options -> n_sources:int -> t
     Raises [Invalid_argument] on out-of-range options or
     [n_sources < 1]. *)
 
-val n_sources : t -> int
 val n_updates : t -> int
 (** Trust updates performed so far (refit ordinal of the next update). *)
 

@@ -274,7 +274,7 @@ let verdict_of_wire ~attempts word =
     Resilience.Evaluator.outcome;
     attempts;
     (* Reconstructed from the default policy's schedule, exactly as
-       [replay_of_log] will when the session resumes — so a live and
+       [Campaign.of_log] will when the session resumes — so a live and
        a recovered campaign account retries identically. *)
     retry_cost = Resilience.Policy.total_backoff Resilience.Policy.default ~attempts;
   }

@@ -91,10 +91,6 @@ module Exclusion : sig
   (** Exclude every row of the pool holding this configuration (none
       when it is not in the pool). *)
 
-  val of_table : Surrogate.Pool.t -> unit Param.Config.Table.t -> t
-  (** The rows of every configuration in the table: the set a
-      campaign whose seen set is the table would hold. *)
-
   val elements : t -> int list
   (** Ascending. *)
 end
@@ -137,8 +133,8 @@ val select_many :
     raised. When absent the pool is encoded on the fly.
 
     The evaluated set is turned into an {!Exclusion} set once per
-    call ({!Exclusion.of_table}: one {!Surrogate.Pool.indices_of} per
-    evaluated configuration, nothing per pool row). Campaigns that
+    call (one {!Surrogate.Pool.indices_of} per evaluated
+    configuration, nothing per pool row). Campaigns that
     rank repeatedly keep that set incrementally and call
     {!select_many_excluding} instead; both run the same scan and
     select identically.
@@ -181,6 +177,5 @@ val select_many_excluding :
   Param.Config.t list
 (** {!select_many_encoded} against a caller-kept exclusion set: the
     scan skips the rows in [excluded]. The selection equals
-    {!select_many_encoded}'s with an evaluated set whose
-    {!Exclusion.of_table} is [excluded]; only the per-call rebuild of
-    the set is saved. *)
+    {!select_many_encoded}'s with an evaluated set whose pool rows
+    are [excluded]; only the per-call rebuild of the set is saved. *)

@@ -102,11 +102,8 @@ let default_duration _config (v : Resilience.Evaluator.verdict) =
    telemetry sinks are only ever touched from the submitting domain. *)
 type async_slot = {
   slot_sug : Campaign.suggestion;
-  slot_submitted : float;  (* simulated submission time *)
-  slot_run :
-    unit -> Resilience.Evaluator.verdict * (int * string * float) list * bool * float;
-  mutable slot_memo :
-    (Resilience.Evaluator.verdict * (int * string * float) list * bool * float) option;
+  slot_run : unit -> Resilience.Evaluator.verdict * (int * string * float) list * float;
+  mutable slot_memo : (Resilience.Evaluator.verdict * (int * string * float) list * float) option;
 }
 
 let slot_force slot =
@@ -117,64 +114,52 @@ let slot_force slot =
       slot.slot_memo <- Some r;
       r
 
-let divergence_msg = Campaign.divergence_msg
-
-let run_async ?(telemetry = Telemetry.Trace.disabled) ?options
-    ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate
-    ?recorded_gates ?(replay = [||]) ?pool ?(duration = default_duration) ~k ~rng ~space
-    ~objective ~budget () =
-  if k < 1 then invalid_arg "Tuner.run_async: k must be at least 1";
-  let campaign =
-    Campaign.create ~telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate
-      ?recorded_gates ~replay ~mode:(Campaign.Async k) ~rng ~space ~budget ()
-  in
-  (* Replay verdicts are keyed by configuration (configurations never
-     resubmit within a campaign, so the key is unique); completion
-     processing additionally checks the recorded completion order. *)
-  let replay_verdicts = Param.Config.Table.create (Array.length replay) in
-  Array.iter (fun (c, v) -> Param.Config.Table.replace replay_verdicts c v) replay;
+(* The async driver, fresh or resumed: a resumed campaign hands over
+   the slots it had in flight at the cut ({!Campaign.pending}) and its
+   clock position ({!Campaign.last_completion}). The clock orders each
+   completion after the previous one, so one that orders before it is
+   a slot in flight at the cut that now completes inside the recorded
+   prefix: the log is not this campaign's. *)
+let drive_async ~telemetry ~policy ~objective ?pool ~duration campaign =
   let eval_task config () =
-    match Param.Config.Table.find_opt replay_verdicts config with
-    | Some v -> (v, [], true, 0.)
-    | None ->
-        let attempts = ref [] in
-        let probe =
-          if Telemetry.Trace.enabled telemetry then
-            Some
-              (fun ~attempt ~backoff outcome ->
-                attempts := (attempt, Resilience.Outcome.kind outcome, backoff) :: !attempts)
-          else None
-        in
-        let t0 = Telemetry.Trace.now telemetry in
-        let v = Resilience.Evaluator.evaluate ?probe ~policy ~objective config in
-        (v, List.rev !attempts, false, (Telemetry.Trace.now telemetry -. t0) *. 1000.)
+    let attempts = ref [] in
+    let probe =
+      if Telemetry.Trace.enabled telemetry then
+        Some
+          (fun ~attempt ~backoff outcome ->
+            attempts := (attempt, Resilience.Outcome.kind outcome, backoff) :: !attempts)
+      else None
+    in
+    let t0 = Telemetry.Trace.now telemetry in
+    let v = Resilience.Evaluator.evaluate ?probe ~policy ~objective config in
+    (v, List.rev !attempts, (Telemetry.Trace.now telemetry -. t0) *. 1000.)
   in
-  let in_flight = ref [] in
-  let sim_time = ref 0. in
-  (* Keep the machine's in-flight set full, turning each suggestion
-     into a slot whose evaluation starts immediately (on a worker
-     domain when a pool is given). The machine decides everything
-     else: [Wait] pauses filling until a completion lands, [Finished]
-     ends the campaign. *)
-  let fill at =
+  (* A slot's evaluation starts at once (on a worker domain when a
+     pool is given). *)
+  let start (s : Campaign.suggestion) =
+    let run =
+      match pool with
+      | Some w ->
+          let fut = Parallel.Pool.async w (eval_task s.Campaign.config) in
+          fun () -> Parallel.Pool.await fut
+      | None -> eval_task s.Campaign.config
+    in
+    { slot_sug = s; slot_run = run; slot_memo = None }
+  in
+  let in_flight = ref (List.rev_map start (Campaign.pending campaign)) in
+  (* Keep the machine's in-flight set full at the clock's current
+     time. The machine decides everything else: [Wait] pauses filling
+     until a completion lands, [Finished] ends the campaign. *)
+  let fill () =
+    let at = fst (Campaign.last_completion campaign) in
     let filling = ref true in
     while !filling do
       match Campaign.suggest ~at campaign with
-      | Campaign.Suggest s ->
-          let run =
-            match pool with
-            | Some w ->
-                let fut = Parallel.Pool.async w (eval_task s.Campaign.config) in
-                fun () -> Parallel.Pool.await fut
-            | None -> eval_task s.Campaign.config
-          in
-          in_flight :=
-            { slot_sug = s; slot_submitted = at; slot_run = run; slot_memo = None }
-            :: !in_flight
+      | Campaign.Suggest s -> in_flight := start s :: !in_flight
       | Campaign.Wait | Campaign.Finished -> filling := false
     done
   in
-  fill !sim_time;
+  fill ();
   while !in_flight <> [] do
     (* Completion order is decided by the simulated clock, so every
        pending duration must be known before the earliest completion
@@ -183,48 +168,45 @@ let run_async ?(telemetry = Telemetry.Trace.disabled) ?options
     let timed =
       List.rev_map
         (fun slot ->
-          let v, _, _, _ = slot_force slot in
+          let v, _, _ = slot_force slot in
           let d = duration slot.slot_sug.Campaign.config v in
           if (not (Float.is_finite d)) || d < 0. then
             invalid_arg "Tuner.run_async: duration must be finite and non-negative";
-          (slot, slot.slot_submitted +. d))
+          (slot, slot.slot_sug.Campaign.at +. d))
         !in_flight
     in
     let slot, at =
       List.fold_left
         (fun ((bs, bt) as acc) ((s, t) as cand) ->
-          if t < bt || (t = bt && s.slot_sug.Campaign.id < bs.slot_sug.Campaign.id) then cand
-          else acc)
+          if (t, s.slot_sug.Campaign.id) < (bt, bs.slot_sug.Campaign.id) then cand else acc)
         (List.hd timed) (List.tl timed)
     in
-    in_flight :=
-      List.filter (fun s -> s.slot_sug.Campaign.id <> slot.slot_sug.Campaign.id) !in_flight;
-    sim_time := at;
-    let verdict, attempts_log, replayed, eval_ms = slot_force slot in
-    (* A recorded verdict completing beyond the recorded prefix means
-       the completion order no longer matches the log; within the
-       prefix, [Campaign.report] verifies the configuration. *)
-    if replayed && Campaign.n_evaluated campaign >= Array.length replay then
-      failwith divergence_msg;
+    let id = slot.slot_sug.Campaign.id in
+    if (at, id) < Campaign.last_completion campaign then failwith Campaign.divergence_msg;
+    in_flight := List.filter (fun s -> s.slot_sug.Campaign.id <> id) !in_flight;
+    let verdict, attempts_log, eval_ms = slot_force slot in
     if Telemetry.Trace.enabled telemetry then
       List.iter
         (fun (attempt, kind, backoff) ->
           Telemetry.Trace.emit telemetry (Telemetry.Event.Attempt { attempt; kind; backoff }))
         attempts_log;
-    Campaign.report ~at ~eval_ms campaign ~id:slot.slot_sug.Campaign.id verdict;
-    fill !sim_time
+    Campaign.report ~at ~eval_ms campaign ~id verdict;
+    fill ()
   done;
   Campaign.result campaign
 
-(* Async resume replays through the simulated clock instead of
-   [Campaign.of_log]: the log does not hold the in-flight slots'
-   submission times, which the clock needs to order completions. *)
-let resume_async ?telemetry ?options ?(policy = Resilience.Policy.default) ?warm_start
-    ?candidates ?on_outcome ?on_gate ?pool ?duration ~k ~log ~objective ~budget () =
-  let replay = Campaign.replay_of_log ~policy log in
-  if Array.length replay > budget then
-    invalid_arg "Tuner.resume: budget is smaller than the recorded evaluation count";
-  let rng = Prng.Rng.create log.Dataset.Runlog.seed in
-  run_async ?telemetry ?options ~policy ?warm_start ?candidates ?on_outcome ?on_gate
-    ~recorded_gates:log.Dataset.Runlog.gates ~replay ?pool ?duration ~k ~rng
-    ~space:log.Dataset.Runlog.space ~objective ~budget ()
+let run_async ?(telemetry = Telemetry.Trace.disabled) ?options
+    ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate ?pool
+    ?(duration = default_duration) ~k ~rng ~space ~objective ~budget () =
+  drive_async ~telemetry ~policy ~objective ?pool ~duration
+    (Campaign.create ~telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate
+       ~mode:(Campaign.Async k) ~rng ~space ~budget ())
+
+(* [Campaign.of_log] retraces the recorded prefix on the same
+   simulated clock, hence the same [duration]. *)
+let resume_async ?(telemetry = Telemetry.Trace.disabled) ?options
+    ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate ?pool
+    ?(duration = default_duration) ~k ~log ~objective ~budget () =
+  drive_async ~telemetry ~policy ~objective ?pool ~duration
+    (Campaign.of_log ~telemetry ?options ~policy ?warm_start ?candidates ?on_outcome ?on_gate
+       ~duration ~mode:(Campaign.Async k) ~log ~budget ())

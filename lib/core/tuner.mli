@@ -216,8 +216,6 @@ val run_async :
   ?candidates:Param.Config.t array ->
   ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  ?recorded_gates:Dataset.Runlog.gate array ->
-  ?replay:(Param.Config.t * Resilience.Evaluator.verdict) array ->
   ?pool:Parallel.Pool.t ->
   ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
   k:int ->
@@ -264,10 +262,8 @@ val run_async :
     additionally carries one [Submit] and one [Complete] event per
     slot with the in-flight depth and simulated time ([Campaign_start]
     records [k] in its [batch_size] field, where a synchronous run
-    records 1). [replay] is the resume
-    mechanism (see {!resume_async}); replayed verdicts are matched
-    against the recorded completion order and raise [Failure] on
-    divergence. *)
+    records 1). {!resume_async} continues an interrupted campaign
+    from its run log. *)
 
 val resume_async :
   ?telemetry:Telemetry.Trace.t ->
@@ -285,8 +281,12 @@ val resume_async :
   budget:int ->
   unit ->
   (result, run_error) Stdlib.result
-(** {!resume} for asynchronous campaigns: rebuilds the rng from
-    [log.seed] and replays the recorded verdicts in their recorded
-    completion order. The interrupted and resumed runs agree
+(** {!resume} for asynchronous campaigns: {!Campaign.of_log} with
+    [duration] retraces the recorded prefix on {!run_async}'s
+    simulated clock, then {!run_async}'s loop evaluates the slots in
+    flight at the cut and continues. A completion that orders before
+    the one recorded last (recorded completions out of clock order,
+    or a slot in flight at the cut now completing inside the prefix)
+    raises [Failure]. The interrupted and resumed runs agree
     bit-for-bit only if [k], [options], [policy], and the [duration]
     function are the same as in the recorded run. *)

@@ -77,6 +77,16 @@ let equal a b =
       && Array.for_all2 Float.equal a.o_values b.o_values
   | (Gate _ | Fid _ | Rung _ | Obj _), _ -> false
 
+let verify_prefix ~msg recorded =
+  let next = ref 0 in
+  fun r ->
+    if !next >= Array.length recorded then true
+    else begin
+      if not (equal recorded.(!next) r) then failwith msg;
+      incr next;
+      false
+    end
+
 let create ?(gates = []) ?(fids = []) ?(rungs = []) ?(objs = []) ~name ~seed ~space entries =
   let entries = Array.of_list entries in
   Array.sort (fun a b -> compare a.index b.index) entries;

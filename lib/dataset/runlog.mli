@@ -97,6 +97,15 @@ val equal : record -> record -> bool
 (** Same kind and field-wise equal; floats compare with
     [Float.equal] (bit-meaningful, NaN-safe). *)
 
+val verify_prefix : msg:string -> record array -> record -> bool
+(** [verify_prefix ~msg recorded] checks a recomputed stream of
+    decision lines against a log's recorded ones: while [recorded]
+    lasts, each record given must {!equal} the next recorded one
+    (raising [Failure msg] otherwise) and the result is [false]; every
+    record past the recorded prefix is new, and the result is [true].
+    A resumed campaign uses it to verify the decisions its log holds
+    and persist only the rest. *)
+
 type t = {
   name : string;
   seed : int;

@@ -65,10 +65,6 @@ let argmax a = arg_extremum "argmax" ( > ) a
 let argmin a = arg_extremum "argmin" ( < ) a
 let map = Array.map
 
-let map2 f a b =
-  check_dims "map2" a b;
-  Array.mapi (fun i x -> f x b.(i)) a
-
 let sq_dist a b =
   check_dims "sq_dist" a b;
   let acc = ref 0. in

@@ -33,7 +33,6 @@ val min : t -> float
 val argmax : t -> int
 val argmin : t -> int
 val map : (float -> float) -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
 val sq_dist : t -> t -> float
 (** Squared Euclidean distance. *)
 

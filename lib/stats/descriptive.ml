@@ -39,10 +39,6 @@ let median xs =
   let n = Array.length sorted in
   if n mod 2 = 1 then sorted.(n / 2) else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.
 
-let mean_std xs =
-  let m = mean xs in
-  (m, stddev xs)
-
 let geometric_mean xs =
   require_nonempty "geometric_mean" xs;
   let acc = ref 0. in

@@ -12,9 +12,6 @@ val min : float array -> float
 val max : float array -> float
 val sum : float array -> float
 val median : float array -> float
-val mean_std : float array -> float * float
-(** [(mean, stddev)] in one pass over the data. *)
-
 val geometric_mean : float array -> float
 (** Requires strictly positive entries. *)
 

@@ -142,11 +142,9 @@ let of_trace (tf : Tracefile.t) =
   t
 
 let refits t = List.length t.refit_ms
-let compiles t = List.length t.compile_ms
 let ranks t = List.length t.rank_ms
 let evals t = t.evals
 let failures t = t.failures
-let init_draws t = t.init_draws
 let submits t = t.submits
 let max_in_flight t = t.max_in_flight
 let sim_makespan t = t.sim_makespan

@@ -17,11 +17,9 @@ val of_trace : Tracefile.t -> t
 
 (* Accessors used by tests and the CLI validator. *)
 val refits : t -> int
-val compiles : t -> int
 val ranks : t -> int
 val evals : t -> int
 val failures : t -> int
-val init_draws : t -> int
 
 val trust_sources : t -> (int * float * float * string) list
 (** Last observed [(source, trust, weight, state)] per transfer

@@ -59,6 +59,12 @@ let results_identical (a : Hiperbot.Tuner.result) (b : Hiperbot.Tuner.result) =
   && a.Hiperbot.Tuner.n_attempts = b.Hiperbot.Tuner.n_attempts
   && Float.equal a.Hiperbot.Tuner.retry_cost b.Hiperbot.Tuner.retry_cost
 
+(* A deterministic async duration that scrambles completion order per
+   salt (and charges retry cost, like the engine's default). *)
+let salted_duration salt config (v : Resilience.Evaluator.verdict) =
+  float_of_int ((Param.Config.hash config lxor salt) land 0xFF)
+  +. v.Resilience.Evaluator.retry_cost
+
 (* ---- printers (what a failing property reports) ---- *)
 
 let spec_to_string spec =

@@ -299,6 +299,148 @@ let test_async_resume_determinism () =
   | _ -> Alcotest.fail "resume with a different k must be rejected"
   | exception Failure _ -> ()
 
+(* ---- property: async resume from every cut = uninterrupted run ----
+
+   Salted durations scramble the completion order, so a cut log holds
+   completions of slots submitted long before the cut and leaves other
+   slots in flight. With a source, the campaign carries a gated prior
+   that disagrees with the target (negated objective) under a gate
+   eager enough to act within the small budgets, so the cut logs hold
+   gate decisions the resume must verify rather than re-emit. *)
+
+(* Spaces of 9..125 configurations: roomy enough that most campaigns
+   reach the guided phase and refit often enough for the gate to act. *)
+let roomy_space_gen =
+  let open QCheck2.Gen in
+  let spec i =
+    let* n = int_range 3 5 in
+    let+ categorical = bool in
+    if categorical then
+      Param.Spec.categorical (Printf.sprintf "c%d" i)
+        (List.init n (fun j -> String.make 1 (Char.chr (Char.code 'a' + j))))
+    else Param.Spec.ordinal_ints (Printf.sprintf "o%d" i) (List.init n (fun j -> 1 lsl j))
+  in
+  let* n = int_range 2 3 in
+  let+ specs = flatten_l (List.init n spec) in
+  Param.Space.make specs
+
+let resume_every_cut_gen =
+  let open QCheck2.Gen in
+  let* space = roomy_space_gen in
+  let* faults = Gen.fault_spec_gen in
+  let* seed = Gen.seed_gen in
+  let* k = oneofl [ 2; 4 ] in
+  let* n_init = int_range 1 6 in
+  let* dur_salt = int_range 0 1_000_000 in
+  let* budget = int_range 4 16 in
+  let+ source = opt (Gen.observations_gen ~min_n:4 ~max_n:12 space) in
+  (space, faults, seed, k, n_init, dur_salt, budget, source)
+
+let print_resume_every_cut (space, faults, seed, k, n_init, dur_salt, budget, source) =
+  Printf.sprintf "%s %s seed=%d k=%d n_init=%d dur_salt=%d budget=%d source=%s"
+    (Gen.space_to_string space) (Gen.fault_spec_to_string faults) seed k n_init dur_salt budget
+    (match source with Some o -> string_of_int (Array.length o) | None -> "none")
+
+let prop_resume_every_cut =
+  QCheck2.Test.make ~name:"async: resume_async from every cut = uninterrupted run" ~count:100
+    ~print:print_resume_every_cut resume_every_cut_gen
+    (fun (space, faults, seed, k, n_init, dur_salt, budget, source) ->
+      let objective = Hpcsim.Faults.inject faults Gen.hash_objective in
+      let options = { Hiperbot.Tuner.default_options with n_init } in
+      let options =
+        match source with
+        | None -> options
+        | Some obs ->
+            Hiperbot.Transfer.options ~options
+              ~gate:(Some { Hiperbot.Gate.default_options with Hiperbot.Gate.min_obs = 2 })
+              ~space
+              [ (Array.map (fun (c, _) -> (c, -.Gen.hash_objective c)) obs, 1.) ]
+      in
+      let duration = Gen.salted_duration dur_salt in
+      let recorded = ref [] and gates = ref [] in
+      let full =
+        Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3 ~duration ~k
+          ~on_outcome:(fun i c v -> recorded := (i, c, v) :: !recorded)
+          ~on_gate:(fun g -> gates := (List.length !recorded, g) :: !gates)
+          ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
+      in
+      let recorded = List.rev !recorded and gates = List.rev !gates in
+      let gate_equal a b = Dataset.Runlog.equal (Gate a) (Gate b) in
+      (* Each cut log keeps the gate decisions a writer had flushed by
+         then; the resume must re-emit exactly the later ones. *)
+      let resumed_at cut =
+        let entries =
+          List.filteri (fun i _ -> i < cut) recorded
+          |> List.map (fun (i, c, v) -> Hiperbot.Campaign.entry_of_verdict i c v)
+        in
+        let flushed, later = List.partition (fun (n, _) -> n <= cut) gates in
+        let log =
+          Dataset.Runlog.create ~gates:(List.map snd flushed) ~name:"cut" ~seed ~space entries
+        in
+        let new_gates = ref [] in
+        let resumed =
+          Hiperbot.Tuner.resume_async ~options ~policy:Gen.policy3 ~duration ~k
+            ~on_gate:(fun g -> new_gates := g :: !new_gates)
+            ~log ~objective ~budget ()
+        in
+        run_outcomes_identical full resumed
+        && List.equal gate_equal (List.rev !new_gates) (List.map snd later)
+      in
+      List.for_all resumed_at (List.init (List.length recorded + 1) Fun.id))
+
+(* Two ways a cut log can disagree with the simulated clock, each of
+   which must fail loudly instead of continuing a different campaign:
+   recorded completions out of clock order (the first two entries,
+   both in flight from the start, swapped), and a slot in flight at
+   the cut whose objective changed so that it now completes before
+   the last logged entry. *)
+let test_async_resume_clock_divergence () =
+  let t = table "kripke" in
+  let space = Dataset.Table.space t in
+  let objective ~attempt:_ c = Resilience.Outcome.Value (Dataset.Table.objective_fn t c) in
+  let options = { Hiperbot.Tuner.default_options with n_init = 8 } in
+  let budget = 24 and cut = 10 and k = 4 and seed = 6 in
+  let recorded = ref [] in
+  let full =
+    Gen.ok
+      (Hiperbot.Tuner.run_async ~options ~k
+         ~on_outcome:(fun i c v -> recorded := (i, c, v) :: !recorded)
+         ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ())
+  in
+  let entries =
+    List.rev !recorded
+    |> List.filteri (fun i _ -> i < cut)
+    |> List.map (fun (i, c, v) -> Hiperbot.Campaign.entry_of_verdict i c v)
+  in
+  let log = Dataset.Runlog.create ~name:"kripke" ~seed ~space entries in
+  let in_flight =
+    Hiperbot.Campaign.pending
+      (Hiperbot.Campaign.of_log ~options ~mode:(Hiperbot.Campaign.Async k) ~log ~budget ())
+  in
+  check Alcotest.int "k-1 slots in flight at the cut" (k - 1) (List.length in_flight);
+  check Alcotest.bool "the unchanged objective resumes bit-for-bit" true
+    (Gen.results_identical full
+       (Gen.ok (Hiperbot.Tuner.resume_async ~options ~k ~log ~objective ~budget ())));
+  let swapped =
+    match entries with
+    | e0 :: e1 :: rest ->
+        Dataset.Runlog.create ~name:"kripke" ~seed ~space
+          ({ e1 with Dataset.Runlog.index = 0 } :: { e0 with Dataset.Runlog.index = 1 } :: rest)
+    | _ -> Alcotest.fail "expected at least two entries"
+  in
+  (match Hiperbot.Tuner.resume_async ~options ~k ~log:swapped ~objective ~budget () with
+  | _ -> Alcotest.fail "recorded completions out of clock order must be rejected"
+  | exception Failure _ -> ());
+  (* The default duration is the measured value, so a near-zero value
+     makes the slot complete right after its submission. *)
+  let target = (List.hd in_flight).Hiperbot.Campaign.config in
+  let changed ~attempt c =
+    if Param.Config.equal c target then Resilience.Outcome.Value 1e-9 else objective ~attempt c
+  in
+  match Hiperbot.Tuner.resume_async ~options ~k ~log ~objective:changed ~budget () with
+  | _ -> Alcotest.fail "an in-flight slot completing before the logged prefix must be rejected"
+  | exception Failure _ -> ()
+
 (* ---- async telemetry structure ---- *)
 
 let test_async_trace_structure () =
@@ -393,9 +535,12 @@ let suite =
       tc "dataset k=1 equivalence + k>1 determinism (2 datasets x 2 seeds)" `Slow
         test_dataset_k1_equivalence;
       tc "async resume determinism" `Slow test_async_resume_determinism;
+      tc "async resume: a log the clock cannot produce fails" `Quick
+        test_async_resume_clock_divergence;
       tc "async trace structure" `Quick test_async_trace_structure;
       tc "async early stop counts completions" `Quick test_async_early_stop;
       QCheck_alcotest.to_alcotest prop_k1_bit_identical;
       QCheck_alcotest.to_alcotest prop_permutation_equal;
       QCheck_alcotest.to_alcotest prop_budget_never_exceeded;
+      QCheck_alcotest.to_alcotest prop_resume_every_cut;
     ] )

@@ -137,12 +137,6 @@ let print_async (space, faults, seed, n_init, dur_salt, budget) =
   Printf.sprintf "%s %s seed=%d n_init=%d dur_salt=%d budget=%d" (Gen.space_to_string space)
     (Gen.fault_spec_to_string faults) seed n_init dur_salt budget
 
-(* A deterministic duration that scrambles completion order per salt
-   (and charges retry cost, like the engine's default). *)
-let salted_duration salt config (v : Resilience.Evaluator.verdict) =
-  float_of_int ((Param.Config.hash config lxor salt) land 0xFF)
-  +. v.Resilience.Evaluator.retry_cost
-
 let prop_async_conformance k =
   QCheck2.Test.make
     ~name:(Printf.sprintf "campaign: step driver = run_async (k=%d) bit-for-bit" k)
@@ -150,7 +144,7 @@ let prop_async_conformance k =
     (fun (space, faults, seed, n_init, dur_salt, budget) ->
       let objective = Hpcsim.Faults.inject faults Gen.hash_objective in
       let options = { Hiperbot.Tuner.default_options with n_init } in
-      let duration = salted_duration dur_salt in
+      let duration = Gen.salted_duration dur_salt in
       let engine =
         Hiperbot.Tuner.run_async ~options ~policy:policy3 ~duration ~k
           ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
