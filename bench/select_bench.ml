@@ -29,6 +29,56 @@
 let output_path = "BENCH_select.json"
 let k = 10
 
+(* The naive reference scans' accumulator: the list-based top-k the
+   library ranked with before the streaming scan, kept here unchanged
+   so the timed reference paths (and the BENCH_select.json ratios
+   against them) mean what they always meant.
+
+   Keep the k best (value, score) triples seen so far under the total
+   order "higher score first, equal scores resolved toward the smaller
+   index". The index is the caller's pool position (Ranking) or an
+   insertion counter (Proposal), so ties are explicit and
+   deterministic: the same multiset of offers yields the same top-k
+   whatever the offer order. Entries are kept worst-first in a sorted
+   association list; fine for the small k of batch selection. *)
+module Topk = struct
+  type 'a entry = { value : 'a; score : float; index : int }
+
+  type 'a t = {
+    k : int;
+    mutable entries : 'a entry list;  (* sorted worst-first *)
+    mutable size : int;
+    mutable next_index : int;
+  }
+
+  let create k =
+    if k < 1 then invalid_arg "Topk.create: k must be at least 1";
+    { k; entries = []; size = 0; next_index = 0 }
+
+  (* [beats a b]: a ranks strictly better than b. *)
+  let beats a b = a.score > b.score || (a.score = b.score && a.index < b.index)
+
+  let offer_indexed t value score index =
+    let e = { value; score; index } in
+    let admit =
+      t.size < t.k || (match t.entries with worst :: _ -> beats e worst | [] -> true)
+    in
+    if admit then begin
+      let rec insert = function
+        | [] -> [ e ]
+        | x :: rest -> if beats e x then x :: insert rest else e :: x :: rest
+      in
+      t.entries <- insert t.entries;
+      if t.size = t.k then t.entries <- List.tl t.entries else t.size <- t.size + 1
+    end
+
+  let offer t value score =
+    offer_indexed t value score t.next_index;
+    t.next_index <- t.next_index + 1
+
+  let to_list_desc t = List.rev_map (fun e -> e.value) t.entries
+end
+
 let budget_override =
   match Sys.getenv_opt "HIPERBOT_SELECT_BUDGET" with
   | None -> None
@@ -169,8 +219,6 @@ let large_pool_row ~reps n_params =
   let n_refits = if n >= 10_000_000 then 4 else 6 in
   let reps = if n >= 10_000_000 then Stdlib.min reps 2 else Stdlib.min reps 3 in
   let obs_steps = observation_steps ~space ~n_base:40 ~n_refits ~per_refit:2 in
-  let evaluated = Param.Config.Table.create 1 in
-  let rng = Prng.Rng.create 1 in
   let options = Hiperbot.Surrogate.default_options in
   (* One full campaign sequence through the new path: fresh engine,
      one Refit.update + one streaming select per snapshot. *)
@@ -180,11 +228,8 @@ let large_pool_row ~reps n_params =
       (fun step obs ->
         let surrogate, compiled = Hiperbot.Surrogate.Refit.update engine obs in
         on_step step ~surrogate ~compiled;
-        let sel =
-          Hiperbot.Strategy.select_many_encoded ~compiled ~k ~rng ~surrogate ~encoded:virt
-            ~evaluated ()
-        in
-        sel)
+        Hiperbot.Strategy.rank ~compiled ~k ~surrogate ~encoded:virt
+          ~excluded:(Hiperbot.Strategy.Exclusion.create ()) ())
       obs_steps
   in
   (* Verification pass: engine-compiled tables must equal a fresh
@@ -230,8 +275,11 @@ let large_pool_row ~reps n_params =
       Param.Config.Table.replace evaluated (Param.Space.random_config space draw) ()
     done;
     let select () =
-      Hiperbot.Strategy.select_many_encoded ~compiled ~k ~rng ~surrogate ~encoded:virt
-        ~evaluated ()
+      let excluded = Hiperbot.Strategy.Exclusion.create () in
+      Param.Config.Table.iter
+        (fun c () -> Hiperbot.Strategy.Exclusion.add_config excluded virt c)
+        evaluated;
+      Hiperbot.Strategy.rank ~compiled ~k ~surrogate ~encoded:virt ~excluded ()
     in
     let selected = select () in
     let ok =
@@ -273,13 +321,13 @@ let large_pool_row ~reps n_params =
           (fun obs ->
             let surrogate = Hiperbot.Surrogate.fit ~options space obs in
             let compiled = Hiperbot.Surrogate.compile surrogate encoded in
-            let top = Hiperbot.Strategy.Topk.create k in
+            let top = Topk.create k in
             for i = 0 to n - 1 do
-              Hiperbot.Strategy.Topk.offer_indexed top pool.(i)
+              Topk.offer_indexed top pool.(i)
                 (Hiperbot.Surrogate.Compiled.log_ratio compiled i)
                 i
             done;
-            Hiperbot.Strategy.Topk.to_list_desc top)
+            Topk.to_list_desc top)
           obs_steps
       in
       let reference_selections = reference_campaign () in
@@ -299,8 +347,8 @@ let large_pool_row ~reps n_params =
       let compiled_boxed = Hiperbot.Surrogate.compile surrogate encoded in
       let seq_ns =
         time_ns ~reps (fun () ->
-            Hiperbot.Strategy.select_many_encoded ~compiled:compiled_boxed ~k ~rng ~surrogate
-              ~encoded ~evaluated ())
+            Hiperbot.Strategy.rank ~compiled:compiled_boxed ~k ~surrogate ~encoded
+              ~excluded:(Hiperbot.Strategy.Exclusion.create ()) ())
       in
       Gc.full_major ();
       let st_ref = Gc.stat () in
@@ -363,23 +411,22 @@ let run ~reps () =
   let n = Array.length pool in
   let encoded = Hiperbot.Surrogate.Pool.encode space pool in
   let evaluated = Param.Config.Table.create 16 in
-  let select_rng = Prng.Rng.create 1 in
   (* The pre-PR selection: one Surrogate.score (two density
      evaluations and two logs per parameter) per candidate. *)
   let naive_select () =
-    let top = Hiperbot.Strategy.Topk.create k in
+    let top = Topk.create k in
     Array.iteri
       (fun i c ->
         if not (Param.Config.Table.mem evaluated c) then
-          Hiperbot.Strategy.Topk.offer_indexed top c (Hiperbot.Surrogate.score surrogate c) i)
+          Topk.offer_indexed top c (Hiperbot.Surrogate.score surrogate c) i)
       pool;
-    Hiperbot.Strategy.Topk.to_list_desc top
+    Topk.to_list_desc top
   in
   (* The production path: compile against the pre-encoded pool, then
      rank — what one surrogate refit pays. *)
   let compiled_select telemetry =
-    Hiperbot.Strategy.select_many ~telemetry ~encoded Hiperbot.Strategy.Ranking ~k
-      ~rng:select_rng ~surrogate ~pool ~evaluated
+    Hiperbot.Strategy.rank ~telemetry ~k ~surrogate ~encoded
+      ~excluded:(Hiperbot.Strategy.Exclusion.create ()) ()
   in
   let compiled = Hiperbot.Surrogate.compile surrogate encoded in
   (* The micro-benchmark shape of ei_rank_full_space_1620: a pure

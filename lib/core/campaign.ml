@@ -3,9 +3,9 @@
    so bit-compatibility with the historical recursive loops is
    structural: there is exactly one implementation of init draws,
    gated refits, selection, replay verification, and bookkeeping — one
-   step path, with [Sync] running it at one slot in flight — and the
-   drivers only decide how verdicts are produced and in what order
-   completions land. Every helper here preserves the engines'
+   step path, which the synchronous driver runs at one slot in flight
+   — and the drivers only decide how verdicts are produced and in what
+   order completions land. Every helper here preserves the engines'
    side-effect order (rng draws, telemetry emission, callback calls)
    exactly — that order is what the bit-exact resume and k=1 parity
    guarantees rest on. *)
@@ -117,27 +117,12 @@ let gate_emitter ?on_gate ?gate ~recorded () =
 (* One surrogate refit, gated when the campaign's prior asks for it:
    update the trust state against the campaign's unbiased anchor
    observations (warm start + random inits), then fit the surrogate on
-   the surviving priors. With no gate (or below the gate's min_obs)
-   this performs exactly the ungated fit call; once every source has
-   been dropped it performs exactly the no-prior fit call — the
-   bit-identical fallback the containment guarantee rests on.
-
-   With [refit] (Ranking campaigns, whose candidate pool is encoded
-   once at setup) the fit routes through the refit engine: the
-   surrogate is still the reference [Surrogate.fit] result, and the
-   returned compiled scorer — bit-identical to compiling from scratch —
-   is filled into the engine's reused table buffer and handed to
-   selection. *)
-let fit_gated ~telemetry ~options ~gate ~emit_gate ~refit ~space ~anchor ~extra_bad obs =
-  let n_obs = Array.length obs in
-  let refit_with priors =
-    match refit with
-    | Some engine ->
-        let s, c = Surrogate.Refit.update ~telemetry ~priors ~extra_bad engine obs in
-        (s, Some c)
-    | None ->
-        (Surrogate.fit ~telemetry ~options:options.surrogate ~priors ~extra_bad space obs, None)
-  in
+   the surviving priors with [refit_with]. With no gate (or below the
+   gate's min_obs) this performs exactly the ungated fit call; once
+   every source has been dropped it performs exactly the no-prior fit
+   call — the bit-identical fallback the containment guarantee rests
+   on. *)
+let fit_gated ~telemetry ~options ~gate ~emit_gate ~anchor ~n_obs refit_with =
   match gate with
   | None -> refit_with (priors_at ~options n_obs)
   | Some state when Gate.all_dropped state -> refit_with []
@@ -172,10 +157,16 @@ let fit_gated ~telemetry ~options ~gate ~emit_gate ~refit ~space ~anchor ~extra_
       List.iter emit_gate step.Gate.step_decisions;
       refit_with step.Gate.step_priors
 
-(* Validation and per-campaign candidate-pool setup: checks the
-   options and index-encodes the candidate pool once (the encoding
-   depends only on the space and the pool, so every refit's compiled
-   scorer reuses it). An enumerated Ranking space becomes a {e
+(* How a campaign selects: Ranking over a candidate pool encoded once
+   per campaign (the encoding depends only on the space and the pool,
+   so every refit's compiled scorer reuses it) with the refit engine
+   over that pool, or Proposal, which has no pool. *)
+type selection =
+  | Rank of { pool : Surrogate.Pool.t; refit : Surrogate.Refit.t }
+  | Propose of { n_candidates : int }
+
+(* Validation and per-campaign selection setup: checks the options
+   and builds the selection. An enumerated Ranking space becomes a {e
    virtual} pool ([Surrogate.Pool.of_space]) — row i is decoded on
    demand, so a 10^7-configuration space costs O(1) memory. A
    [shared_pool] (the multi-tenant server keys one per space) is used
@@ -233,42 +224,35 @@ let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
             invalid_arg "Campaign.create: invalid candidate configuration")
         c
   | _ -> ());
-  let encoded =
-    match (shared_pool, candidates, options.strategy) with
-    | Some p, _, _ -> Some p
-    | None, Some c, _ -> Some (Surrogate.Pool.encode space c)
-    | None, None, Strategy.Ranking ->
-        if not (Param.Space.is_finite space) then
-          invalid_arg "Campaign.create: Ranking strategy requires a finite space";
-        Some (Surrogate.Pool.of_space space)
-    | None, None, Strategy.Proposal _ -> None
+  let selection =
+    match options.strategy with
+    | Strategy.Proposal { n_candidates } -> Propose { n_candidates }
+    | Strategy.Ranking ->
+        let pool =
+          match (shared_pool, candidates) with
+          | Some p, _ -> p
+          | None, Some c -> Surrogate.Pool.encode space c
+          | None, None ->
+              if not (Param.Space.is_finite space) then
+                invalid_arg "Campaign.create: Ranking strategy requires a finite space";
+              Surrogate.Pool.of_space space
+        in
+        Rank { pool; refit = Surrogate.Refit.create ~options:options.surrogate pool }
   in
   let n_init =
     let cap = match candidates with Some c -> min budget (Array.length c) | None -> budget in
     min options.n_init cap
   in
-  (encoded, candidates, n_init)
-
-(* Guided selection of the next configuration: Ranking campaigns
-   always rank over the encoded pool, reusing the refit engine's
-   compiled scorer; Proposal samples from pg and never looks at a
-   pool. *)
-let select_next ~telemetry ~options ~encoded ~compiled ~rng ~surrogate ~evaluated ~excluded () =
-  match (options.strategy, encoded) with
-  | Strategy.Ranking, Some e ->
-      Strategy.select_many_excluding ~telemetry ?compiled ~k:1 ~surrogate ~encoded:e ~excluded ()
-  | Strategy.Ranking, None -> assert false (* campaign_setup always encodes for Ranking *)
-  | (Strategy.Proposal _ as strategy), _ ->
-      Strategy.select_many ~telemetry strategy ~k:1 ~rng ~surrogate ~pool:[||] ~evaluated
+  (selection, candidates, n_init)
 
 (* A configuration joins the seen set when it is issued or
    warm-started, and its pool rows join the exclusion set at the same
    moment, so the two always describe the same configurations. *)
-let mark_seen ~seen ~excluded ~encoded config =
+let mark_seen ~seen ~excluded ~selection config =
   Param.Config.Table.replace seen config ();
-  match encoded with
-  | Some e -> Strategy.Exclusion.add_config excluded e config
-  | None -> ()
+  match selection with
+  | Rank { pool; _ } -> Strategy.Exclusion.add_config excluded pool config
+  | Propose _ -> ()
 
 let divergence_msg =
   "Tuner.resume: run log diverges from the replayed trajectory (were the seed, options, or \
@@ -315,7 +299,7 @@ let entry_of_verdict index config (v : Resilience.Evaluator.verdict) =
 
 (* ---- the machine ---- *)
 
-type mode = Sync | Async of int
+type mode = Async of int
 
 type suggestion = { id : int; config : Param.Config.t; guided : bool; at : float }
 
@@ -326,15 +310,14 @@ type pending_slot = { p_sug : suggestion; p_t0 : float }
 type phase = Initializing | Guiding
 
 type t = {
-  mode : mode;
+  k : int;  (* the in-flight bound *)
   telemetry : Telemetry.Trace.t;
   options : options;
   c_space : Param.Space.t;
   c_budget : int;
   rng : Prng.Rng.t;
   candidates : Param.Config.t array option;
-  encoded : Surrogate.Pool.t option;
-  refit : Surrogate.Refit.t option;
+  selection : selection;
   gate : Gate.t option;
   emit_gate : Gate.decision -> unit;
   on_outcome : (int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) option;
@@ -345,7 +328,7 @@ type t = {
   (* Deduplication at suggestion time: a configuration joins [seen]
      when issued (or warm-started), so in-flight configurations are
      excluded from init draws and guided selection exactly like
-     completed ones. With one slot in flight ([Sync], [Async 1]) no
+     completed ones. With one slot in flight ([Async 1]) no
      suggestion is outstanding at a read, so this holds the same
      configurations the old core's evaluated-at-report table did at
      every read point. *)
@@ -387,19 +370,17 @@ let start ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
     ?(warm_start = [||]) ?candidates ?shared_pool ?on_outcome ?on_gate ~recorded_gates ~replay
     ~mode ~rng ~space ~budget () =
   let campaign_t0 = Telemetry.Trace.now telemetry in
-  (match mode with
-  | Async k when k < 1 -> invalid_arg "Tuner.run_async: k must be at least 1"
-  | Async _ | Sync -> ());
+  let (Async k) = mode in
+  if k < 1 then invalid_arg "Campaign.create: k must be at least 1";
   (* The step API holds its inputs across turns, so copy every caller
      array: with the one-shot driver loops these were consumed within
      a single call, and mutating them afterwards was harmless — here
      the aliasing would silently corrupt a parked campaign. *)
   let warm_start = Array.copy warm_start in
   let candidates = Option.map Array.copy candidates in
-  let encoded, candidates, n_init =
+  let selection, candidates, n_init =
     campaign_setup ~options ~candidates ~shared_pool ~space ~budget
   in
-  let refit = Option.map (Surrogate.Refit.create ~options:options.surrogate) encoded in
   let gate = gate_state_of ~options in
   let emit_gate = gate_emitter ?on_gate ?gate ~recorded:recorded_gates () in
   let seen = Param.Config.Table.create (budget + Array.length warm_start) in
@@ -408,7 +389,7 @@ let start ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
     (fun (c, _) ->
       if not (Param.Space.validate space c) then
         invalid_arg "Campaign.create: invalid warm-start configuration";
-      mark_seen ~seen ~excluded ~encoded c)
+      mark_seen ~seen ~excluded ~selection c)
     warm_start;
   if Telemetry.Trace.enabled telemetry then
     Telemetry.Trace.emit telemetry
@@ -416,20 +397,19 @@ let start ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options)
          {
            budget;
            n_init;
-           batch_size = (match mode with Sync -> 1 | Async k -> k);
+           batch_size = k;
            n_warm = Array.length warm_start;
            n_replay = Array.length replay;
          });
   {
-    mode;
+    k;
     telemetry;
     options;
     c_space = space;
     c_budget = budget;
     rng;
     candidates;
-    encoded;
-    refit;
+    selection;
     gate;
     emit_gate;
     on_outcome;
@@ -515,9 +495,9 @@ let random_candidate t =
    initialization exits early instead. The pool is covered exactly
    when every one of its rows is excluded. *)
 let pool_exhausted t =
-  match t.encoded with
-  | None -> false
-  | Some e -> Strategy.Exclusion.cardinal t.excluded >= Surrogate.Pool.length e
+  match t.selection with
+  | Rank { pool; _ } -> Strategy.Exclusion.cardinal t.excluded >= Surrogate.Pool.length pool
+  | Propose _ -> false
 
 let draw_fresh t =
   let rec attempt i =
@@ -528,38 +508,52 @@ let draw_fresh t =
   attempt 0
 
 let issue t ~at ~guided config =
-  mark_seen ~seen:t.seen ~excluded:t.excluded ~encoded:t.encoded config;
+  mark_seen ~seen:t.seen ~excluded:t.excluded ~selection:t.selection config;
   let id = t.submitted in
   t.submitted <- id + 1;
   let sug = { id; config; guided; at } in
   t.pend <- { p_sug = sug; p_t0 = Telemetry.Trace.now t.telemetry } :: t.pend;
-  (match t.mode with
-  | Async _ ->
-      if Telemetry.Trace.enabled t.telemetry then
-        Telemetry.Trace.emit t.telemetry
-          (Telemetry.Event.Submit { index = id; in_flight = List.length t.pend; sim_time = at })
-  | Sync -> ());
+  if Telemetry.Trace.enabled t.telemetry then
+    Telemetry.Trace.emit t.telemetry
+      (Telemetry.Event.Submit { index = id; in_flight = List.length t.pend; sim_time = at });
   Suggest sug
 
 (* One gated refit + selection of the next configuration, consuming
    the rng exactly like the engines (including refits whose selection
-   comes back empty). *)
+   comes back empty). A Ranking refit routes through the refit engine:
+   the surrogate is still the reference [Surrogate.fit] result, and
+   the compiled scorer — bit-identical to compiling from scratch — is
+   filled into the engine's reused table buffer and handed to [rank].
+   Proposal samples from pg and never looks at a pool. *)
 let refit_and_select t ~extra_bad =
+  let telemetry = t.telemetry in
   let obs = observations t in
-  let surrogate, compiled =
-    fit_gated ~telemetry:t.telemetry ~options:t.options ~gate:t.gate ~emit_gate:t.emit_gate
-      ~refit:t.refit ~space:t.c_space ~anchor:(anchor t) ~extra_bad obs
+  let fit refit_with =
+    fit_gated ~telemetry ~options:t.options ~gate:t.gate ~emit_gate:t.emit_gate
+      ~anchor:(anchor t) ~n_obs:(Array.length obs) refit_with
   in
-  t.final_surrogate <- Some surrogate;
-  select_next ~telemetry:t.telemetry ~options:t.options ~encoded:t.encoded ~compiled ~rng:t.rng
-    ~surrogate ~evaluated:t.seen ~excluded:t.excluded ()
+  match t.selection with
+  | Rank { pool; refit } ->
+      let surrogate, compiled =
+        fit (fun priors -> Surrogate.Refit.update ~telemetry ~priors ~extra_bad refit obs)
+      in
+      t.final_surrogate <- Some surrogate;
+      List.nth_opt
+        (Strategy.rank ~telemetry ~compiled ~k:1 ~surrogate ~encoded:pool ~excluded:t.excluded ())
+        0
+  | Propose { n_candidates } ->
+      let surrogate =
+        fit (fun priors ->
+            Surrogate.fit ~telemetry ~options:t.options.surrogate ~priors ~extra_bad t.c_space obs)
+      in
+      t.final_surrogate <- Some surrogate;
+      Some (Strategy.propose ~rng:t.rng ~surrogate ~evaluated:t.seen ~n_candidates)
 
 let init_exhausted t = t.init_drawn >= t.n_init || pool_exhausted t
 
-(* The one step path: keep up to [k] suggestions in flight. [Sync]
-   runs it at [k = 1]; it differs from [Async 1] only in telemetry. *)
-let rec suggest_k t ~at ~k =
-  if t.no_more || List.length t.pend >= k || t.submitted >= t.c_budget || stale t then
+(* The one step path: keep up to [k] suggestions in flight. *)
+let rec next_step t ~at =
+  if t.no_more || List.length t.pend >= t.k || t.submitted >= t.c_budget || stale t then
     if t.pend = [] then begin
       finalize t;
       Finished
@@ -575,11 +569,11 @@ let rec suggest_k t ~at ~k =
             Telemetry.Trace.emit t.telemetry
               (Telemetry.Event.Init_draw { index = t.init_drawn; redraws; duplicate });
           t.init_drawn <- t.init_drawn + 1;
-          if duplicate then suggest_k t ~at ~k else issue t ~at ~guided:false c
+          if duplicate then next_step t ~at else issue t ~at ~guided:false c
         end
         else begin
           t.phase <- Guiding;
-          suggest_k t ~at ~k
+          next_step t ~at
         end
     | Guiding ->
         if no_observations t then
@@ -599,20 +593,20 @@ let rec suggest_k t ~at ~k =
             Array.append (Array.of_list (List.rev_map fst t.failures_rev)) pending
           in
           match refit_and_select t ~extra_bad with
-          | [] ->
+          | None ->
               t.no_more <- true;
               if t.pend = [] then begin
                 finalize t;
                 Finished
               end
               else Wait
-          | c :: _ -> issue t ~at ~guided:true c
+          | Some c -> issue t ~at ~guided:true c
         end
 
 let suggest ?(at = 0.) t =
   match t.outcome with
   | Some _ -> Finished
-  | None -> suggest_k t ~at ~k:(match t.mode with Sync -> 1 | Async k -> k)
+  | None -> next_step t ~at
 
 (* Campaign completion is detected eagerly when the last outstanding
    report lands (so a server's [status] is accurate without a
@@ -686,17 +680,14 @@ let report ?(at = 0.) ?eval_ms t ~id verdict =
            replayed;
            dur_ms;
          });
-    match t.mode with
-    | Async _ ->
-        Telemetry.Trace.emit t.telemetry
-          (Telemetry.Event.Complete
-             {
-               index = idx;
-               in_flight = List.length t.pend;
-               sim_time = at;
-               kind = Resilience.Outcome.kind outcome;
-             })
-    | Sync -> ()
+    Telemetry.Trace.emit t.telemetry
+      (Telemetry.Event.Complete
+         {
+           index = idx;
+           in_flight = List.length t.pend;
+           sim_time = at;
+           kind = Resilience.Outcome.kind outcome;
+         })
   end;
   t.completed <- idx + 1;
   settle t
@@ -711,9 +702,6 @@ let n_evaluated t = t.completed
 let n_pending t = List.length t.pend
 let pending t = List.rev_map (fun p -> p.p_sug) t.pend
 let best t = t.best_so_far
-let space t = t.c_space
-let budget t = t.c_budget
-let mode t = t.mode
 let excluded t = Strategy.Exclusion.elements t.excluded
 let last_completion t = t.last
 

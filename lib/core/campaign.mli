@@ -72,14 +72,16 @@ type run_error = {
 (** {2 The step machine} *)
 
 type mode =
-  | Sync
-      (** one suggestion outstanding at a time: the [Async 1] machine,
-          without [Submit]/[Complete] telemetry *)
   | Async of int
       (** up to [k] suggestions in flight, pending ones joining the
           surrogate's bad density as constant-liar observations.
-          [Async 1] is bit-identical to [Sync] driven with the same
-          verdicts: both run the same step path. *)
+          [Async 1] is the synchronous campaign: one suggestion
+          outstanding at a time, which {!Tuner.run_with_policy},
+          {!Tuner.resume} and {!Moo.run} drive. *)
+(** How many suggestions a campaign keeps in flight. A single
+    constructor rather than a plain [k] only because the end-to-end
+    benchmark ([e2ebench/async_faults.ml]) builds [Campaign.Async k];
+    it becomes an [int] when that benchmark moves. *)
 
 type suggestion = {
   id : int;  (** submission ordinal; the key {!report} expects back *)
@@ -126,19 +128,26 @@ val create :
       configurations, exactly like passing them as [candidates].
 
     Raises [Invalid_argument], before anything is evaluated, on
-    invalid options: [budget], [n_init] and [early_stop] below 1, [surrogate.alpha] outside (0, 1), a
-    [Proposal] with fewer than 1 candidate, an [Async k] with
-    [k < 1], or an invalid candidate set or warm start. Every
-    {!Tuner} driver inherits these checks. *)
+    invalid options: [budget], [n_init] and [early_stop] below 1,
+    [surrogate.alpha] outside (0, 1), a [Proposal] with fewer than 1
+    candidate, an [Async k] with [k < 1] (["Campaign.create: k must
+    be at least 1"]), or an invalid candidate set or warm start.
+    Every {!Tuner} driver and {!Serve} session inherits these
+    checks.
+
+    Every issued suggestion emits a [Submit] event and every report
+    a [Complete] event (after its [Eval]), whatever [k]: a
+    synchronous trace carries one of each per evaluation, with at
+    most one in flight. *)
 
 val suggest : ?at:float -> t -> step
 (** Advance the campaign to its next suggestion: random-init draws
     while they last (duplicates burn an init slot, exactly like the
     engines), then one gated refit + selection per suggestion. Never
-    blocks; returns {!Wait} when the in-flight set is full ([Sync]:
-    one outstanding; [Async k]: [k]) or when guided selection has no
-    observations to fit on yet. [at] is the submission timestamp
-    recorded in async [Submit] telemetry (simulated clock in the
+    blocks; returns {!Wait} when the in-flight set is full ([k]
+    outstanding) or when guided selection has no observations to fit
+    on yet. [at] is the submission timestamp recorded in [Submit]
+    telemetry (simulated clock in the
     async engine, wall clock in a server); it does not affect
     campaign decisions. *)
 
@@ -150,7 +159,7 @@ val report : ?at:float -> ?eval_ms:float -> t -> id:int -> Resilience.Evaluator.
     reported, or the campaign is finished) — a duplicate or
     out-of-order report can never corrupt the state. [at] is the
     completion time ({!last_completion}); [at]/[eval_ms] time the
-    async [Complete]/[Eval] telemetry. *)
+    [Complete]/[Eval] telemetry. *)
 
 val result : t -> (result, run_error) Stdlib.result
 (** The campaign's outcome. Raises [Invalid_argument] until
@@ -172,9 +181,6 @@ val pending : t -> suggestion list
     re-evaluates them, before asking for new ones. *)
 
 val best : t -> (Param.Config.t * float) option
-val space : t -> Param.Space.t
-val budget : t -> int
-val mode : t -> mode
 
 val excluded : t -> int list
 (** The candidate-pool rows guided ranking skips, ascending: the pool

@@ -280,7 +280,7 @@ let run_from ?(telemetry = Telemetry.Trace.disabled) ?(options = Tuner.default_o
             Surrogate.fit ~telemetry ~options:options.Tuner.surrogate ~priors space full_obs
           in
           final_surrogate := Some surrogate;
-          Strategy.select_many_excluding ~telemetry ~k:plan.cohort ~surrogate ~encoded ~excluded
+          Strategy.rank ~telemetry ~k:plan.cohort ~surrogate ~encoded ~excluded
             ()
         end
       in

@@ -79,7 +79,6 @@ let create ?telemetry ?options ?on_outcome ?on_gate ?on_vector ~moo ~mode ~rng ~
     (Campaign.create ?telemetry ?options ?on_outcome ?on_gate ~mode ~rng ~space ~budget ())
 
 let campaign t = t.m_campaign
-let options t = t.m_opts
 let suggest ?at t = Campaign.suggest ?at t.m_campaign
 
 let archive_vector t config v =
@@ -180,7 +179,7 @@ let of_log ?telemetry ?options ?policy ?on_outcome ?on_gate ?on_vector ~moo ~mod
 let run ?telemetry ?options ?on_outcome ?on_gate ?on_vector ~moo ~rng ~space ~budget ~objective ()
     =
   let t =
-    create ?telemetry ?options ?on_outcome ?on_gate ?on_vector ~moo ~mode:Campaign.Sync ~rng
+    create ?telemetry ?options ?on_outcome ?on_gate ?on_vector ~moo ~mode:(Campaign.Async 1) ~rng
       ~space ~budget ()
   in
   let rec loop () =

@@ -97,7 +97,6 @@ val hypervolume : t -> float
     reference point. *)
 
 val campaign : t -> Campaign.t
-val options : t -> options
 val is_finished : t -> bool
 
 val result : t -> (Campaign.result, Campaign.run_error) result

@@ -30,7 +30,6 @@ let create ~arity =
   if arity < 1 then invalid_arg "Pareto.create: arity must be at least 1";
   { arity; pts = []; n = 0 }
 
-let arity f = f.arity
 let size f = f.n
 
 (* Insert [p]: rejected (returning [false], front untouched) when some
@@ -54,10 +53,6 @@ let points f =
   let arr = Array.of_list (List.map Array.copy f.pts) in
   Array.sort compare arr;
   arr
-
-let mem f p =
-  validate_point ~what:"point" ~arity:f.arity p;
-  List.exists (fun q -> point_equal q p) f.pts
 
 let of_points ~arity pts =
   let f = create ~arity in

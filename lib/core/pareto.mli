@@ -27,8 +27,6 @@ val create : arity:int -> front
 (** An empty archive for [arity]-objective points ([arity >= 1],
     [Invalid_argument] otherwise). *)
 
-val arity : front -> int
-
 val size : front -> int
 (** Number of archived (non-dominated, distinct) points. *)
 
@@ -38,10 +36,6 @@ val add : front -> float array -> bool
     every archived point the newcomer dominates, archives it, and
     returns [true]. The point is copied — callers may reuse the
     buffer. Raises [Invalid_argument] on arity mismatch or NaN. *)
-
-val mem : front -> float array -> bool
-(** Whether an archived point equals the given one ([Float.equal]
-    per coordinate). *)
 
 val points : front -> float array array
 (** The archived points, sorted lexicographically (deterministic

@@ -3,62 +3,16 @@ type t = Ranking | Proposal of { n_candidates : int }
 let default = Ranking
 let max_duplicate_redraws = 20
 
-(* Keep the k best (value, score) triples seen so far under the total
-   order "higher score first, equal scores resolved toward the smaller
-   index". The index is the caller's pool position (Ranking) or an
-   insertion counter (Proposal), so ties are explicit and
-   deterministic: the same multiset of offers yields the same top-k
-   whatever the offer order. Entries are kept worst-first in a sorted
-   association list; fine for the small k of batch selection. *)
-module Topk = struct
-  type 'a entry = { value : 'a; score : float; index : int }
-
-  type 'a t = {
-    k : int;
-    mutable entries : 'a entry list;  (* sorted worst-first *)
-    mutable size : int;
-    mutable next_index : int;
-  }
-
-  let create k =
-    if k < 1 then invalid_arg "Topk.create: k must be at least 1";
-    { k; entries = []; size = 0; next_index = 0 }
-
-  (* [beats a b]: a ranks strictly better than b. *)
-  let beats a b = a.score > b.score || (a.score = b.score && a.index < b.index)
-
-  let offer_indexed t value score index =
-    let e = { value; score; index } in
-    let admit =
-      t.size < t.k || (match t.entries with worst :: _ -> beats e worst | [] -> true)
-    in
-    if admit then begin
-      let rec insert = function
-        | [] -> [ e ]
-        | x :: rest -> if beats e x then x :: insert rest else e :: x :: rest
-      in
-      t.entries <- insert t.entries;
-      if t.size = t.k then t.entries <- List.tl t.entries else t.size <- t.size + 1
-    end
-
-  let offer t value score =
-    offer_indexed t value score t.next_index;
-    t.next_index <- t.next_index + 1
-
-  let to_list_desc t = List.rev_map (fun e -> e.value) t.entries
-end
-
 (* Streaming bounded top-k over (score, pool index) pairs: a min-heap
    of at most k entries keyed lexicographically by (score, -index),
-   so the root is always the WORST kept entry under Topk's total
-   order (score descending, ties toward the smaller index) and each
-   offer is one comparison against it. Unlike {!Topk} it never holds
-   candidate values, only indices — the ranking scan materializes
-   configurations for the final k survivors alone, which is what lets
-   a 10^7-row virtual pool rank without allocating per candidate. The
-   kept set is the exact top-k under a total order (indices are
-   distinct), so the result is offer-order independent and equal to
-   {!Topk}'s, tie order included. *)
+   so the root is always the WORST kept entry under the total order
+   (score descending, ties toward the smaller index) and each offer
+   is one comparison against it. It never holds candidate values,
+   only indices — the ranking scan materializes configurations for
+   the final k survivors alone, which is what lets a 10^7-row virtual
+   pool rank without allocating per candidate. The kept set is the
+   exact top-k under a total order (indices are distinct), so the
+   result is offer-order independent, tie order included. *)
 module Topk_stream = struct
   (* [full]/[worst_score]/[worst_tie] mirror the heap root once k
      entries are held, so the hot-loop admission check is two compares
@@ -111,14 +65,6 @@ module Topk_stream = struct
     t.worst_tie <- 0;
     result
 end
-
-let ranking_encoded ~surrogate ~pool ~encoded =
-  match encoded with
-  | Some e ->
-      if not (Surrogate.Pool.configs e == pool) then
-        invalid_arg "Strategy.select_many: encoded pool does not wrap the candidate pool";
-      e
-  | None -> Surrogate.Pool.encode (Surrogate.space surrogate) pool
 
 (* Rows scored per batch on a materialized pool: the score buffer's
    length. 4096 rows * 8 bytes keeps it inside L1/L2. *)
@@ -269,14 +215,13 @@ let select_indices compiled excluded ~k ~n =
       done);
   (Topk_stream.to_desc top, !visited)
 
-let select_many_excluding ?(telemetry = Telemetry.Trace.disabled) ?compiled ~k ~surrogate
-    ~encoded ~excluded () =
-  if k < 1 then invalid_arg "Strategy.select_many: k must be at least 1";
+let rank ?(telemetry = Telemetry.Trace.disabled) ?compiled ~k ~surrogate ~encoded ~excluded () =
+  if k < 1 then invalid_arg "Strategy.rank: k must be at least 1";
   let compiled =
     match compiled with
     | Some c ->
         if not (Surrogate.Compiled.pool c == encoded) then
-          invalid_arg "Strategy.select_many: compiled scorer does not wrap the encoded pool";
+          invalid_arg "Strategy.rank: compiled scorer does not wrap the encoded pool";
         c
     | None -> Surrogate.compile ~telemetry surrogate encoded
   in
@@ -298,53 +243,28 @@ let select_many_excluding ?(telemetry = Telemetry.Trace.disabled) ?compiled ~k ~
          });
   selected
 
-(* [workers] and [rng] are unused (ranking is one sequential scan and
-   draws nothing); they stay so existing callers compile. *)
 let select_many_encoded ?telemetry ?workers:_ ?compiled ~k ~rng:_ ~surrogate ~encoded ~evaluated
     () =
-  select_many_excluding ?telemetry ?compiled ~k ~surrogate ~encoded
-    ~excluded:(Exclusion.of_table encoded evaluated) ()
+  rank ?telemetry ?compiled ~k ~surrogate ~encoded ~excluded:(Exclusion.of_table encoded evaluated)
+    ()
 
-let select_many_proposal ~k ~rng ~surrogate ~evaluated ~n_candidates =
-  let chosen = Param.Config.Table.create k in
-  let draw () =
-    let rec fresh attempts =
-      let c = Surrogate.sample_good surrogate rng in
-      if attempts >= max_duplicate_redraws
-         || not (Param.Config.Table.mem evaluated c || Param.Config.Table.mem chosen c)
-      then c
-      else fresh (attempts + 1)
-    in
-    fresh 0
+(* A running max with a strict [>]: the first of equal scores wins,
+   and a NaN neither replaces an entry nor is replaced. *)
+let propose ~rng ~surrogate ~evaluated ~n_candidates =
+  if n_candidates < 1 then invalid_arg "Strategy.propose: n_candidates must be at least 1";
+  let rec draw attempts =
+    let c = Surrogate.sample_good surrogate rng in
+    if attempts >= max_duplicate_redraws || not (Param.Config.Table.mem evaluated c) then c
+    else draw (attempts + 1)
   in
-  let rec pick acc remaining =
-    if remaining = 0 then List.rev acc
-    else begin
-      let top = Topk.create 1 in
-      for _ = 1 to n_candidates do
-        let c = draw () in
-        Topk.offer top c (Surrogate.score surrogate c)
-      done;
-      match Topk.to_list_desc top with
-      | [] -> List.rev acc
-      | best :: _ ->
-          Param.Config.Table.replace chosen best ();
-          pick (best :: acc) (remaining - 1)
+  let best = ref (draw 0) in
+  let best_score = ref (Surrogate.score surrogate !best) in
+  for _ = 2 to n_candidates do
+    let c = draw 0 in
+    let s = Surrogate.score surrogate c in
+    if s > !best_score then begin
+      best := c;
+      best_score := s
     end
-  in
-  pick [] k
-
-let select_many ?telemetry ?encoded t ~k ~rng ~surrogate ~pool ~evaluated =
-  if k < 1 then invalid_arg "Strategy.select_many: k must be at least 1";
-  match t with
-  | Ranking ->
-      let encoded = ranking_encoded ~surrogate ~pool ~encoded in
-      select_many_encoded ?telemetry ~k ~rng ~surrogate ~encoded ~evaluated ()
-  | Proposal { n_candidates } ->
-      if n_candidates <= 0 then invalid_arg "Strategy.select: non-positive candidate count";
-      select_many_proposal ~k ~rng ~surrogate ~evaluated ~n_candidates
-
-let select ?telemetry ?encoded t ~rng ~surrogate ~pool ~evaluated =
-  match select_many ?telemetry ?encoded t ~k:1 ~rng ~surrogate ~pool ~evaluated with
-  | [] -> None
-  | best :: _ -> Some best
+  done;
+  !best

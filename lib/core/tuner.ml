@@ -74,7 +74,7 @@ let run_with_policy ?(telemetry = Telemetry.Trace.disabled) ?options
     ~space ~objective ~budget () =
   drive_sync ~telemetry ~policy ~objective
     (Campaign.create ~telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate
-       ~mode:Campaign.Sync ~rng ~space ~budget ())
+       ~mode:(Campaign.Async 1) ~rng ~space ~budget ())
 
 (* [Campaign.of_log] retraces the recorded prefix (same rng draws and
    selections, recorded verdicts reported in place of evaluations), so
@@ -83,7 +83,7 @@ let resume ?(telemetry = Telemetry.Trace.disabled) ?options ?(policy = Resilienc
     ?warm_start ?candidates ?on_outcome ?on_gate ~log ~objective ~budget () =
   drive_sync ~telemetry ~policy ~objective
     (Campaign.of_log ~telemetry ?options ~policy ?warm_start ?candidates ?on_outcome ?on_gate
-       ~mode:Campaign.Sync ~log ~budget ())
+       ~mode:(Campaign.Async 1) ~log ~budget ())
 
 (* ---- asynchronous campaign driver ---- *)
 

@@ -15,9 +15,10 @@
     paper's sample-quality termination condition. To run several
     configurations in parallel on a cluster, use {!run_async}.
 
-    There is one driver per engine: {!run_with_policy} (synchronous)
-    and {!run_async} (k evaluations in flight), each with its resume
-    counterpart ({!resume}, {!resume_async}). Every driver absorbs
+    There is one driver per engine: {!run_with_policy} (synchronous:
+    the campaign at [Campaign.Async 1]) and {!run_async} (k
+    evaluations in flight), each with its resume counterpart
+    ({!resume}, {!resume_async}). Every driver absorbs
     evaluation failures into the surrogate's bad density instead of
     dying on them: every failed configuration is classified by the
     {!Resilience.Outcome} taxonomy, retried according to a
@@ -167,8 +168,10 @@ val run_with_policy :
     [telemetry] (here and on every other entry point) streams the
     campaign's structured events — [Campaign_start], one [Init_draw]
     per random draw, [Refit]/[Compile]/[Rank] spans per iteration,
-    one [Attempt] per objective call, one [Eval] per consumed budget
-    unit, and a final [Campaign_end] — to the given
+    one [Submit] per issued configuration, one [Attempt] per objective
+    call, one [Eval] and one [Complete] per consumed budget unit (at
+    in-flight depth at most 1 and simulated time 0 here), and a final
+    [Campaign_end] — to the given
     {!Telemetry.Trace.t}. Tracing reads only the trace's clock: it
     performs no rng draws and never influences selection, so a traced
     campaign is bit-identical to an untraced one. The default is
@@ -259,10 +262,10 @@ val run_async :
 
     [history], [trajectory], [on_outcome] indices, and run-log entries
     written from [on_outcome] are all in completion order. [telemetry]
-    additionally carries one [Submit] and one [Complete] event per
-    slot with the in-flight depth and simulated time ([Campaign_start]
-    records [k] in its [batch_size] field, where a synchronous run
-    records 1). {!resume_async} continues an interrupted campaign
+    carries [Submit] and [Complete] events with the in-flight depth
+    and simulated time, as on every engine ([Campaign_start] records
+    [k] in its [batch_size] field, where a synchronous run records
+    1). {!resume_async} continues an interrupted campaign
     from its run log. *)
 
 val resume_async :

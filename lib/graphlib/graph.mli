@@ -16,8 +16,6 @@ val of_adjacency : int array array -> t
 val n_nodes : t -> int
 val n_edges : t -> int
 val degree : t -> int -> int
-val neighbors : t -> int -> int array
-(** The stored array — do not mutate. *)
 
 val mem_edge : t -> int -> int -> bool
 val fold_neighbors : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a

@@ -35,20 +35,6 @@ let row m i = Array.sub m.data (i * m.cols) m.cols
 let col m j = Array.init m.rows (fun i -> get m i j)
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
-let same_shape name a b =
-  if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg (Printf.sprintf "Mat.%s: shape mismatch (%dx%d vs %dx%d)" name a.rows a.cols b.rows b.cols)
-
-let add a b =
-  same_shape "add" a b;
-  { a with data = Array.mapi (fun k x -> x +. b.data.(k)) a.data }
-
-let sub a b =
-  same_shape "sub" a b;
-  { a with data = Array.mapi (fun k x -> x -. b.data.(k)) a.data }
-
-let scale s a = { a with data = Array.map (fun x -> s *. x) a.data }
-
 let matmul a b =
   if a.cols <> b.rows then
     invalid_arg (Printf.sprintf "Mat.matmul: inner dimension mismatch (%d vs %d)" a.cols b.rows);
@@ -94,8 +80,6 @@ let trace m =
     acc := !acc +. get m i i
   done;
   !acc
-
-let map f m = { m with data = Array.map f m.data }
 
 let cholesky a =
   if a.rows <> a.cols then invalid_arg "Mat.cholesky: not square";
@@ -150,14 +134,3 @@ let log_det_from_cholesky l =
     acc := !acc +. log (get l i i)
   done;
   2. *. !acc
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "@[<h>";
-    for j = 0 to m.cols - 1 do
-      Format.fprintf fmt "%8.4f " (get m i j)
-    done;
-    Format.fprintf fmt "@]@,"
-  done;
-  Format.fprintf fmt "@]"

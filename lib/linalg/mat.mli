@@ -17,15 +17,11 @@ val of_arrays : float array array -> t
 val row : t -> int -> Vec.t
 val col : t -> int -> Vec.t
 val transpose : t -> t
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
 val matmul : t -> t -> t
 val mat_vec : t -> Vec.t -> Vec.t
 val vec_mat : Vec.t -> t -> Vec.t
 val outer : Vec.t -> Vec.t -> t
 val trace : t -> float
-val map : (float -> float) -> t -> t
 
 val cholesky : t -> t
 (** [cholesky a] returns the lower-triangular [l] with [l * l^T = a].
@@ -44,5 +40,3 @@ val cholesky_solve : t -> Vec.t -> Vec.t
 
 val log_det_from_cholesky : t -> float
 (** Log-determinant of [a] from its Cholesky factor. *)
-
-val pp : Format.formatter -> t -> unit

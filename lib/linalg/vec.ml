@@ -1,12 +1,5 @@
 type t = float array
 
-let create n x = Array.make n x
-let init = Array.init
-let dim = Array.length
-let copy = Array.copy
-let of_list = Array.of_list
-let fill v x = Array.fill v 0 (Array.length v) x
-
 let check_dims name a b =
   if Array.length a <> Array.length b then
     invalid_arg (Printf.sprintf "Vec.%s: dimension mismatch (%d vs %d)" name (Array.length a) (Array.length b))
@@ -22,8 +15,6 @@ let sub a b =
 let mul a b =
   check_dims "mul" a b;
   Array.mapi (fun i x -> x *. b.(i)) a
-
-let scale s a = Array.map (fun x -> s *. x) a
 
 let axpy a x y =
   check_dims "axpy" x y;
@@ -63,7 +54,6 @@ let arg_extremum name cmp a =
 
 let argmax a = arg_extremum "argmax" ( > ) a
 let argmin a = arg_extremum "argmin" ( < ) a
-let map = Array.map
 
 let sq_dist a b =
   check_dims "sq_dist" a b;
@@ -73,8 +63,3 @@ let sq_dist a b =
     acc := !acc +. (d *. d)
   done;
   !acc
-
-let pp fmt v =
-  Format.fprintf fmt "[|";
-  Array.iteri (fun i x -> if i = 0 then Format.fprintf fmt "%g" x else Format.fprintf fmt "; %g" x) v;
-  Format.fprintf fmt "|]"

@@ -6,19 +6,11 @@
 
 type t = float array
 
-val create : int -> float -> t
-val init : int -> (int -> float) -> t
-val dim : t -> int
-val copy : t -> t
-val of_list : float list -> t
-val fill : t -> float -> unit
-
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 (** Element-wise product. *)
 
-val scale : float -> t -> t
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] performs [y <- a*x + y] in place. *)
 
@@ -32,8 +24,5 @@ val max : t -> float
 val min : t -> float
 val argmax : t -> int
 val argmin : t -> int
-val map : (float -> float) -> t -> t
 val sq_dist : t -> t -> float
 (** Squared Euclidean distance. *)
-
-val pp : Format.formatter -> t -> unit

@@ -24,8 +24,3 @@ module Table = Hashtbl.Make (struct
   let equal = equal
   let hash = hash
 end)
-
-let pp fmt t =
-  Format.fprintf fmt "(";
-  Array.iteri (fun i v -> if i = 0 then Value.pp fmt v else Format.fprintf fmt ", %a" Value.pp v) t;
-  Format.fprintf fmt ")"

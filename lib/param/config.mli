@@ -13,5 +13,3 @@ val hash : t -> int
 
 module Table : Hashtbl.S with type key = t
 (** Hashtables keyed by configuration. *)
-
-val pp : Format.formatter -> t -> unit

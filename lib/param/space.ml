@@ -167,8 +167,3 @@ let to_string t config =
   String.concat " "
     (Array.to_list
        (Array.mapi (fun i spec -> Printf.sprintf "%s=%s" (Spec.name spec) (Spec.value_to_string spec config.(i))) t.specs))
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  Array.iter (fun spec -> Format.fprintf fmt "%a@," Spec.pp spec) t.specs;
-  Format.fprintf fmt "@]"

@@ -66,4 +66,3 @@ val encode : t -> Config.t -> float array
 val to_string : t -> Config.t -> string
 (** ["name=value name=value ..."] rendering. *)
 
-val pp : Format.formatter -> t -> unit

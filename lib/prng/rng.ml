@@ -63,7 +63,6 @@ let int t n =
   in
   draw ()
 
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
 
 let normal t =
   (* Box–Muller; we discard the second deviate for simplicity. *)

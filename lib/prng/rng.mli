@@ -32,8 +32,6 @@ val float_range : t -> float -> float -> float
 val int : t -> int -> int
 (** [int rng n] is uniform in [0, n). Requires [n > 0]. *)
 
-val bool : t -> bool
-(** Fair coin flip. *)
 
 val normal : t -> float
 (** Standard normal deviate (Box–Muller, one value per call). *)

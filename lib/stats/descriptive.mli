@@ -7,7 +7,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance (n-1 denominator); 0 for singletons. *)
 
-val stddev : float array -> float
 val min : float array -> float
 val max : float array -> float
 val sum : float array -> float

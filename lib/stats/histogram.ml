@@ -12,7 +12,6 @@ let create ?(smoothing = 1.0) ~n_categories () =
   check_finite_nonneg "Histogram.create: smoothing" smoothing;
   { smoothing; counts = Array.make n_categories 0.; total = 0. }
 
-let n_categories t = Array.length t.counts
 
 let check_category t c =
   if c < 0 || c >= Array.length t.counts then invalid_arg "Histogram: category out of range"
@@ -45,4 +44,3 @@ let merge_weighted ~prior ~w t =
   let counts = Array.mapi (fun i c -> (w *. prior.counts.(i)) +. c) t.counts in
   { smoothing = t.smoothing; counts; total = (w *. prior.total) +. t.total }
 
-let copy t = { t with counts = Array.copy t.counts }

@@ -13,7 +13,6 @@ val create : ?smoothing:float -> n_categories:int -> unit -> t
 (** Fresh histogram over categories [0 .. n_categories-1].
     [smoothing] defaults to 1.0 (add-one). *)
 
-val n_categories : t -> int
 val observe : t -> int -> unit
 (** Add one observation of a category. Raises [Invalid_argument] when
     the category is out of range. *)
@@ -40,4 +39,3 @@ val merge_weighted : prior:t -> w:float -> t -> t
     [w * prior + h] — the weighted-sum prior construction of paper
     eqs. 9–10. Both histograms must have the same category count. *)
 
-val copy : t -> t

@@ -40,7 +40,6 @@ let create_weighted ?bandwidth pairs =
   { centers; weights; total_weight; bandwidth }
 
 let create ?bandwidth xs = create_weighted ?bandwidth (Array.map (fun x -> (x, 1.0)) xs)
-let bandwidth t = t.bandwidth
 let n_samples t = Array.length t.centers
 
 let pdf t x =

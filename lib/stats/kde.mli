@@ -24,7 +24,6 @@ val min_bandwidth : float
     data (point masses, zero-width ranges) is clamped here instead of
     producing a zero or denormal bandwidth. *)
 
-val bandwidth : t -> float
 val n_samples : t -> int
 
 val min_density : float

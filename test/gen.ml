@@ -65,6 +65,15 @@ let salted_duration salt config (v : Resilience.Evaluator.verdict) =
   float_of_int ((Param.Config.hash config lxor salt) land 0xFF)
   +. v.Resilience.Evaluator.retry_cost
 
+(* The ranking reference: rows [0, n) not skipped, sorted by score
+   descending with ties toward the smaller index, first [k] kept (as
+   indices). *)
+let top_k ~k ~n ?(skip = fun _ -> false) score =
+  List.init n Fun.id
+  |> List.filter (fun i -> not (skip i))
+  |> List.stable_sort (fun i j -> Float.compare (score j) (score i))
+  |> List.filteri (fun r _ -> r < k)
+
 (* ---- printers (what a failing property reports) ---- *)
 
 let spec_to_string spec =

@@ -86,7 +86,7 @@ let drive_async campaign ~eval ~duration =
   done;
   Hiperbot.Campaign.result campaign
 
-(* ---- property: step-driven Sync machine = run_with_policy ---- *)
+(* ---- property: step-driven k=1 machine = run_with_policy ---- *)
 
 let campaign_gen =
   let open QCheck2.Gen in
@@ -112,7 +112,7 @@ let prop_sync_conformance =
           ~space ~objective ~budget ()
       in
       let campaign =
-        Hiperbot.Campaign.create ~options ~mode:Hiperbot.Campaign.Sync
+        Hiperbot.Campaign.create ~options ~mode:(Hiperbot.Campaign.Async 1)
           ~rng:(Prng.Rng.create seed) ~space ~budget ()
       in
       let stepped =
@@ -218,7 +218,7 @@ let prop_resume_any_cut =
         in
         let log = Dataset.Runlog.create ~gates:cut_gates ~name:"cut" ~seed ~space entries in
         let campaign =
-          Hiperbot.Campaign.of_log ~options ~policy:policy3 ~mode:Hiperbot.Campaign.Sync ~log
+          Hiperbot.Campaign.of_log ~options ~policy:policy3 ~mode:(Hiperbot.Campaign.Async 1) ~log
             ~budget ()
         in
         let resumed =
@@ -290,7 +290,7 @@ let exclusion_gen =
   let+ warm = Gen.configs_gen ~min_n:0 ~max_n:3 space in
   (space, seed, n_init, budget, async, warm)
 
-(* Sync and async k=4, with and without a warm start; then the
+(* k=1 and k=4, with and without a warm start; then the
    recorded run is cut at every point and rebuilt with [of_log], whose
    exclusion set must hold the warm start, the replayed prefix and the
    refilled in-flight slots, and keep tracking the resumed run. *)
@@ -305,7 +305,7 @@ let prop_exclusion_tracks_seen =
     (fun (space, seed, n_init, budget, async, warm) ->
       let options = { Hiperbot.Tuner.default_options with n_init } in
       let warm_start = Array.map (fun c -> (c, Gen.hash_objective c)) warm in
-      let mode = if async then Hiperbot.Campaign.Async 4 else Hiperbot.Campaign.Sync in
+      let mode = Hiperbot.Campaign.Async (if async then 4 else 1) in
       let recorded = ref [] in
       let campaign =
         Hiperbot.Campaign.create ~options ~warm_start
@@ -356,7 +356,7 @@ let test_create_rejects_bad_options () =
     (fun (label, options, msg) ->
       Alcotest.check_raises label (Invalid_argument ("Campaign.create: " ^ msg)) (fun () ->
           ignore
-            (Hiperbot.Campaign.create ~options ~mode:Hiperbot.Campaign.Sync
+            (Hiperbot.Campaign.create ~options ~mode:(Hiperbot.Campaign.Async 1)
                ~rng:(Prng.Rng.create 1) ~space:Gen.cat_ord_space ~budget:8 ()));
       (* The drivers refuse the same options before calling the
          objective even once. *)
@@ -380,7 +380,7 @@ let rejects f =
 
 let test_report_rejection () =
   let campaign =
-    Hiperbot.Campaign.create ~mode:Hiperbot.Campaign.Sync ~rng:(Prng.Rng.create 7)
+    Hiperbot.Campaign.create ~mode:(Hiperbot.Campaign.Async 1) ~rng:(Prng.Rng.create 7)
       ~space:Gen.cat_ord_space ~budget:2 ()
   in
   let ok y = { Resilience.Evaluator.outcome = Resilience.Outcome.Value y; attempts = 1; retry_cost = 0. } in
@@ -466,7 +466,7 @@ let test_warm_start_aliasing () =
   in
   let control =
     let campaign =
-      Hiperbot.Campaign.create ~options ~warm_start:(ws ()) ~mode:Hiperbot.Campaign.Sync
+      Hiperbot.Campaign.create ~options ~warm_start:(ws ()) ~mode:(Hiperbot.Campaign.Async 1)
         ~rng:(Prng.Rng.create 5) ~space ~budget:8 ()
     in
     drive_sync campaign eval
@@ -474,7 +474,7 @@ let test_warm_start_aliasing () =
   let mutated =
     let arr = ws () in
     let campaign =
-      Hiperbot.Campaign.create ~options ~warm_start:arr ~mode:Hiperbot.Campaign.Sync
+      Hiperbot.Campaign.create ~options ~warm_start:arr ~mode:(Hiperbot.Campaign.Async 1)
         ~rng:(Prng.Rng.create 5) ~space ~budget:8 ()
     in
     (* Clobber the caller's array mid-campaign: the machine must not
@@ -498,14 +498,14 @@ let test_candidates_aliasing () =
   let control =
     let campaign =
       Hiperbot.Campaign.create ~options ~candidates:(candidates ())
-        ~mode:Hiperbot.Campaign.Sync ~rng:(Prng.Rng.create 9) ~space ~budget:8 ()
+        ~mode:(Hiperbot.Campaign.Async 1) ~rng:(Prng.Rng.create 9) ~space ~budget:8 ()
     in
     drive_sync campaign eval
   in
   let mutated =
     let arr = candidates () in
     let campaign =
-      Hiperbot.Campaign.create ~options ~candidates:arr ~mode:Hiperbot.Campaign.Sync
+      Hiperbot.Campaign.create ~options ~candidates:arr ~mode:(Hiperbot.Campaign.Async 1)
         ~rng:(Prng.Rng.create 9) ~space ~budget:8 ()
     in
     let swap = arr.(Array.length arr - 1) in
@@ -527,7 +527,7 @@ let test_interleaved_campaigns () =
   in
   let options = { Hiperbot.Tuner.default_options with n_init = 3 } in
   let mk seed =
-    Hiperbot.Campaign.create ~options ~mode:Hiperbot.Campaign.Sync
+    Hiperbot.Campaign.create ~options ~mode:(Hiperbot.Campaign.Async 1)
       ~rng:(Prng.Rng.create seed) ~space ~budget:10 ()
   in
   let isolated seed = drive_sync (mk seed) eval in
@@ -563,14 +563,14 @@ let test_shared_pool_concurrent () =
   let options = { Hiperbot.Tuner.default_options with n_init = 4 } in
   let run_shared pool seed =
     let campaign =
-      Hiperbot.Campaign.create ~options ~shared_pool:pool ~mode:Hiperbot.Campaign.Sync
+      Hiperbot.Campaign.create ~options ~shared_pool:pool ~mode:(Hiperbot.Campaign.Async 1)
         ~rng:(Prng.Rng.create seed) ~space ~budget:12 ()
     in
     drive_sync campaign eval
   in
   let isolated seed =
     let campaign =
-      Hiperbot.Campaign.create ~options ~mode:Hiperbot.Campaign.Sync
+      Hiperbot.Campaign.create ~options ~mode:(Hiperbot.Campaign.Async 1)
         ~rng:(Prng.Rng.create seed) ~space ~budget:12 ()
     in
     drive_sync campaign eval

@@ -93,27 +93,10 @@ let obs3 =
   Array.init 30 (fun _ ->
       (Param.Space.random_config space3 rng, float_of_int (1 + Prng.Rng.int rng 1000)))
 
-(* ---- Topk tie-breaking ---- *)
-
-let test_topk_ties_break_on_index () =
-  let top = Hiperbot.Strategy.Topk.create 3 in
-  Hiperbot.Strategy.Topk.offer_indexed top "d" 1. 3;
-  Hiperbot.Strategy.Topk.offer_indexed top "a" 1. 0;
-  Hiperbot.Strategy.Topk.offer_indexed top "c" 1. 2;
-  Hiperbot.Strategy.Topk.offer_indexed top "b" 1. 1;
-  check (Alcotest.list Alcotest.string) "equal scores resolved toward smaller index"
-    [ "a"; "b"; "c" ]
-    (Hiperbot.Strategy.Topk.to_list_desc top);
-  let fifo = Hiperbot.Strategy.Topk.create 2 in
-  Hiperbot.Strategy.Topk.offer fifo "first" 5.;
-  Hiperbot.Strategy.Topk.offer fifo "second" 5.;
-  Hiperbot.Strategy.Topk.offer fifo "third" 5.;
-  check (Alcotest.list Alcotest.string) "offer ties keep insertion order" [ "first"; "second" ]
-    (Hiperbot.Strategy.Topk.to_list_desc fifo)
-
 (* All four observations share one configuration value per parameter,
    so the good and bad histograms coincide and every candidate scores
-   exactly log 1 = 0: selection must fall back to pool order. *)
+   exactly log 1 = 0: ranking must fall back to pool order, and
+   Proposal must keep the first of its (equal-scoring) draws. *)
 let test_all_equal_scores_select_pool_order () =
   let space =
     Param.Space.make
@@ -129,13 +112,19 @@ let test_all_equal_scores_select_pool_order () =
       check (Alcotest.float 0.) "log-ratio exactly 0" 0.
         (Hiperbot.Surrogate.log_ratio surrogate c))
     pool;
-  let evaluated = Param.Config.Table.create 1 in
-  let rng = Prng.Rng.create 1 in
   let expected = Array.to_list (Array.sub pool 0 4) in
   let got =
-    Hiperbot.Strategy.select_many Hiperbot.Strategy.Ranking ~k:4 ~rng ~surrogate ~pool ~evaluated
+    Hiperbot.Strategy.rank ~k:4 ~surrogate ~encoded:(Hiperbot.Surrogate.Pool.encode space pool)
+      ~excluded:(Hiperbot.Strategy.Exclusion.create ()) ()
   in
-  check Alcotest.bool "first k in pool order" true (same_configs expected got)
+  check Alcotest.bool "first k in pool order" true (same_configs expected got);
+  let rng = Prng.Rng.create 5 in
+  let first = Hiperbot.Surrogate.sample_good surrogate (Prng.Rng.copy rng) in
+  let proposed =
+    Hiperbot.Strategy.propose ~rng ~surrogate ~evaluated:(Param.Config.Table.create 1)
+      ~n_candidates:16
+  in
+  check Alcotest.bool "proposal keeps the first draw" true (Param.Config.equal first proposed)
 
 (* ---- shared density floor ---- *)
 
@@ -165,9 +154,9 @@ let test_density_floor_unified () =
 (* ---- streaming top-k == materialized top-k ---- *)
 
 (* Scores are drawn from a 5-value set so duplicates are common: the
-   streaming heap must reproduce the association-list Topk exactly,
+   streaming heap must reproduce the score-sort reference exactly,
    tie order included, and must not depend on the offer order. *)
-let prop_stream_topk_matches_topk =
+let prop_stream_topk_matches_reference =
   let gen =
     let open QCheck2.Gen in
     let* k = int_range 1 8 in
@@ -175,15 +164,14 @@ let prop_stream_topk_matches_topk =
     let+ scores = flatten_l (List.init n (fun _ -> oneofl [ -1.; 0.; 0.5; 1.; 2. ])) in
     (k, Array.of_list scores)
   in
-  QCheck2.Test.make ~name:"strategy: Topk_stream equals Topk, tie order included" ~count:200
+  QCheck2.Test.make ~name:"strategy: Topk_stream equals the score sort, tie order included"
+    ~count:200
     ~print:(fun (k, scores) ->
       Printf.sprintf "k=%d scores=[%s]" k
         (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%g") scores))))
     gen
     (fun (k, scores) ->
-      let reference = Hiperbot.Strategy.Topk.create k in
-      Array.iteri (fun i s -> Hiperbot.Strategy.Topk.offer_indexed reference i s i) scores;
-      let expected = Hiperbot.Strategy.Topk.to_list_desc reference in
+      let expected = Gen.top_k ~k ~n:(Array.length scores) (Array.get scores) in
       let stream = Hiperbot.Strategy.Topk_stream.create k in
       Array.iteri (fun i s -> Hiperbot.Strategy.Topk_stream.offer stream s i) scores;
       let got = List.map snd (Hiperbot.Strategy.Topk_stream.to_desc stream) in
@@ -248,9 +236,8 @@ let prop_incremental_refit_matches_full =
         (* Selection through the engine's scorer must match selection
            through the from-scratch scorer, tie order included. *)
         let select surrogate compiled =
-          let evaluated = Param.Config.Table.create 1 in
-          Hiperbot.Strategy.select_many_encoded ~compiled ~k:3 ~rng:(Prng.Rng.create 1)
-            ~surrogate ~encoded ~evaluated ()
+          Hiperbot.Strategy.rank ~compiled ~k:3 ~surrogate ~encoded
+            ~excluded:(Hiperbot.Strategy.Exclusion.create ()) ()
         in
         if not (same_configs (select s_ref c_ref) (select s_inc c_inc)) then ok := false
       done;
@@ -335,24 +322,17 @@ let prop_branch_and_bound_exact =
       let compiled = Hiperbot.Surrogate.compile surrogate encoded in
       let table = Hiperbot.Surrogate.Compiled.table compiled in
       List.iteri (fun j t -> Bigarray.Array1.set table j (0.1 *. float_of_int t)) tenths;
-      let evaluated = Param.Config.Table.create 8 in
-      List.iter
-        (fun i -> Param.Config.Table.replace evaluated (Hiperbot.Surrogate.Pool.config encoded i) ())
-        excluded;
+      let exclusion = Hiperbot.Strategy.Exclusion.create () in
+      List.iter (Hiperbot.Strategy.Exclusion.add exclusion) excluded;
       let selected =
-        Hiperbot.Strategy.select_many_encoded ~compiled ~k ~rng:(Prng.Rng.create 1) ~surrogate
-          ~encoded ~evaluated ()
+        Hiperbot.Strategy.rank ~compiled ~k ~surrogate ~encoded ~excluded:exclusion ()
       in
       let naive =
-        let top = Hiperbot.Strategy.Topk.create k in
-        for i = 0 to Hiperbot.Surrogate.Pool.length encoded - 1 do
-          let c = Hiperbot.Surrogate.Pool.config encoded i in
-          if not (Param.Config.Table.mem evaluated c) then
-            Hiperbot.Strategy.Topk.offer_indexed top c
-              (Hiperbot.Surrogate.Compiled.log_ratio compiled i)
-              i
-        done;
-        Hiperbot.Strategy.Topk.to_list_desc top
+        List.map (Hiperbot.Surrogate.Pool.config encoded)
+          (Gen.top_k ~k
+             ~n:(Hiperbot.Surrogate.Pool.length encoded)
+             ~skip:(Hiperbot.Strategy.Exclusion.mem exclusion)
+             (Hiperbot.Surrogate.Compiled.log_ratio compiled))
       in
       same_configs naive selected)
 
@@ -417,8 +397,6 @@ let test_init_exits_early_when_pool_covered () =
 let suite =
   ( "compiled",
     [
-      Alcotest.test_case "topk ties break on index / insertion order" `Quick
-        test_topk_ties_break_on_index;
       Alcotest.test_case "all-equal scores select pool order" `Quick
         test_all_equal_scores_select_pool_order;
       Alcotest.test_case "density floor unified across paths" `Quick test_density_floor_unified;
@@ -430,6 +408,6 @@ let suite =
         test_rank_allocation_bounded;
       QCheck_alcotest.to_alcotest prop_branch_and_bound_exact;
       QCheck_alcotest.to_alcotest prop_compiled_matches_naive;
-      QCheck_alcotest.to_alcotest prop_stream_topk_matches_topk;
+      QCheck_alcotest.to_alcotest prop_stream_topk_matches_reference;
       QCheck_alcotest.to_alcotest prop_incremental_refit_matches_full;
     ] )

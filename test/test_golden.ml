@@ -54,23 +54,28 @@ let log_of ~name ~seed ~space r =
     ~gates:(List.filter_map (function Dataset.Runlog.Gate g -> Some g | _ -> None) records)
     ~fids:(List.filter_map (function Dataset.Runlog.Fid f -> Some f | _ -> None) records)
     ~rungs:(List.filter_map (function Dataset.Runlog.Rung g -> Some g | _ -> None) records)
+    ~objs:(List.filter_map (function Dataset.Runlog.Obj o -> Some o | _ -> None) records)
     ~name ~seed ~space (List.rev r.entries)
 
 type line = { cell : string; evals : int; best : string; digest : string; prints : string list }
 
 (* A cell's fixture line, and the rendered run-log lines it digests. *)
-let line_of cell (run : Tuner.result) log =
-  let text = Dataset.Runlog.to_string log in
+let line_of_text cell ~evals ~best text =
   let lines = String.split_on_char '\n' text in
   let print l = String.sub (Digest.to_hex (Digest.string l)) 0 6 in
   ( {
       cell;
-      evals = Array.length run.Tuner.history + Array.length run.Tuner.failures;
-      best = Printf.sprintf "%h" run.Tuner.best_value;
+      evals;
+      best = Printf.sprintf "%h" best;
       digest = Digest.to_hex (Digest.string text);
       prints = List.map print lines;
     },
     lines )
+
+let line_of cell (run : Tuner.result) log =
+  line_of_text cell
+    ~evals:(Array.length run.Tuner.history + Array.length run.Tuner.failures)
+    ~best:run.Tuner.best_value (Dataset.Runlog.to_string log)
 
 let render l =
   Printf.sprintf "%s %d %s %s %s" l.cell l.evals l.best l.digest (String.concat "," l.prints)
@@ -86,16 +91,148 @@ let parse s =
 let kripke_objective = Dataset.Table.objective_fn (table "kripke")
 let kripke_space = Dataset.Table.space (table "kripke")
 
-let sync_kripke () =
-  let r = recorder () and seed = 1 in
+let sync_cell ~dataset ~seed () =
+  let t = table dataset in
+  let space = Dataset.Table.space t in
+  let r = recorder () in
   let run =
     Gen.ok
       (Tuner.run_with_policy
          ~options:{ Tuner.default_options with n_init = 10 }
-         ~on_outcome:(on_outcome r) ~rng:(Prng.Rng.create seed) ~space:kripke_space
-         ~objective:(Gen.total kripke_objective) ~budget:40 ())
+         ~on_outcome:(on_outcome r) ~rng:(Prng.Rng.create seed) ~space
+         ~objective:(Gen.total (Dataset.Table.objective_fn t)) ~budget:40 ())
   in
-  [ line_of "sync-kripke" run (log_of ~name:"kripke" ~seed ~space:kripke_space r) ]
+  [ line_of ("sync-" ^ dataset) run (log_of ~name:dataset ~seed ~space r) ]
+
+let sync_kripke = sync_cell ~dataset:"kripke" ~seed:1
+let sync_hypre = sync_cell ~dataset:"hypre" ~seed:5
+let sync_lulesh = sync_cell ~dataset:"lulesh" ~seed:6
+
+(* The continuous toy of the paper's fig. 1 (bench/experiments.ml):
+   the only cells whose surrogate has KDE sides, and the only ones on
+   the Proposal path — synchronous, and at k=3 with the pending
+   configurations joining pb as constant-liar observations. Run logs
+   cannot hold a continuous parameter, so these cells digest one
+   "<index> <x> <y>" line per evaluation, floats in %h. *)
+let toy_space = Param.Space.make [ Param.Spec.continuous "x" ~lo:0. ~hi:5. ]
+
+let toy_objective config =
+  let x = Param.Value.to_float_raw config.(0) in
+  (20. *. ((x -. 2.) ** 2.)) -. 25. +. (8. *. sin (3. *. x))
+
+let toy_options =
+  {
+    Tuner.default_options with
+    n_init = 10;
+    strategy = Strategy.Proposal { n_candidates = 64 };
+  }
+
+let toy_line cell (run : Tuner.result) r =
+  let row (e : Dataset.Runlog.entry) =
+    let y = match e.Dataset.Runlog.status with Dataset.Runlog.Ok y -> y | Failed _ -> nan in
+    Printf.sprintf "%d %h %h" e.Dataset.Runlog.index
+      (Param.Value.to_float_raw e.Dataset.Runlog.config.(0))
+      y
+  in
+  let text = String.concat "\n" (List.rev_map row r.entries) in
+  [
+    line_of_text cell
+      ~evals:(Array.length run.Tuner.history + Array.length run.Tuner.failures)
+      ~best:run.Tuner.best_value text;
+  ]
+
+let proposal_toy () =
+  let r = recorder () and seed = 7 in
+  let run =
+    Gen.ok
+      (Tuner.run_with_policy ~options:toy_options ~on_outcome:(on_outcome r)
+         ~rng:(Prng.Rng.create seed) ~space:toy_space ~objective:(Gen.total toy_objective)
+         ~budget:30 ())
+  in
+  toy_line "proposal-toy" run r
+
+let proposal_toy_async3 () =
+  let r = recorder () and seed = 8 in
+  let run =
+    Gen.ok
+      (Tuner.run_async ~options:toy_options ~on_outcome:(on_outcome r) ~k:3
+         ~rng:(Prng.Rng.create seed) ~space:toy_space ~objective:(Gen.total toy_objective)
+         ~budget:30 ())
+  in
+  toy_line "proposal-toy-async3" run r
+
+(* Time and energy on kripke_energy, Chebyshev-scalarised, through
+   the multi-objective driver; the log carries the #obj vectors. *)
+let moo_kripke_energy () =
+  let space = Hpcsim.Kripke.energy_space in
+  let vector c = [| Hpcsim.Kripke.exec_time_capped c; Hpcsim.Kripke.energy c |] in
+  let moo =
+    { Moo.scalarisation = Moo.Chebyshev; weights = [| 1.; 0.02 |]; reference = [| 1e3; 1e5 |] }
+  in
+  let r = recorder () and seed = 9 in
+  let t =
+    Moo.run
+      ~options:{ Tuner.default_options with n_init = 10 }
+      ~on_outcome:(on_outcome r)
+      ~on_vector:(fun i v -> on_record r (Dataset.Runlog.Obj { o_index = i; o_values = v }))
+      ~moo ~rng:(Prng.Rng.create seed) ~space ~budget:30
+      ~objective:(fun c -> Moo.Vector (vector c))
+      ()
+  in
+  [
+    line_of "moo-kripke_energy" (Gen.ok (Moo.result t))
+      (log_of ~name:"kripke_energy" ~seed ~space r);
+  ]
+
+(* A session served over the line protocol at k=4, driven by a client
+   that asks until told to wait and then reports its oldest
+   suggestion; the cell digests the run-log file the session wrote. *)
+let served_kripke_k4 () =
+  let dir = Filename.temp_file "golden_serve" "" in
+  Sys.remove dir;
+  let server = Serve.create ~dir () in
+  let ask line =
+    let reply = Serve.handle server line in
+    if String.length reply < 2 || String.sub reply 0 2 <> "ok" then
+      Alcotest.failf "%S -> %S" line reply;
+    String.split_on_char ' ' reply
+  in
+  let specs = Param.Space.specs kripke_space in
+  let wire =
+    String.concat ";" (Array.to_list (Array.map Dataset.Runlog.spec_to_string specs))
+  in
+  ignore (ask ("open g seed=10 budget=30 k=4 n_init=8 space=" ^ wire));
+  let queue = Queue.create () in
+  let rec drive () =
+    match ask "suggest g" with
+    | [ "ok"; "finished"; _; evals; best ] ->
+        let value field =
+          let i = String.index field '=' + 1 in
+          String.sub field i (String.length field - i)
+        in
+        (int_of_string (value evals), float_of_string (value best))
+    | [ "ok"; "wait"; _ ] ->
+        let id, config = Queue.pop queue in
+        ignore (ask (Printf.sprintf "report g %d ok:%h" id (kripke_objective config)));
+        drive ()
+    | [ "ok"; "suggest"; _; id; cells ] ->
+        let config =
+          Array.of_list
+            (List.mapi
+               (fun i cell -> Dataset.Runlog.value_of_string specs.(i) cell)
+               (String.split_on_char ',' cells))
+        in
+        Queue.push (int_of_string id, config) queue;
+        drive ()
+    | reply -> Alcotest.failf "unexpected reply %S" (String.concat " " reply)
+  in
+  let evals, best = drive () in
+  ignore (ask "close g");
+  let path = Filename.concat dir "g.runlog" in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Sys.rmdir dir;
+  [ line_of_text "served-kripke-k4" ~evals ~best text ]
 
 (* Async k=4 under injected faults with retries, then the same
    campaign resumed from a mid-campaign cut of its log. *)
@@ -212,7 +349,19 @@ let gated_hypre_resumed () =
 
 let cells () =
   List.concat_map (fun f -> f ())
-    [ sync_kripke; async_hypre; fidelity_flat; halving_kripke; gated_hypre_resumed ]
+    [
+      sync_kripke;
+      async_hypre;
+      fidelity_flat;
+      halving_kripke;
+      gated_hypre_resumed;
+      sync_hypre;
+      sync_lulesh;
+      proposal_toy;
+      proposal_toy_async3;
+      moo_kripke_energy;
+      served_kripke_k4;
+    ]
 
 (* ---- comparison and blessing ---- *)
 

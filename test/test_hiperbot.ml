@@ -176,44 +176,45 @@ let test_surrogate_validation () =
 
 (* ---- Strategy ---- *)
 
+(* [Strategy.rank] over space2's enumerated pool, skipping the
+   configurations in [evaluated]. *)
+let rank ~k s evaluated =
+  let encoded = Hiperbot.Surrogate.Pool.encode space2 (Param.Space.enumerate space2) in
+  let excluded = Hiperbot.Strategy.Exclusion.create () in
+  Param.Config.Table.iter
+    (fun c () -> Hiperbot.Strategy.Exclusion.add_config excluded encoded c)
+    evaluated;
+  Hiperbot.Strategy.rank ~k ~surrogate:s ~encoded ~excluded ()
+
 let test_ranking_excludes_evaluated () =
   let s = Hiperbot.Surrogate.fit space2 separable_obs in
   let pool = Param.Space.enumerate space2 in
   let evaluated = Param.Config.Table.create 16 in
-  let rng = Prng.Rng.create 81 in
   (* Repeatedly select; every selection must be new. *)
   for _ = 1 to Array.length pool do
-    match Hiperbot.Strategy.select Hiperbot.Strategy.Ranking ~rng ~surrogate:s ~pool ~evaluated with
-    | Some c ->
+    match rank ~k:1 s evaluated with
+    | [ c ] ->
         if Param.Config.Table.mem evaluated c then Alcotest.fail "selected an evaluated config";
         Param.Config.Table.replace evaluated c ()
-    | None -> Alcotest.fail "pool exhausted early"
+    | _ -> Alcotest.fail "pool exhausted early"
   done;
-  check Alcotest.(option bool) "exhausted pool returns None" None
-    (Option.map (fun _ -> true)
-       (Hiperbot.Strategy.select Hiperbot.Strategy.Ranking ~rng ~surrogate:s ~pool ~evaluated))
+  check Alcotest.int "exhausted pool ranks nothing" 0 (List.length (rank ~k:1 s evaluated))
 
 let test_ranking_picks_argmax () =
   let s = Hiperbot.Surrogate.fit space2 separable_obs in
   let pool = Param.Space.enumerate space2 in
-  let evaluated = Param.Config.Table.create 16 in
-  let rng = Prng.Rng.create 82 in
-  match Hiperbot.Strategy.select Hiperbot.Strategy.Ranking ~rng ~surrogate:s ~pool ~evaluated with
-  | None -> Alcotest.fail "no selection"
-  | Some c ->
+  match rank ~k:1 s (Param.Config.Table.create 16) with
+  | [ c ] ->
       let best = Array.fold_left (fun acc x -> Float.max acc (Hiperbot.Surrogate.score s x)) neg_infinity pool in
       check (Alcotest.float 1e-12) "argmax score" best (Hiperbot.Surrogate.score s c)
+  | _ -> Alcotest.fail "no selection"
 
 let test_proposal_returns_valid () =
   let s = Hiperbot.Surrogate.fit space2 separable_obs in
   let evaluated = Param.Config.Table.create 16 in
   let rng = Prng.Rng.create 83 in
-  match
-    Hiperbot.Strategy.select (Hiperbot.Strategy.Proposal { n_candidates = 16 }) ~rng ~surrogate:s
-      ~pool:[||] ~evaluated
-  with
-  | None -> Alcotest.fail "proposal returned None"
-  | Some c -> check Alcotest.bool "valid" true (Param.Space.validate space2 c)
+  let c = Hiperbot.Strategy.propose ~rng ~surrogate:s ~evaluated ~n_candidates:16 in
+  check Alcotest.bool "valid" true (Param.Space.validate space2 c)
 
 (* ---- Tuner ---- *)
 
@@ -510,8 +511,7 @@ let test_select_many_distinct_and_ordered () =
   let s = Hiperbot.Surrogate.fit space2 separable_obs in
   let pool = Param.Space.enumerate space2 in
   let evaluated = Param.Config.Table.create 4 in
-  let rng = Prng.Rng.create 111 in
-  let batch = Hiperbot.Strategy.select_many Hiperbot.Strategy.Ranking ~k:5 ~rng ~surrogate:s ~pool ~evaluated in
+  let batch = rank ~k:5 s evaluated in
   check Alcotest.int "five returned" 5 (List.length batch);
   let seen = Param.Config.Table.create 5 in
   List.iter
@@ -525,20 +525,24 @@ let test_select_many_distinct_and_ordered () =
     | _ -> true
   in
   check Alcotest.bool "batch sorted by score" true (nonincreasing scores);
-  (* the head must equal single select *)
-  match Hiperbot.Strategy.select Hiperbot.Strategy.Ranking ~rng ~surrogate:s ~pool ~evaluated with
-  | Some best ->
+  (* the head must equal the k=1 ranking, and the batch the reference *)
+  (match rank ~k:1 s evaluated with
+  | [ best ] ->
       check (Alcotest.float 1e-12) "head is the argmax" (Hiperbot.Surrogate.score s best)
         (List.hd scores)
-  | None -> Alcotest.fail "no selection"
+  | _ -> Alcotest.fail "no selection");
+  let reference =
+    Gen.top_k ~k:5 ~n:(Array.length pool) (fun i -> Hiperbot.Surrogate.log_ratio s pool.(i))
+  in
+  check Alcotest.bool "batch = score-sort reference" true
+    (List.for_all2 Param.Config.equal batch (List.map (Array.get pool) reference))
 
 let test_select_many_respects_pool_size () =
   let s = Hiperbot.Surrogate.fit space2 separable_obs in
   let pool = Param.Space.enumerate space2 in
   let evaluated = Param.Config.Table.create 12 in
   Array.iteri (fun i c -> if i < 10 then Param.Config.Table.replace evaluated c ()) pool;
-  let rng = Prng.Rng.create 112 in
-  let batch = Hiperbot.Strategy.select_many Hiperbot.Strategy.Ranking ~k:5 ~rng ~surrogate:s ~pool ~evaluated in
+  let batch = rank ~k:5 s evaluated in
   check Alcotest.int "only the remaining pool" 2 (List.length batch)
 
 let test_tuner_early_stop () =
@@ -794,8 +798,7 @@ let prop_select_many_bounds =
       let pool = Param.Space.enumerate space2 in
       let evaluated = Param.Config.Table.create 12 in
       Array.iteri (fun i c -> if i < n_evaluated then Param.Config.Table.replace evaluated c ()) pool;
-      let rng = Prng.Rng.create (k + (100 * n_evaluated)) in
-      let batch = Hiperbot.Strategy.select_many Hiperbot.Strategy.Ranking ~k ~rng ~surrogate:s ~pool ~evaluated in
+      let batch = rank ~k s evaluated in
       let expected = min k (12 - n_evaluated) in
       List.length batch = expected
       && List.for_all (fun c -> not (Param.Config.Table.mem evaluated c)) batch)

@@ -269,7 +269,7 @@ let moo_with_writer ~path ~seed ~budget ~stop_after =
     Dataset.Runlog.writer_append w (Obj { o_index = idx; o_values = v })
   in
   let t =
-    Hiperbot.Moo.create ~on_outcome ~on_vector ~moo:tensor_moo ~mode:Hiperbot.Campaign.Sync
+    Hiperbot.Moo.create ~on_outcome ~on_vector ~moo:tensor_moo ~mode:(Hiperbot.Campaign.Async 1)
       ~rng:(Prng.Rng.create seed) ~space:tensor_space ~budget ()
   in
   drive_moo ?stop_after:(Some stop_after) t tensor_measure;
@@ -297,7 +297,7 @@ let test_moo_resume_bit_identical () =
         = Array.length (Dataset.Runlog.history log));
       (* Resume and finish live. *)
       let resumed =
-        Hiperbot.Moo.of_log ~moo:tensor_moo ~mode:Hiperbot.Campaign.Sync ~log ~budget ()
+        Hiperbot.Moo.of_log ~moo:tensor_moo ~mode:(Hiperbot.Campaign.Async 1) ~log ~budget ()
       in
       drive_moo resumed tensor_measure;
       let r_straight =
@@ -342,7 +342,7 @@ let test_moo_resume_verifies_scalarisation () =
           ~space:log.Dataset.Runlog.space tampered_entries
       in
       (match
-         Hiperbot.Moo.of_log ~moo:tensor_moo ~mode:Hiperbot.Campaign.Sync ~log:tampered ~budget:24 ()
+         Hiperbot.Moo.of_log ~moo:tensor_moo ~mode:(Hiperbot.Campaign.Async 1) ~log:tampered ~budget:24 ()
        with
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "tampered scalar must fail resume");
@@ -353,7 +353,7 @@ let test_moo_resume_verifies_scalarisation () =
           (Array.to_list log.Dataset.Runlog.entries)
       in
       match
-        Hiperbot.Moo.of_log ~moo:tensor_moo ~mode:Hiperbot.Campaign.Sync ~log:missing ~budget:24 ()
+        Hiperbot.Moo.of_log ~moo:tensor_moo ~mode:(Hiperbot.Campaign.Async 1) ~log:missing ~budget:24 ()
       with
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "missing vectors must fail resume")
@@ -396,19 +396,18 @@ let test_tensor_compiled_parity () =
   (* Selection through the compiled path equals a naive top-k scan. *)
   let evaluated = Param.Config.Table.create 16 in
   Array.iter (fun (c, _) -> Param.Config.Table.replace evaluated c ()) obs;
-  let selected =
-    Hiperbot.Strategy.select Hiperbot.Strategy.default ~rng:(Prng.Rng.create 3) ~surrogate ~pool
-      ~evaluated
+  let excluded = Hiperbot.Strategy.Exclusion.create () in
+  Array.iter (fun (c, _) -> Hiperbot.Strategy.Exclusion.add_config excluded encoded c) obs;
+  let selected = Hiperbot.Strategy.rank ~k:1 ~surrogate ~encoded ~excluded () in
+  let naive =
+    Gen.top_k ~k:1 ~n:(Array.length pool)
+      ~skip:(fun i -> Param.Config.Table.mem evaluated pool.(i))
+      (fun i -> Hiperbot.Surrogate.score surrogate pool.(i))
   in
-  let top = Hiperbot.Strategy.Topk.create 1 in
-  Array.iteri
-    (fun i c ->
-      if not (Param.Config.Table.mem evaluated c) then
-        Hiperbot.Strategy.Topk.offer_indexed top c (Hiperbot.Surrogate.score surrogate c) i)
-    pool;
-  match (selected, Hiperbot.Strategy.Topk.to_list_desc top) with
-  | Some got, [ expect ] ->
-      check Alcotest.bool "selection matches naive scan" true (Param.Config.equal got expect)
+  match (selected, naive) with
+  | [ got ], [ expect ] ->
+      check Alcotest.bool "selection matches naive scan" true
+        (Param.Config.equal got pool.(expect))
   | _ -> Alcotest.fail "selection returned nothing on an unexhausted pool"
 
 let suite =

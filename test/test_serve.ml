@@ -159,6 +159,15 @@ let test_malformed_input () =
   err_naming "open s2 seed=1 budget=5 space=a=cat:x,y,z batch=2" "batch=2";
   err_naming "report s1 0 ok:1.0 junk" "junk";
   err_naming "report s1 0 ok:1.0 tries=2" "tries=2";
+  (* An in-flight bound below 1 is refused where the campaign
+     validates its mode, under that entry point's name. *)
+  List.iter
+    (fun k ->
+      let line = Printf.sprintf "open s2 seed=1 budget=10 k=%d space=a=cat:x,y" k in
+      err line;
+      check Alcotest.string line "err Campaign.create: k must be at least 1"
+        (Hiperbot.Serve.handle server line))
+    [ 0; -3 ];
   (* The session is still alive and consistent after all of that. *)
   check Alcotest.string "session survived the abuse"
     "ok status s1 state=running evaluated=0 pending=1 best=none"

@@ -252,6 +252,19 @@ let test_kripke_campaign_trace () =
   let attempts = count (function Telemetry.Event.Attempt _ -> true | _ -> false) events in
   check Alcotest.int "one attempt event per objective attempt"
     result.Hiperbot.Tuner.n_attempts attempts;
+  (* A synchronous campaign is the k=1 step machine: one Submit and
+     one Complete per evaluation, never more than one in flight. *)
+  check Alcotest.int "one submit per evaluation" budget
+    (count (function Telemetry.Event.Submit _ -> true | _ -> false) events);
+  check Alcotest.int "one complete per evaluation" budget
+    (count (function Telemetry.Event.Complete _ -> true | _ -> false) events);
+  check Alcotest.int "at most one in flight" 0
+    (count
+       (function
+         | Telemetry.Event.Submit { in_flight; _ } | Telemetry.Event.Complete { in_flight; _ } ->
+             in_flight > 1
+         | _ -> false)
+       events);
   (* Refit spans carry the split sizes and alpha the surrogate used. *)
   Array.iter
     (fun (_, ev) ->
