@@ -72,7 +72,7 @@ let run ~reps () =
     let t0 = Unix.gettimeofday () in
     let sync =
       unwrap
-        (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create seed) ~space ~objective
+        (Hiperbot.Tuner.run_async ~options ~rng:(Prng.Rng.create seed) ~space ~objective
            ~budget ())
     in
     let sync_ms = (Unix.gettimeofday () -. t0) *. 1e3 in

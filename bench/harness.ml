@@ -10,7 +10,7 @@ type tuner = {
 (* Tune a total objective with the synchronous driver. *)
 let tune ?options ~rng ~space ~objective ~budget () =
   match
-    Hiperbot.Tuner.run_with_policy ?options ~rng ~space
+    Hiperbot.Tuner.run_async ?options ~rng ~space
       ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (objective c))
       ~budget ()
   with

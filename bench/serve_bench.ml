@@ -106,7 +106,7 @@ let check_k1_parity ~budget =
   let served_best = finished_best final in
   let direct =
     match
-      Hiperbot.Tuner.run_with_policy
+      Hiperbot.Tuner.run_async
         ~options:{ Hiperbot.Tuner.default_options with n_init }
         ~rng:(Prng.Rng.create seed) ~space
         ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (objective c))

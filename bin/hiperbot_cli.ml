@@ -308,11 +308,11 @@ let with_run_log ~save ~resume ~name ~seed ~space ~finish_trace run =
   finish_trace ();
   result
 
-(* Tune a dataset objective, a table lookup that never fails, with the
-   synchronous driver. *)
+(* Tune a dataset objective, a table lookup that never fails, with one
+   evaluation in flight. *)
 let tune_total ?options ?candidates ?on_gate ~rng ~space ~objective ~budget () =
   match
-    Hiperbot.Tuner.run_with_policy ?options ?candidates ?on_gate ~rng ~space
+    Hiperbot.Tuner.run_async ?options ?candidates ?on_gate ~rng ~space
       ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (objective c))
       ~budget ()
   with
@@ -591,19 +591,13 @@ let tune_cmd =
               let on_gate g =
                 Option.iter (fun w -> Dataset.Runlog.writer_append w (Gate g)) writer
               in
-              match (log, async) with
-              | Some log, Some k ->
-                  Hiperbot.Tuner.resume_async ~telemetry ~options ~policy ~on_outcome ~on_gate ~k
-                    ~log ~objective:outcome_objective ~budget ()
-              | Some log, None ->
-                  Hiperbot.Tuner.resume ~telemetry ~options ~policy ~on_outcome ~on_gate ~log
-                    ~objective:outcome_objective ~budget ()
-              | None, Some k ->
-                  Hiperbot.Tuner.run_async ~telemetry ~options ~policy ~on_outcome ~on_gate ~k ~rng
-                    ~space ~objective:outcome_objective ~budget ()
-              | None, None ->
-                  Hiperbot.Tuner.run_with_policy ~telemetry ~options ~policy ~on_outcome ~on_gate
-                    ~rng ~space ~objective:outcome_objective ~budget ()
+              match log with
+              | Some log ->
+                  Hiperbot.Tuner.resume_async ~telemetry ~options ~policy ~on_outcome ~on_gate
+                    ?k:async ~log ~objective:outcome_objective ~budget ()
+              | None ->
+                  Hiperbot.Tuner.run_async ~telemetry ~options ~policy ~on_outcome ~on_gate
+                    ?k:async ~rng ~space ~objective:outcome_objective ~budget ()
             in
             match tuner_result with
             | Error msg -> `Error (false, msg)

@@ -46,7 +46,7 @@ let () =
   in
   let result =
     Result.get_ok
-      (Hiperbot.Tuner.run_with_policy ~options ~on_outcome ~rng:(Prng.Rng.create 5) ~space
+      (Hiperbot.Tuner.run_async ~options ~on_outcome ~rng:(Prng.Rng.create 5) ~space
          ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (run_application c))
          ~budget:80 ())
   in

@@ -28,7 +28,7 @@ let () =
       in
       let result =
         Result.get_ok
-          (Hiperbot.Tuner.run_with_policy ~on_outcome ~rng:(Prng.Rng.create 1) ~space
+          (Hiperbot.Tuner.run_async ~on_outcome ~rng:(Prng.Rng.create 1) ~space
              ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (objective c))
              ~budget ())
       in

@@ -34,7 +34,7 @@ let () =
   let rng = Prng.Rng.create 2024 in
   let objective ~attempt:_ config = Resilience.Outcome.Value (runtime config) in
   let result =
-    Result.get_ok (Hiperbot.Tuner.run_with_policy ~rng ~space ~objective ~budget:40 ())
+    Result.get_ok (Hiperbot.Tuner.run_async ~rng ~space ~objective ~budget:40 ())
   in
   Printf.printf "best runtime %.2f with %s\n" result.Hiperbot.Tuner.best_value
     (Param.Space.to_string space result.Hiperbot.Tuner.best_config);

@@ -38,7 +38,7 @@ let () =
   in
   let tune ?options ?on_gate () =
     Result.get_ok
-      (Hiperbot.Tuner.run_with_policy ?options ?on_gate ~rng:(Prng.Rng.create 3) ~space
+      (Hiperbot.Tuner.run_async ?options ?on_gate ~rng:(Prng.Rng.create 3) ~space
          ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (objective c))
          ~budget ())
   in

@@ -17,7 +17,7 @@ let () =
 
   let result =
     Result.get_ok
-      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 7) ~space
+      (Hiperbot.Tuner.run_async ~rng:(Prng.Rng.create 7) ~space
          ~objective:(fun ~attempt:_ c -> Resilience.Outcome.Value (objective c))
          ~budget ())
   in

@@ -1,14 +1,13 @@
-(* The reentrant campaign state machine. The synchronous and
-   asynchronous engines in [Tuner] are thin drivers over this module,
-   so bit-compatibility with the historical recursive loops is
-   structural: there is exactly one implementation of init draws,
-   gated refits, selection, replay verification, and bookkeeping — one
-   step path, which the synchronous driver runs at one slot in flight
-   — and the drivers only decide how verdicts are produced and in what
-   order completions land. Every helper here preserves the engines'
-   side-effect order (rng draws, telemetry emission, callback calls)
-   exactly — that order is what the bit-exact resume and k=1 parity
-   guarantees rest on. *)
+(* The reentrant campaign state machine. [Tuner]'s driver (k slots in
+   flight; the synchronous campaign is k = 1) and the other engines
+   are thin drivers over this module, so bit-compatibility with the
+   historical recursive loops is structural: there is exactly one
+   implementation of init draws, gated refits, selection, replay
+   verification, bookkeeping and the simulated clock — one step path —
+   and the drivers only decide how verdicts are produced. Every helper
+   here preserves the engines' side-effect order (rng draws, telemetry
+   emission, callback calls) exactly — that order is what the
+   bit-exact resume and k=1 parity guarantees rest on. *)
 
 type prior = {
   sources : (Surrogate.t * float) array;
@@ -80,7 +79,7 @@ let gate_state_of ~options =
   | _ -> None
 
 let gate_divergence_msg =
-  "Tuner.resume: recorded gate decisions diverge from the recomputed ones (were the gate \
+  "Campaign.of_log: recorded gate decisions diverge from the recomputed ones (were the gate \
    options, sources, or schedule changed?)"
 
 let runlog_gate_of (d : Gate.decision) =
@@ -104,7 +103,7 @@ let runlog_gate_of (d : Gate.decision) =
 let gate_emitter ?on_gate ?gate ~recorded () =
   if Array.length recorded > 0 && Option.is_none gate then
     failwith
-      "Tuner.resume: the run log records gate decisions but this campaign has gating disabled \
+      "Campaign.of_log: the run log records gate decisions but this campaign has gating disabled \
        (restore the original prior and gate options, or start fresh without --resume)";
   let is_new =
     Dataset.Runlog.verify_prefix ~msg:gate_divergence_msg
@@ -255,14 +254,14 @@ let mark_seen ~seen ~excluded ~selection config =
   | Propose _ -> ()
 
 let divergence_msg =
-  "Tuner.resume: run log diverges from the replayed trajectory (were the seed, options, or \
+  "Campaign.of_log: run log diverges from the replayed trajectory (were the seed, options, or \
    objective changed?)"
 
 let replay_of_log ~policy log =
   Array.mapi
     (fun i (e : Dataset.Runlog.entry) ->
       if e.Dataset.Runlog.index <> i then
-        failwith "Tuner.resume: run log indices are not dense from 0";
+        failwith "Campaign.of_log: run log indices are not dense from 0";
       let outcome =
         match e.Dataset.Runlog.status with
         | Dataset.Runlog.Ok y -> Resilience.Outcome.Value y
@@ -705,15 +704,26 @@ let best t = t.best_so_far
 let excluded t = Strategy.Exclusion.elements t.excluded
 let last_completion t = t.last
 
+(* The simulated clock, shared by the driver and [fast_forward]: a
+   slot submitted at [s.at] completes [duration] later, and each
+   completion orders after the previous one (by time, then id). A
+   slot issued at the clock's position can never break that order, so
+   only a slot in flight at a resume's cut can: it completes inside
+   the recorded prefix, and the log is not this campaign's. *)
+let completes_at t ~duration (s : suggestion) verdict =
+  let d = duration s.config verdict in
+  if (not (Float.is_finite d)) || d < 0. then
+    invalid_arg "Campaign.completes_at: duration must be finite and non-negative";
+  let at = s.at +. d in
+  if (at, s.id) < t.last then failwith divergence_msg;
+  at
+
 (* Retrace a recorded prefix: keep the in-flight set full (consuming
    the rng exactly like a live campaign) and complete pending
    suggestions in recorded order. Without a [duration] the log's order
    is authoritative: a server's completion order is whatever its
    clients reported, which is exactly what the log records. With one,
-   the completions retrace the async driver's simulated clock, which
-   orders each completion after the previous one, so a log that does
-   not cannot come from this campaign. (The driver applies the same
-   check to its first live completion.) *)
+   the completions retrace the driver's simulated clock. *)
 let fast_forward ?duration t =
   let n = Array.length t.replay in
   let rec loop () =
@@ -725,18 +735,13 @@ let fast_forward ?duration t =
           match
             List.find_opt (fun p -> Param.Config.equal p.p_sug.config recorded_config) t.pend
           with
-          | Some { p_sug = { id; at; _ }; _ } ->
+          | Some { p_sug; _ } ->
               let at =
                 match duration with
                 | None -> 0.
-                | Some duration ->
-                    let d = duration recorded_config verdict in
-                    if (not (Float.is_finite d)) || d < 0. then
-                      invalid_arg "Tuner.run_async: duration must be finite and non-negative";
-                    if (at +. d, id) < t.last then failwith divergence_msg;
-                    at +. d
+                | Some duration -> completes_at t ~duration p_sug verdict
               in
-              report ~at t ~id verdict;
+              report ~at t ~id:p_sug.id verdict;
               loop ()
           | None -> failwith divergence_msg)
       | Finished -> failwith divergence_msg
@@ -747,7 +752,7 @@ let of_log ?telemetry ?options ?(policy = Resilience.Policy.default) ?warm_start
     ?shared_pool ?on_outcome ?on_gate ?duration ~mode ~log ~budget () =
   let replay = replay_of_log ~policy log in
   if Array.length replay > budget then
-    invalid_arg "Tuner.resume: budget is smaller than the recorded evaluation count";
+    invalid_arg "Campaign.of_log: budget is smaller than the recorded evaluation count";
   let rng = Prng.Rng.create log.Dataset.Runlog.seed in
   let t =
     start ?telemetry ?options ?warm_start ?candidates ?shared_pool ?on_outcome ?on_gate

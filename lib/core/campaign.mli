@@ -1,12 +1,11 @@
 (** The campaign state machine: one tuning run as an explicit,
     reentrant suggest/report step process.
 
-    Every engine in the library — the synchronous driver
-    {!Tuner.run_with_policy}/[resume], the asynchronous k-in-flight
-    driver {!Tuner.run_async}, and the multi-tenant
-    {!Serve} front end — is a {e driver} over this module: a thin
-    loop that asks the campaign what to evaluate next ({!suggest}),
-    obtains a verdict however it likes (inline call, worker domain,
+    Every engine in the library — the k-in-flight driver
+    {!Tuner.run_async} (synchronous at [k = 1]), {!Moo}, and the
+    multi-tenant {!Serve} front end — is a {e driver} over this
+    module: a thin loop that asks the campaign what to evaluate next
+    ({!suggest}), obtains a verdict however it likes (inline call,
     remote client), and hands it back ({!report}). Neither step ever
     blocks; all campaign state — init draws, refit/gate progress,
     the pending set, replay verification — lives in the handle, so
@@ -15,9 +14,8 @@
 
     The machine is bit-identical to the recursive engines it
     replaced: driving it with the same rng seed, options, and
-    verdicts reproduces [Tuner.run_with_policy] and
-    [Tuner.run_async] histories exactly (property-tested in
-    [test/test_campaign.ml]). {!of_log} is the one resume path, for
+    verdicts reproduces [Tuner.run_async] histories exactly, at every
+    [k] (property-tested in [test/test_campaign.ml]). {!of_log} is the one resume path, for
     every engine: a campaign rebuilt from a run log retraces the
     recorded prefix bit-for-bit and then continues live.
 
@@ -76,8 +74,8 @@ type mode =
       (** up to [k] suggestions in flight, pending ones joining the
           surrogate's bad density as constant-liar observations.
           [Async 1] is the synchronous campaign: one suggestion
-          outstanding at a time, which {!Tuner.run_with_policy},
-          {!Tuner.resume} and {!Moo.run} drive. *)
+          outstanding at a time, which {!Tuner.run_async} runs by
+          default and {!Moo.run} drives. *)
 (** How many suggestions a campaign keeps in flight. A single
     constructor rather than a plain [k] only because the end-to-end
     benchmark ([e2ebench/async_faults.ml]) builds [Campaign.Async k];
@@ -147,8 +145,8 @@ val suggest : ?at:float -> t -> step
     blocks; returns {!Wait} when the in-flight set is full ([k]
     outstanding) or when guided selection has no observations to fit
     on yet. [at] is the submission timestamp recorded in [Submit]
-    telemetry (simulated clock in the
-    async engine, wall clock in a server); it does not affect
+    telemetry (simulated clock in {!Tuner.run_async}, wall clock in
+    a server); it does not affect
     campaign decisions. *)
 
 val report : ?at:float -> ?eval_ms:float -> t -> id:int -> Resilience.Evaluator.verdict -> unit
@@ -177,7 +175,7 @@ val n_pending : t -> int
 val pending : t -> suggestion list
 (** Outstanding suggestions, oldest first. After {!of_log} recovery
     these are the slots the interrupted campaign had in flight at the
-    cut — a server hands them back out, and the async driver
+    cut — a server hands them back out, and {!Tuner.resume_async}
     re-evaluates them, before asking for new ones. *)
 
 val best : t -> (Param.Config.t * float) option
@@ -190,9 +188,23 @@ val excluded : t -> int list
 
 val last_completion : t -> float * int
 (** The [(at, id)] of the latest {!report}, [(0., -1)] before the
-    first: where the async driver's simulated clock stands. On that
-    clock each completion orders after the previous one (by time,
-    then id). *)
+    first: where the driver's simulated clock stands. On that clock
+    each completion orders after the previous one (by time, then
+    id). *)
+
+val completes_at :
+  t ->
+  duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
+  suggestion ->
+  Resilience.Evaluator.verdict ->
+  float
+(** The simulated clock's rule, shared by {!Tuner.run_async} and
+    {!of_log}: [completes_at t ~duration s v] is [s.at +. duration
+    s.config v], the time pending suggestion [s] completes. Raises
+    [Invalid_argument] if the duration is not finite and non-negative,
+    and [Failure divergence_msg] if [s] would complete before
+    {!last_completion} — only a suggestion in flight at a resumed
+    log's cut can, and then the log is not this campaign's. *)
 
 (** {2 Resume} *)
 
@@ -237,13 +249,11 @@ val of_log :
     {!suggest}. Recorded [#gate] decisions are verified as a prefix of
     the recomputed ones; [on_gate] fires only past it.
 
-    With [duration] (the async driver's), the prefix retraces the
-    simulated clock: each recorded completion lands at its slot's
-    submission time plus [duration config verdict] and is reported
-    at that time, and the suggestions after it are issued at it.
-    Without it (a server, whose clients' report order is
-    authoritative, and every sync resume) the log's order stands and
-    every time is 0.
+    With [duration] (the driver's), the prefix retraces the simulated
+    clock: each recorded completion lands at {!completes_at} and is
+    reported at that time, and the suggestions after it are issued at
+    it. Without it (a server, whose clients' report order is
+    authoritative) the log's order stands and every time is 0.
 
     Raises [Failure] if the log's indices are not dense from 0 or it
     diverges from what the campaign would have done (changed seed,

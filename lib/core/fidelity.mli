@@ -92,7 +92,7 @@ val run :
     finite value. [budget] caps total submissions across all rungs.
 
     {b Degenerate plan.} A single-rung plan delegates directly to
-    {!Tuner.run_async} at the same [k] (and {!resume} to
+    {!Tuner.run_async} at the same [k] (and this module's {!resume} to
     {!Tuner.resume_async}) — same options, same rng stream, same
     submission and completion schedule — so a flat fidelity campaign
     is bit-identical to the async engine's

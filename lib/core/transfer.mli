@@ -5,10 +5,9 @@
     the good and bad densities (eqs. 9-10) — several sources fold in
     sequence via {!Density.merge_prior}. The tuning loop on the target
     domain is otherwise unchanged: {!options} installs the sources as
-    the campaign prior, and the result goes to any {!Tuner} driver —
-    {!Tuner.run_with_policy}, {!Tuner.resume}, {!Tuner.run_async},
-    {!Tuner.resume_async}. Telemetry [Refit] spans label prior
-    provenance (source count and total effective weight).
+    the campaign prior, and the result goes to {!Tuner.run_async} or
+    {!Tuner.resume_async}, at any [k]. Telemetry [Refit] spans label
+    prior provenance (source count and total effective weight).
 
     {b Safeguarded transfer.} {!options} takes
     [?gate : Gate.options option], default [Some Gate.default_options]

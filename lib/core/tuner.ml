@@ -1,12 +1,8 @@
-(* The blocking campaign entry points, as thin drivers over the
-   reentrant {!Campaign} state machine. The machine owns every
-   campaign decision (init draws, gated refits, selection, replay
-   verification, bookkeeping, telemetry); the drivers own only what
-   varies per entry point — how verdicts are produced (inline
-   objective call, retry policy, worker domains) and, for the async
-   engine, the simulated clock that decides completion order. Bit-
-   compatibility with the historical recursive loops is therefore
-   structural rather than re-proven per engine. *)
+(* The blocking campaign entry points: one driver over the reentrant
+   {!Campaign} state machine. The machine owns every campaign decision
+   (init draws, gated refits, selection, replay verification,
+   bookkeeping, telemetry, the simulated clock); the driver only
+   produces verdicts, inline under the retry policy. *)
 
 type prior = Campaign.prior = {
   sources : (Surrogate.t * float) array;
@@ -44,49 +40,6 @@ type run_error = Campaign.run_error = {
   error_attempts : int;
 }
 
-(* The resilience layer stays dependency-free: it exposes a generic
-   per-attempt probe, and the telemetry wiring lives here. *)
-let attempt_probe telemetry =
-  if Telemetry.Trace.enabled telemetry then
-    Some
-      (fun ~attempt ~backoff outcome ->
-        Telemetry.Trace.emit telemetry
-          (Telemetry.Event.Attempt { attempt; kind = Resilience.Outcome.kind outcome; backoff }))
-  else None
-
-(* The synchronous driver: one suggestion outstanding at a time,
-   evaluated under the retry policy and reported immediately. *)
-let drive_sync ~telemetry ~policy ~objective campaign =
-  let probe = attempt_probe telemetry in
-  let rec loop () =
-    match Campaign.suggest campaign with
-    | Campaign.Finished -> Campaign.result campaign
-    | Campaign.Wait -> assert false (* the sync driver never leaves a suggestion pending *)
-    | Campaign.Suggest s ->
-        Campaign.report campaign ~id:s.Campaign.id
-          (Resilience.Evaluator.evaluate ?probe ~policy ~objective s.Campaign.config);
-        loop ()
-  in
-  loop ()
-
-let run_with_policy ?(telemetry = Telemetry.Trace.disabled) ?options
-    ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate ~rng
-    ~space ~objective ~budget () =
-  drive_sync ~telemetry ~policy ~objective
-    (Campaign.create ~telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate
-       ~mode:(Campaign.Async 1) ~rng ~space ~budget ())
-
-(* [Campaign.of_log] retraces the recorded prefix (same rng draws and
-   selections, recorded verdicts reported in place of evaluations), so
-   the live loop continues exactly where the interrupted run stopped. *)
-let resume ?(telemetry = Telemetry.Trace.disabled) ?options ?(policy = Resilience.Policy.default)
-    ?warm_start ?candidates ?on_outcome ?on_gate ~log ~objective ~budget () =
-  drive_sync ~telemetry ~policy ~objective
-    (Campaign.of_log ~telemetry ?options ~policy ?warm_start ?candidates ?on_outcome ?on_gate
-       ~mode:(Campaign.Async 1) ~log ~budget ())
-
-(* ---- asynchronous campaign driver ---- *)
-
 let default_duration _config (v : Resilience.Evaluator.verdict) =
   let base =
     match v.Resilience.Evaluator.outcome with
@@ -95,33 +48,23 @@ let default_duration _config (v : Resilience.Evaluator.verdict) =
   in
   base +. v.Resilience.Evaluator.retry_cost
 
-(* One in-flight evaluation. The verdict thunk is memoized: with a
-   pool it awaits a future (the work already runs on a worker domain),
-   without one it evaluates inline at first demand. The attempt log is
-   captured inside the task and emitted at completion processing so
-   telemetry sinks are only ever touched from the submitting domain. *)
-type async_slot = {
-  slot_sug : Campaign.suggestion;
-  slot_run : unit -> Resilience.Evaluator.verdict * (int * string * float) list * float;
-  mutable slot_memo : (Resilience.Evaluator.verdict * (int * string * float) list * float) option;
+(* One in-flight evaluation, evaluated at submission. Its attempts are
+   buffered and emitted at completion, so [Attempt] events sit with
+   their slot's [Eval] in the trace. *)
+type slot = {
+  sug : Campaign.suggestion;
+  verdict : Resilience.Evaluator.verdict;
+  attempts : (int * string * float) list;
+  eval_ms : float;
+  done_at : float;  (* completion time on the simulated clock *)
 }
 
-let slot_force slot =
-  match slot.slot_memo with
-  | Some r -> r
-  | None ->
-      let r = slot.slot_run () in
-      slot.slot_memo <- Some r;
-      r
-
-(* The async driver, fresh or resumed: a resumed campaign hands over
-   the slots it had in flight at the cut ({!Campaign.pending}) and its
-   clock position ({!Campaign.last_completion}). The clock orders each
-   completion after the previous one, so one that orders before it is
-   a slot in flight at the cut that now completes inside the recorded
-   prefix: the log is not this campaign's. *)
-let drive_async ~telemetry ~policy ~objective ?pool ~duration campaign =
-  let eval_task config () =
+(* The campaign driver, fresh or resumed: a resumed campaign hands
+   over the slots it had in flight at the cut ({!Campaign.pending})
+   and its clock position ({!Campaign.last_completion}). Slots complete
+   in simulated-clock order, never by wall time. *)
+let drive ~telemetry ~policy ~objective ~duration campaign =
+  let start (s : Campaign.suggestion) =
     let attempts = ref [] in
     let probe =
       if Telemetry.Trace.enabled telemetry then
@@ -131,22 +74,16 @@ let drive_async ~telemetry ~policy ~objective ?pool ~duration campaign =
       else None
     in
     let t0 = Telemetry.Trace.now telemetry in
-    let v = Resilience.Evaluator.evaluate ?probe ~policy ~objective config in
-    (v, List.rev !attempts, (Telemetry.Trace.now telemetry -. t0) *. 1000.)
+    let verdict = Resilience.Evaluator.evaluate ?probe ~policy ~objective s.Campaign.config in
+    {
+      sug = s;
+      verdict;
+      attempts = List.rev !attempts;
+      eval_ms = (Telemetry.Trace.now telemetry -. t0) *. 1000.;
+      done_at = Campaign.completes_at campaign ~duration s verdict;
+    }
   in
-  (* A slot's evaluation starts at once (on a worker domain when a
-     pool is given). *)
-  let start (s : Campaign.suggestion) =
-    let run =
-      match pool with
-      | Some w ->
-          let fut = Parallel.Pool.async w (eval_task s.Campaign.config) in
-          fun () -> Parallel.Pool.await fut
-      | None -> eval_task s.Campaign.config
-    in
-    { slot_sug = s; slot_run = run; slot_memo = None }
-  in
-  let in_flight = ref (List.rev_map start (Campaign.pending campaign)) in
+  let in_flight = ref (List.map start (Campaign.pending campaign)) in
   (* Keep the machine's in-flight set full at the clock's current
      time. The machine decides everything else: [Wait] pauses filling
      until a completion lands, [Finished] ends the campaign. *)
@@ -161,52 +98,40 @@ let drive_async ~telemetry ~policy ~objective ?pool ~duration campaign =
   in
   fill ();
   while !in_flight <> [] do
-    (* Completion order is decided by the simulated clock, so every
-       pending duration must be known before the earliest completion
-       can be identified: force all in-flight verdicts (with a pool
-       they are already being computed on worker domains). *)
-    let timed =
-      List.rev_map
-        (fun slot ->
-          let v, _, _ = slot_force slot in
-          let d = duration slot.slot_sug.Campaign.config v in
-          if (not (Float.is_finite d)) || d < 0. then
-            invalid_arg "Tuner.run_async: duration must be finite and non-negative";
-          (slot, slot.slot_sug.Campaign.at +. d))
-        !in_flight
-    in
-    let slot, at =
+    let key s = (s.done_at, s.sug.Campaign.id) in
+    let next =
       List.fold_left
-        (fun ((bs, bt) as acc) ((s, t) as cand) ->
-          if (t, s.slot_sug.Campaign.id) < (bt, bs.slot_sug.Campaign.id) then cand else acc)
-        (List.hd timed) (List.tl timed)
+        (fun best s -> if key s < key best then s else best)
+        (List.hd !in_flight) (List.tl !in_flight)
     in
-    let id = slot.slot_sug.Campaign.id in
-    if (at, id) < Campaign.last_completion campaign then failwith Campaign.divergence_msg;
-    in_flight := List.filter (fun s -> s.slot_sug.Campaign.id <> id) !in_flight;
-    let verdict, attempts_log, eval_ms = slot_force slot in
-    if Telemetry.Trace.enabled telemetry then
-      List.iter
-        (fun (attempt, kind, backoff) ->
-          Telemetry.Trace.emit telemetry (Telemetry.Event.Attempt { attempt; kind; backoff }))
-        attempts_log;
-    Campaign.report ~at ~eval_ms campaign ~id verdict;
+    in_flight := List.filter (fun s -> s != next) !in_flight;
+    List.iter
+      (fun (attempt, kind, backoff) ->
+        Telemetry.Trace.emit telemetry (Telemetry.Event.Attempt { attempt; kind; backoff }))
+      next.attempts;
+    Campaign.report ~at:next.done_at ~eval_ms:next.eval_ms campaign ~id:next.sug.Campaign.id
+      next.verdict;
     fill ()
   done;
   Campaign.result campaign
 
 let run_async ?(telemetry = Telemetry.Trace.disabled) ?options
-    ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate ?pool
-    ?(duration = default_duration) ~k ~rng ~space ~objective ~budget () =
-  drive_async ~telemetry ~policy ~objective ?pool ~duration
+    ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate
+    ?(duration = default_duration) ?(k = 1) ~rng ~space ~objective ~budget () =
+  drive ~telemetry ~policy ~objective ~duration
     (Campaign.create ~telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate
        ~mode:(Campaign.Async k) ~rng ~space ~budget ())
+
+let run_with_policy ?telemetry ?options ?policy ?warm_start ?candidates ?on_outcome ?on_gate ~rng
+    ~space ~objective ~budget () =
+  run_async ?telemetry ?options ?policy ?warm_start ?candidates ?on_outcome ?on_gate ~rng ~space
+    ~objective ~budget ()
 
 (* [Campaign.of_log] retraces the recorded prefix on the same
    simulated clock, hence the same [duration]. *)
 let resume_async ?(telemetry = Telemetry.Trace.disabled) ?options
-    ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate ?pool
-    ?(duration = default_duration) ~k ~log ~objective ~budget () =
-  drive_async ~telemetry ~policy ~objective ?pool ~duration
+    ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate
+    ?(duration = default_duration) ?(k = 1) ~log ~objective ~budget () =
+  drive ~telemetry ~policy ~objective ~duration
     (Campaign.of_log ~telemetry ?options ~policy ?warm_start ?candidates ?on_outcome ?on_gate
        ~duration ~mode:(Campaign.Async k) ~log ~budget ())

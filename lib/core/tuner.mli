@@ -12,24 +12,22 @@
     mixed into every refit, each with its own weight, optionally
     annealed by a decay schedule as target evidence accumulates
     ({!Transfer.options} builds it). [early_stop] implements the
-    paper's sample-quality termination condition. To run several
-    configurations in parallel on a cluster, use {!run_async}.
+    paper's sample-quality termination condition.
 
-    There is one driver per engine: {!run_with_policy} (synchronous:
-    the campaign at [Campaign.Async 1]) and {!run_async} (k
-    evaluations in flight), each with its resume counterpart
-    ({!resume}, {!resume_async}). Every driver absorbs
-    evaluation failures into the surrogate's bad density instead of
-    dying on them: every failed configuration is classified by the
-    {!Resilience.Outcome} taxonomy, retried according to a
-    {!Resilience.Policy} (transients and timeouts only — permanent
-    failures are never retried), and counted against the budget
-    exactly once regardless of how many attempts it took. A total
-    objective [f] is [fun ~attempt:_ c -> Resilience.Outcome.Value (f c)]. *)
+    There is one driver: {!run_async}, with up to [k] evaluations in
+    flight (default 1, the paper's sequential loop), and its resume
+    counterpart {!resume_async}. It absorbs evaluation failures into
+    the surrogate's bad density instead of dying on them: every failed
+    configuration is classified by the {!Resilience.Outcome} taxonomy,
+    retried according to a {!Resilience.Policy} (transients and
+    timeouts only — permanent failures are never retried), and counted
+    against the budget exactly once regardless of how many attempts it
+    took. A total objective [f] is
+    [fun ~attempt:_ c -> Resilience.Outcome.Value (f c)]. *)
 
-(** Every entry point here is a thin driver over the reentrant
-    {!Campaign} state machine — the configuration and result types
-    are re-exported from it, so the two APIs interoperate freely. *)
+(** The driver is a thin loop over the reentrant {!Campaign} state
+    machine — the configuration and result types are re-exported from
+    it, so the two APIs interoperate freely. *)
 
 type prior = Campaign.prior = {
   sources : (Surrogate.t * float) array;
@@ -104,6 +102,85 @@ type run_error = Campaign.run_error = {
 (** Every evaluation of the run failed — there is no best
     configuration to report. *)
 
+val run_async :
+  ?telemetry:Telemetry.Trace.t ->
+  ?options:options ->
+  ?policy:Resilience.Policy.t ->
+  ?warm_start:(Param.Config.t * float) array ->
+  ?candidates:Param.Config.t array ->
+  ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
+  ?on_gate:(Dataset.Runlog.gate -> unit) ->
+  ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
+  ?k:int ->
+  rng:Prng.Rng.t ->
+  space:Param.Space.t ->
+  objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
+  budget:int ->
+  unit ->
+  (result, run_error) Stdlib.result
+(** [run_async ~rng ~space ~objective ~budget ()] tunes with up to [k]
+    evaluations in flight (default 1) and refits the surrogate whenever
+    a slot frees. It performs at most [budget] evaluations whatever [k]
+    (warm-start observations do not count against the budget;
+    duplicate random initial draws are evaluated once). Requires
+    [budget >= 1] and [k >= 1].
+
+    {b Submission.} Slots are kept full: random-init draws while they
+    last (duplicates burn an init slot without submitting), then one
+    refit + top-1 selection per submission. In-flight configurations
+    join the surrogate's bad density as constant liars, exactly like
+    failed configurations, so the ranker steers away from
+    near-duplicates of pending points; exact duplicates are never
+    issued. Each configuration is evaluated at submission through
+    {!Resilience.Evaluator.evaluate} under [policy] (default
+    {!Resilience.Policy.default} — 3 attempts, exponential simulated
+    backoff, no timeout); an exception raised by [objective] is a
+    [Transient] failure. The final verdict consumes one unit of
+    budget whatever its attempt count. A failed configuration joins
+    the bad density of every later fit and appears in [failures], not
+    [history]; a [Timeout] verdict is a failure like any other. When
+    every evaluation failed the run returns [Error] with the
+    structured failure report.
+
+    {b Determinism.} Completion order is decided by a simulated clock
+    ({!Campaign.completes_at}), never by wall time: a submission
+    completes at its submission time plus [duration config verdict]
+    (finite and non-negative; ties break toward the earlier
+    submission). The default duration is the measured objective value
+    when it is finite and positive (an HPC runtime objective is its
+    own natural duration), 1.0 otherwise, plus the verdict's
+    accumulated retry backoff cost. The same seed and duration
+    function give a bit-identical history, trajectory and best
+    configuration. [history], [trajectory], [on_outcome i config
+    verdict] (once per consumed budget unit, 0-based) and run-log
+    entries written from it are all in completion order.
+
+    [candidates] restricts initialization and selection to an
+    explicit configuration set — e.g. the measured rows of a study
+    loaded with {!Dataset.Infer.table_of_csv}. It must be non-empty and
+    duplicate-free, and needs the [Ranking] strategy. Otherwise
+    [Ranking] needs a finite space, ranked as a {e virtual} pool
+    ({!Surrogate.Pool.of_space}) whose rows are decoded on demand, so
+    memory is O(1) in the pool size; the run stops early once every
+    configuration has been issued.
+
+    [on_gate] fires once per transfer-gate decision in the shape
+    {!Dataset.Runlog.gate} expects, so run-log writers can persist the
+    decisions as they happen.
+
+    [telemetry] streams the campaign's structured events
+    ([Campaign_start] with [k] in its [batch_size] field, [Init_draw],
+    [Refit]/[Compile]/[Rank] spans, [Submit], [Attempt], [Eval] timed
+    around the evaluation, [Complete] with the in-flight depth and
+    simulated time, [Campaign_end]) to the given
+    {!Telemetry.Trace.t}. Tracing performs no rng draws and never
+    influences selection, so a traced campaign is bit-identical to an
+    untraced one; the default {!Telemetry.Trace.disabled} costs one
+    pointer comparison per site.
+
+    Raises [Invalid_argument] before the first evaluation on invalid
+    options (see {!Campaign.create}). *)
+
 val run_with_policy :
   ?telemetry:Telemetry.Trace.t ->
   ?options:options ->
@@ -118,155 +195,9 @@ val run_with_policy :
   budget:int ->
   unit ->
   (result, run_error) Stdlib.result
-(** [run_with_policy ~rng ~space ~objective ~budget ()] — the
-    synchronous engine — performs at most [budget] evaluations
-    (warm-start observations do not count against the budget;
-    duplicate random initial draws are evaluated once). Requires
-    [budget >= 1].
-
-    Each selected configuration is driven through
-    {!Resilience.Evaluator.evaluate} under [policy] (default
-    {!Resilience.Policy.default} — 3 attempts, exponential simulated
-    backoff, no timeout); an exception raised by [objective] is a
-    [Transient] failure. The final verdict consumes one unit of
-    budget whatever its attempt count, so retried transients do not
-    double-count. A failed configuration joins the bad density of
-    every later surrogate fit and appears in [failures], not
-    [history]; a [Timeout] verdict (a straggler exceeding the
-    policy's cost budget) is recorded as a failure like any other.
-    When every evaluation failed
-    the run returns [Error] with the structured failure report.
-    [on_outcome i config verdict] fires once per consumed budget
-    unit with the final verdict and its 0-based index.
-
-    [candidates] restricts both initialization and selection to an
-    explicit configuration set — e.g. the measured rows of a study
-    loaded with {!Dataset.Infer.table_of_csv}, which usually cover
-    only part of the cross-product space. It must be non-empty,
-    duplicate-free, and is only supported with the [Ranking]
-    strategy.
-
-    With the [Ranking] strategy the space must be finite (unless
-    [candidates] is given); if the budget exceeds the candidate count
-    the run stops early when every configuration has been evaluated.
-    The enumerated pool is {e virtual} ({!Surrogate.Pool.of_space}):
-    rows are decoded on demand during the ranking scan, so campaign
-    memory is O(1) in the pool size and million-configuration spaces
-    are ranked from a few MB of score tables. Each refit runs through
-    the refit engine ({!Surrogate.Refit}), which refills one reused
-    score table — the selections stay bit-identical to a fresh
-    {!Surrogate.compile}.
-
-    Raises [Invalid_argument] before the first evaluation on invalid
-    options (see {!Campaign.create}).
-
-    [on_gate] fires once per transfer-gate decision (a source
-    attenuated, restored, or dropped; the pooled-prior fallback) in
-    the shape {!Dataset.Runlog.gate} expects, so run-log writers can
-    persist the decisions as they happen.
-
-    [telemetry] (here and on every other entry point) streams the
-    campaign's structured events — [Campaign_start], one [Init_draw]
-    per random draw, [Refit]/[Compile]/[Rank] spans per iteration,
-    one [Submit] per issued configuration, one [Attempt] per objective
-    call, one [Eval] and one [Complete] per consumed budget unit (at
-    in-flight depth at most 1 and simulated time 0 here), and a final
-    [Campaign_end] — to the given
-    {!Telemetry.Trace.t}. Tracing reads only the trace's clock: it
-    performs no rng draws and never influences selection, so a traced
-    campaign is bit-identical to an untraced one. The default is
-    {!Telemetry.Trace.disabled}, which costs one pointer comparison
-    per site. *)
-
-val resume :
-  ?telemetry:Telemetry.Trace.t ->
-  ?options:options ->
-  ?policy:Resilience.Policy.t ->
-  ?warm_start:(Param.Config.t * float) array ->
-  ?candidates:Param.Config.t array ->
-  ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
-  ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  log:Dataset.Runlog.t ->
-  objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
-  budget:int ->
-  unit ->
-  (result, run_error) Stdlib.result
-(** [resume ~log ~objective ~budget ()] reconstructs an interrupted
-    campaign from its run log and continues it up to [budget] total
-    evaluations. The campaign is rebuilt with {!Campaign.of_log} —
-    rng from [log.seed], recorded verdicts reported in place of
-    evaluations, without re-firing [on_outcome] — and then driven
-    like {!run_with_policy}, so given the same
-    [options], [policy], and objective, an interrupted-then-resumed
-    campaign produces bit-for-bit the same evaluation sequence,
-    trajectory, and best configuration as an uninterrupted run —
-    the resume guarantee the tests assert. Raises [Invalid_argument]
-    if the log already holds more than [budget] entries and [Failure]
-    if the log's entries are not dense from index 0 or diverge from
-    the replayed trajectory.
-
-    Gated campaigns resume bit-exactly too: the gate state is not
-    stored — it is a pure function of the refit sequence, which replay
-    reproduces — and the log's recorded [#gate] decisions are verified
-    as a prefix of the recomputed stream ([Failure] on mismatch), with
-    [on_gate] firing only for decisions beyond the recorded prefix. *)
-
-val run_async :
-  ?telemetry:Telemetry.Trace.t ->
-  ?options:options ->
-  ?policy:Resilience.Policy.t ->
-  ?warm_start:(Param.Config.t * float) array ->
-  ?candidates:Param.Config.t array ->
-  ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
-  ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  ?pool:Parallel.Pool.t ->
-  ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
-  k:int ->
-  rng:Prng.Rng.t ->
-  space:Param.Space.t ->
-  objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
-  budget:int ->
-  unit ->
-  (result, run_error) Stdlib.result
-(** The asynchronous campaign engine: up to [k] evaluations are in
-    flight at once and the surrogate refits whenever a slot frees.
-
-    {b Submission.} Slots are kept full: random-init draws while they
-    last (same rng stream as the synchronous engine, duplicates burn
-    an init slot without submitting), then one refit + top-1 selection
-    per submission. In-flight configurations are penalized with a
-    constant-liar/bad-density treatment — they join the surrogate's
-    bad density exactly like failed configurations — so the ranker
-    steers away from near-duplicates of pending points, and the
-    submission-time dedup table excludes exact duplicates outright.
-    Each evaluation runs through {!Resilience.Evaluator.evaluate}
-    under [policy] inside its slot (retries stay within the slot and
-    the final verdict consumes one budget unit). Total submissions
-    never exceed [budget] regardless of [k].
-
-    {b Determinism.} Completion order is decided by a simulated
-    clock, never by wall time: a submission completes at its
-    submission time plus [duration config verdict] (must be finite
-    and non-negative — ties break toward the earlier submission). The
-    default duration is the measured objective value when it is
-    finite and positive (an HPC runtime objective is its own natural
-    duration), 1.0 otherwise, plus the verdict's accumulated retry
-    backoff cost. [pool] only runs the evaluations: with it they
-    execute concurrently on worker domains (ranking stays one
-    sequential scan on the calling domain), but since the
-    processing order is simulation-driven, the same seed and the same
-    duration function give a bit-identical history, trajectory, and
-    best configuration for every worker count — and [~k:1] degrades
-    exactly to {!run_with_policy}, the equivalence the property tests
-    assert. When [pool] is given, [objective] must be thread-safe.
-
-    [history], [trajectory], [on_outcome] indices, and run-log entries
-    written from [on_outcome] are all in completion order. [telemetry]
-    carries [Submit] and [Complete] events with the in-flight depth
-    and simulated time, as on every engine ([Campaign_start] records
-    [k] in its [batch_size] field, where a synchronous run records
-    1). {!resume_async} continues an interrupted campaign
-    from its run log. *)
+(** {!run_async} at [k = 1] with the default duration. Kept only
+    because the end-to-end benchmark calls it; it goes when that
+    benchmark moves to {!run_async}. *)
 
 val resume_async :
   ?telemetry:Telemetry.Trace.t ->
@@ -276,20 +207,27 @@ val resume_async :
   ?candidates:Param.Config.t array ->
   ?on_outcome:(int -> Param.Config.t -> Resilience.Evaluator.verdict -> unit) ->
   ?on_gate:(Dataset.Runlog.gate -> unit) ->
-  ?pool:Parallel.Pool.t ->
   ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
-  k:int ->
+  ?k:int ->
   log:Dataset.Runlog.t ->
   objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
   budget:int ->
   unit ->
   (result, run_error) Stdlib.result
-(** {!resume} for asynchronous campaigns: {!Campaign.of_log} with
-    [duration] retraces the recorded prefix on {!run_async}'s
-    simulated clock, then {!run_async}'s loop evaluates the slots in
-    flight at the cut and continues. A completion that orders before
-    the one recorded last (recorded completions out of clock order,
-    or a slot in flight at the cut now completing inside the prefix)
-    raises [Failure]. The interrupted and resumed runs agree
-    bit-for-bit only if [k], [options], [policy], and the [duration]
-    function are the same as in the recorded run. *)
+(** [resume_async ~log ~objective ~budget ()] continues an interrupted
+    {!run_async} campaign up to [budget] total evaluations.
+    {!Campaign.of_log} rebuilds it — rng from [log.seed], recorded
+    verdicts reported in place of evaluations without re-firing
+    [on_outcome], the recorded prefix retraced on the simulated clock
+    of [duration] — then the driver evaluates the slots in flight at
+    the cut and continues. Given the same [k], [options], [policy],
+    [duration] and objective, the interrupted and resumed runs agree
+    bit-for-bit. Gate state is not stored: replay recomputes it, the
+    log's [#gate] decisions are verified as a prefix of the recomputed
+    stream, and [on_gate] fires only past it.
+
+    Raises [Invalid_argument] if the log holds more than [budget]
+    entries, and [Failure] if its entries are not dense from index 0,
+    diverge from the replayed trajectory, or complete out of clock
+    order (a completion that orders before the one recorded last, as
+    a log written at another [k] does). *)

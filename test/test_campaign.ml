@@ -199,7 +199,7 @@ let prop_resume_any_cut =
       in
       let recorded = ref [] and gates = ref [] in
       let full =
-        Hiperbot.Tuner.run_with_policy ~options ~policy:policy3
+        Hiperbot.Tuner.run_async ~options ~policy:policy3
           ~on_outcome:(fun i c v -> recorded := (i, c, v) :: !recorded)
           ~on_gate:(fun g -> gates := (List.length !recorded, g) :: !gates)
           ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
@@ -227,7 +227,7 @@ let prop_resume_any_cut =
         in
         let new_gates = ref 0 in
         let tuner_resumed =
-          Hiperbot.Tuner.resume ~options ~policy:policy3
+          Hiperbot.Tuner.resume_async ~options ~policy:policy3
             ~on_gate:(fun _ -> incr new_gates)
             ~log ~objective ~budget ()
         in
@@ -364,7 +364,7 @@ let test_create_rejects_bad_options () =
       Alcotest.check_raises (label ^ " (driver)") (Invalid_argument ("Campaign.create: " ^ msg))
         (fun () ->
           ignore
-            (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 1)
+            (Hiperbot.Tuner.run_async ~options ~rng:(Prng.Rng.create 1)
                ~space:Gen.cat_ord_space
                ~objective:(fun ~attempt:_ _ ->
                  called := true;

@@ -386,7 +386,7 @@ let test_init_exits_early_when_pool_covered () =
   let rng = Prng.Rng.create 77 in
   let objective ~attempt:_ _ = Alcotest.fail "no evaluation should run" in
   (match
-     Hiperbot.Tuner.run_with_policy ~warm_start ~rng ~space ~objective ~budget:5 ()
+     Hiperbot.Tuner.run_async ~warm_start ~rng ~space ~objective ~budget:5 ()
    with
   | Stdlib.Error e -> check Alcotest.int "no attempts made" 0 e.Hiperbot.Tuner.error_attempts
   | Stdlib.Ok _ -> Alcotest.fail "fully warm-started run cannot evaluate anything");

@@ -169,7 +169,7 @@ let test_gate_transparency () =
   let budget = 30 and seed = 13 in
   let run gate =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy
+      (Hiperbot.Tuner.run_async
          ~options:(Hiperbot.Transfer.options ~options ~gate ~space [ (source, 1.) ])
          ~rng:(Prng.Rng.create seed) ~space ~objective:(Gen.total objective) ~budget ())
   in
@@ -217,7 +217,7 @@ let prop_harmful_prior_dropped =
       let fallback = ref false in
       let result =
         Gen.ok
-          (Hiperbot.Tuner.run_with_policy
+          (Hiperbot.Tuner.run_async
              ~options:(Hiperbot.Transfer.options ~options ~gate ~space [ (source, 1.) ])
              ~on_gate:(fun g ->
                if g.Dataset.Runlog.g_action = "drop" && !dropped = None then
@@ -245,7 +245,7 @@ let test_hypre_containment () =
   let dropped = ref false in
   let run ?options ?on_gate () =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ?options ?on_gate ~rng:(Prng.Rng.create 100) ~space
+      (Hiperbot.Tuner.run_async ?options ?on_gate ~rng:(Prng.Rng.create 100) ~space
          ~objective:(Gen.total objective) ~budget ())
   in
   let gated =
@@ -291,7 +291,7 @@ let test_gate_resume_parity () =
   let gates = ref [] in
   let full =
     match
-      Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3
+      Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3
         ~on_outcome:(fun i c v -> recorded := (i, c, v) :: !recorded)
         ~on_gate:(fun g -> gates := g :: !gates)
         ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
@@ -311,7 +311,7 @@ let test_gate_resume_parity () =
   let new_gates = ref 0 in
   let resumed =
     match
-      Hiperbot.Tuner.resume ~options ~policy:Gen.policy3
+      Hiperbot.Tuner.resume_async ~options ~policy:Gen.policy3
         ~on_gate:(fun _ -> incr new_gates)
         ~log ~objective ~budget ()
     with
@@ -332,20 +332,21 @@ let test_gate_resume_parity () =
   in
   Alcotest.check_raises "diverging recorded gate decision rejected"
     (Failure
-       "Tuner.resume: recorded gate decisions diverge from the recomputed ones (were the gate \
+       "Campaign.of_log: recorded gate decisions diverge from the recomputed ones (were the gate \
         options, sources, or schedule changed?)") (fun () ->
       ignore
-        (Hiperbot.Tuner.resume ~options ~policy:Gen.policy3 ~log:tampered ~objective ~budget ()));
+        (Hiperbot.Tuner.resume_async ~options ~policy:Gen.policy3 ~log:tampered ~objective
+           ~budget ()));
   (* Gating disabled recomputes no decisions at all, so the lazy
      prefix check would never see the contradiction — it must be
      rejected eagerly at resume time. *)
   Alcotest.check_raises "resume with gating disabled rejects a gated log"
     (Failure
-       "Tuner.resume: the run log records gate decisions but this campaign has gating disabled \
+       "Campaign.of_log: the run log records gate decisions but this campaign has gating disabled \
         (restore the original prior and gate options, or start fresh without --resume)")
     (fun () ->
       ignore
-        (Hiperbot.Tuner.resume
+        (Hiperbot.Tuner.resume_async
            ~options:(gated_options ~gate:None ~space sources)
            ~policy:Gen.policy3 ~log ~objective ~budget ()))
 

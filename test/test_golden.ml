@@ -97,7 +97,7 @@ let sync_cell ~dataset ~seed () =
   let r = recorder () in
   let run =
     Gen.ok
-      (Tuner.run_with_policy
+      (Tuner.run_async
          ~options:{ Tuner.default_options with n_init = 10 }
          ~on_outcome:(on_outcome r) ~rng:(Prng.Rng.create seed) ~space
          ~objective:(Gen.total (Dataset.Table.objective_fn t)) ~budget:40 ())
@@ -145,7 +145,7 @@ let proposal_toy () =
   let r = recorder () and seed = 7 in
   let run =
     Gen.ok
-      (Tuner.run_with_policy ~options:toy_options ~on_outcome:(on_outcome r)
+      (Tuner.run_async ~options:toy_options ~on_outcome:(on_outcome r)
          ~rng:(Prng.Rng.create seed) ~space:toy_space ~objective:(Gen.total toy_objective)
          ~budget:30 ())
   in

@@ -232,7 +232,7 @@ let test_tuner_budget_respected () =
   let objective, count = counted_objective () in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 91) ~space:space2
+      (Hiperbot.Tuner.run_async ~rng:(Prng.Rng.create 91) ~space:space2
          ~objective:(Gen.total objective) ~budget:10 ())
   in
   check Alcotest.bool "at most budget evaluations" true (!count <= 10);
@@ -243,7 +243,7 @@ let test_tuner_no_duplicate_evaluations () =
   let objective, _ = counted_objective () in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 92) ~space:space2
+      (Hiperbot.Tuner.run_async ~rng:(Prng.Rng.create 92) ~space:space2
          ~objective:(Gen.total objective) ~budget:12 ())
   in
   let seen = Param.Config.Table.create 12 in
@@ -257,7 +257,7 @@ let test_tuner_trajectory_monotone () =
   let objective, _ = counted_objective () in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 93) ~space:space2
+      (Hiperbot.Tuner.run_async ~rng:(Prng.Rng.create 93) ~space:space2
          ~objective:(Gen.total objective) ~budget:12 ())
   in
   let t = result.Hiperbot.Tuner.trajectory in
@@ -270,7 +270,7 @@ let test_tuner_exhausts_small_space () =
   let objective, count = counted_objective () in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 94) ~space:space2
+      (Hiperbot.Tuner.run_async ~rng:(Prng.Rng.create 94) ~space:space2
          ~objective:(Gen.total objective) ~budget:100 ())
   in
   check Alcotest.int "stops at space size" 12 !count;
@@ -293,7 +293,7 @@ let test_tuner_finds_optimum_of_separable () =
   in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 95) ~space
+      (Hiperbot.Tuner.run_async ~rng:(Prng.Rng.create 95) ~space
          ~objective:(Gen.total objective) ~budget:80 ())
   in
   check feq "global optimum found" 0. result.Hiperbot.Tuner.best_value
@@ -304,7 +304,7 @@ let test_tuner_on_evaluation_callback () =
   let on_outcome i _ v = calls := (i, v) :: !calls in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~on_outcome ~rng:(Prng.Rng.create 96) ~space:space2
+      (Hiperbot.Tuner.run_async ~on_outcome ~rng:(Prng.Rng.create 96) ~space:space2
          ~objective:(Gen.total objective) ~budget:8 ())
   in
   let calls = List.rev !calls in
@@ -318,7 +318,7 @@ let test_tuner_warm_start () =
   (* warm_start configs are in space2; budget small *)
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~warm_start:warm ~rng:(Prng.Rng.create 97) ~space:space2
+      (Hiperbot.Tuner.run_async ~warm_start:warm ~rng:(Prng.Rng.create 97) ~space:space2
          ~objective:(Gen.total objective) ~budget:4 ())
   in
   check Alcotest.bool "warm start not re-evaluated" true (!count <= 4);
@@ -330,20 +330,20 @@ let test_tuner_validation () =
   Alcotest.check_raises "bad budget" (Invalid_argument "Campaign.create: budget must be at least 1")
     (fun () ->
       ignore
-        (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 1) ~space:space2
+        (Hiperbot.Tuner.run_async ~rng:(Prng.Rng.create 1) ~space:space2
            ~objective:(Gen.total objective) ~budget:0 ()));
   let cont = Param.Space.make [ Param.Spec.continuous "x" ~lo:0. ~hi:1. ] in
   Alcotest.check_raises "ranking needs finite space"
     (Invalid_argument "Campaign.create: Ranking strategy requires a finite space") (fun () ->
       ignore
-        (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 1) ~space:cont
+        (Hiperbot.Tuner.run_async ~rng:(Prng.Rng.create 1) ~space:cont
            ~objective:(Gen.total (fun _ -> 0.)) ~budget:5 ()))
 
 let test_tuner_deterministic () =
   let run seed =
     let objective, _ = counted_objective () in
     (Gen.ok
-       (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create seed) ~space:space2
+       (Hiperbot.Tuner.run_async ~rng:(Prng.Rng.create seed) ~space:space2
           ~objective:(Gen.total objective) ~budget:10 ()))
       .Hiperbot.Tuner.best_value
   in
@@ -371,7 +371,7 @@ let test_transfer_prior_biases_selection () =
   in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 101) ~space:space2
+      (Hiperbot.Tuner.run_async ~options ~rng:(Prng.Rng.create 101) ~space:space2
          ~objective:(Gen.total objective) ~budget:6 ())
   in
   let guided = Array.sub result.Hiperbot.Tuner.history 2 (Array.length result.Hiperbot.Tuner.history - 2) in
@@ -556,7 +556,7 @@ let test_tuner_early_stop () =
   let options = { Hiperbot.Tuner.default_options with n_init = 3; early_stop = Some 4 } in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 114) ~space:space2
+      (Hiperbot.Tuner.run_async ~options ~rng:(Prng.Rng.create 114) ~space:space2
          ~objective:(Gen.total objective) ~budget:12 ())
   in
   check Alcotest.bool "stopped early flag" true result.Hiperbot.Tuner.stopped_early;
@@ -572,7 +572,7 @@ let test_tuner_no_early_stop_when_improving () =
   let options = { Hiperbot.Tuner.default_options with n_init = 3; early_stop = Some 2 } in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 115) ~space:space2
+      (Hiperbot.Tuner.run_async ~options ~rng:(Prng.Rng.create 115) ~space:space2
          ~objective:(Gen.total objective) ~budget:12 ())
   in
   check Alcotest.bool "ran the full budget" true (Array.length result.Hiperbot.Tuner.history = 12);
@@ -590,7 +590,7 @@ let test_tuner_early_stop_counts_evaluations () =
   let options = { Hiperbot.Tuner.default_options with n_init = 3; early_stop = Some 4 } in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 116) ~space:space2
+      (Hiperbot.Tuner.run_async ~options ~rng:(Prng.Rng.create 116) ~space:space2
          ~objective:(Gen.total objective) ~budget:50 ())
   in
   check Alcotest.bool "stopped early" true result.Hiperbot.Tuner.stopped_early;
@@ -686,7 +686,7 @@ let test_resilient_avoids_failing_region () =
   in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~options ~on_outcome ~rng:(Prng.Rng.create 211)
+      (Hiperbot.Tuner.run_async ~options ~on_outcome ~rng:(Prng.Rng.create 211)
          ~space:space2
          ~objective:(fun ~attempt:_ c -> Resilience.Outcome.of_option (objective c))
          ~budget:12 ())
@@ -711,7 +711,7 @@ let test_resilient_all_fail () =
   (* Every evaluation failing is reported as a structured error, not
      an exception — callers degrade gracefully. *)
   match
-    Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 212) ~space:space2
+    Hiperbot.Tuner.run_async ~rng:(Prng.Rng.create 212) ~space:space2
       ~objective:(fun ~attempt:_ _ -> Resilience.Outcome.of_option None)
       ~budget:5 ()
   with
@@ -728,7 +728,7 @@ let test_resilient_matches_run_when_no_failures () =
   let objective c = float_of_int (Param.Config.hash c mod 17) in
   let run policy =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~policy ~rng:(Prng.Rng.create 213) ~space:space2
+      (Hiperbot.Tuner.run_async ~policy ~rng:(Prng.Rng.create 213) ~space:space2
          ~objective:(Gen.total objective) ~budget:10 ())
   in
   let a = run Resilience.Policy.default and b = run Resilience.Policy.no_retry in
@@ -767,7 +767,7 @@ let prop_tuner_invariants =
       let objective c = float_of_int ((Param.Config.hash c land 0xFFFF) + 1) in
       let r =
         Gen.ok
-          (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create seed) ~space:space2
+          (Hiperbot.Tuner.run_async ~rng:(Prng.Rng.create seed) ~space:space2
              ~objective:(Gen.total objective) ~budget ())
       in
       let h = r.Hiperbot.Tuner.history in

@@ -61,7 +61,7 @@ let test_candidate_restricted_tuning () =
   let options = { Hiperbot.Tuner.default_options with n_init = 3 } in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~options ~candidates ~rng:(Prng.Rng.create 9) ~space
+      (Hiperbot.Tuner.run_async ~options ~candidates ~rng:(Prng.Rng.create 9) ~space
          ~objective:(Gen.total (Dataset.Table.objective_fn table)) ~budget:6 ())
   in
   (* Every evaluation must be one of the measured rows; exhausting
@@ -78,7 +78,7 @@ let test_candidates_validation () =
   Alcotest.check_raises "empty candidates" (Invalid_argument "Campaign.create: empty candidate set")
     (fun () ->
       ignore
-        (Hiperbot.Tuner.run_with_policy ~candidates:[||] ~rng:(Prng.Rng.create 1) ~space
+        (Hiperbot.Tuner.run_async ~candidates:[||] ~rng:(Prng.Rng.create 1) ~space
            ~objective:(Gen.total (fun _ -> 0.)) ~budget:3 ()));
   let options =
     { Hiperbot.Tuner.default_options with strategy = Hiperbot.Strategy.Proposal { n_candidates = 8 } }
@@ -86,7 +86,7 @@ let test_candidates_validation () =
   Alcotest.check_raises "proposal incompatible"
     (Invalid_argument "Campaign.create: candidates require the Ranking strategy") (fun () ->
       ignore
-        (Hiperbot.Tuner.run_with_policy ~options
+        (Hiperbot.Tuner.run_async ~options
            ~candidates:(Dataset.Table.configs table)
            ~rng:(Prng.Rng.create 1) ~space ~objective:(Gen.total (fun _ -> 0.)) ~budget:3 ()))
 

@@ -20,7 +20,7 @@ let test_hiperbot_beats_random_on_kripke () =
     Metrics.Runner.sweep ~reps:5 ~base_seed:50 ~sample_sizes:sizes ~good ~run:(fun ~rng ~budget ->
         Baselines.Outcome.of_tuner_result
           (Gen.ok
-             (Hiperbot.Tuner.run_with_policy ~rng ~space ~objective:(Gen.total objective)
+             (Hiperbot.Tuner.run_async ~rng ~space ~objective:(Gen.total objective)
                 ~budget ())))
   in
   let rnd =
@@ -39,7 +39,7 @@ let test_hiperbot_finds_hypre_best () =
   let space = Dataset.Table.space t in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~rng:(Prng.Rng.create 4) ~space
+      (Hiperbot.Tuner.run_async ~rng:(Prng.Rng.create 4) ~space
          ~objective:(Gen.total (Dataset.Table.objective_fn t)) ~budget:241 ())
   in
   check (Alcotest.float 1e-9) "absolute best found" (Dataset.Table.best_value t)
@@ -71,7 +71,7 @@ let test_transfer_beats_cold_start () =
         let options = Hiperbot.Transfer.options ~space [ (source, 1.) ] in
         let r =
           Gen.ok
-            (Hiperbot.Tuner.run_with_policy ~options ~rng ~space ~objective:(Gen.total objective)
+            (Hiperbot.Tuner.run_async ~options ~rng ~space ~objective:(Gen.total objective)
                ~budget ())
         in
         Metrics.Recall.recall good r.Hiperbot.Tuner.history)
@@ -80,7 +80,7 @@ let test_transfer_beats_cold_start () =
     avg (fun ~rng ->
         let r =
           Gen.ok
-            (Hiperbot.Tuner.run_with_policy ~rng ~space ~objective:(Gen.total objective) ~budget ())
+            (Hiperbot.Tuner.run_async ~rng ~space ~objective:(Gen.total objective) ~budget ())
         in
         Metrics.Recall.recall good r.Hiperbot.Tuner.history)
   in
@@ -128,14 +128,14 @@ let test_runlog_warm_start_continuation () =
   in
   let phase1 =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~on_outcome ~rng:(Prng.Rng.create 80) ~space
+      (Hiperbot.Tuner.run_async ~on_outcome ~rng:(Prng.Rng.create 80) ~space
          ~objective:(Gen.total objective) ~budget:40 ())
   in
   let log = Dataset.Runlog.finish rec_ in
   let warm = Dataset.Runlog.history log in
   let phase2 =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~warm_start:warm ~rng:(Prng.Rng.create 81) ~space
+      (Hiperbot.Tuner.run_async ~warm_start:warm ~rng:(Prng.Rng.create 81) ~space
          ~objective:(Gen.total objective) ~budget:30 ())
   in
   let seen = Param.Config.Table.create 64 in
@@ -154,7 +154,7 @@ let test_live_kernel_tuning () =
       let objective = Kernels.Live.matmul_objective ~pool ~n:32 () in
       let result =
         Gen.ok
-          (Hiperbot.Tuner.run_with_policy
+          (Hiperbot.Tuner.run_async
              ~options:{ Hiperbot.Tuner.default_options with n_init = 8 } ~rng:(Prng.Rng.create 90)
              ~space ~objective:(Gen.total objective) ~budget:16 ())
       in

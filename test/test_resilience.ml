@@ -180,7 +180,7 @@ let check_faulty_campaign ~dataset ~seed =
   let verdicts = ref [] in
   let result =
     match
-      Hiperbot.Tuner.run_with_policy
+      Hiperbot.Tuner.run_async
         ~options:{ Hiperbot.Tuner.default_options with n_init = 12 }
         ~policy:policy3
         ~on_outcome:(fun _ _ v -> verdicts := v :: !verdicts)
@@ -241,7 +241,7 @@ let check_resume_determinism ~dataset ~seed =
   let recorded = ref [] in
   let full =
     match
-      Hiperbot.Tuner.run_with_policy ~options ~policy:policy3
+      Hiperbot.Tuner.run_async ~options ~policy:policy3
         ~on_outcome:(fun i c v -> recorded := (i, c, v) :: !recorded)
         ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
     with
@@ -256,7 +256,7 @@ let check_resume_determinism ~dataset ~seed =
   let log = Dataset.Runlog.create ~name:dataset ~seed ~space entries in
   let resumed =
     match
-      Hiperbot.Tuner.resume ~options ~policy:policy3 ~log ~objective ~budget ()
+      Hiperbot.Tuner.resume_async ~options ~policy:policy3 ~log ~objective ~budget ()
     with
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail "resumed campaign failed outright"
@@ -286,7 +286,7 @@ let test_resume_end_to_end_through_file () =
   let budget = 24 and seed = 9 in
   let full =
     match
-      Hiperbot.Tuner.run_with_policy ~options ~policy:policy3 ~rng:(Prng.Rng.create seed)
+      Hiperbot.Tuner.run_async ~options ~policy:policy3 ~rng:(Prng.Rng.create seed)
         ~space ~objective ~budget ()
     with
     | Stdlib.Ok r -> r
@@ -299,7 +299,7 @@ let test_resume_end_to_end_through_file () =
       let writer = Dataset.Runlog.writer_create ~path ~name:"kripke" ~seed ~space in
       let wrote = ref 0 in
       (match
-         Hiperbot.Tuner.run_with_policy ~options ~policy:policy3
+         Hiperbot.Tuner.run_async ~options ~policy:policy3
            ~on_outcome:(fun i c v ->
              if i < 12 then begin
                Dataset.Runlog.writer_record writer
@@ -320,7 +320,7 @@ let test_resume_end_to_end_through_file () =
       check Alcotest.int "recovery drops only the partial row" 12
         (Array.length log.Dataset.Runlog.entries);
       let resumed =
-        match Hiperbot.Tuner.resume ~options ~policy:policy3 ~log ~objective ~budget () with
+        match Hiperbot.Tuner.resume_async ~options ~policy:policy3 ~log ~objective ~budget () with
         | Stdlib.Ok r -> r
         | Stdlib.Error _ -> Alcotest.fail "resumed campaign failed outright"
       in
@@ -337,7 +337,7 @@ let test_resume_rejects_divergence () =
   let seed = 3 in
   let genuine =
     match
-      Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create seed) ~space ~objective
+      Hiperbot.Tuner.run_async ~options ~rng:(Prng.Rng.create seed) ~space ~objective
         ~budget:6 ()
     with
     | Stdlib.Ok r -> r
@@ -356,12 +356,11 @@ let test_resume_rejects_divergence () =
     Dataset.Runlog.create ~name:"kripke" ~seed ~space
       [ { Dataset.Runlog.index = 0; config = imposter; status = Dataset.Runlog.Ok 1.0; attempts = 1 } ]
   in
-  match Hiperbot.Tuner.resume ~options ~log ~objective ~budget:6 () with
+  match Hiperbot.Tuner.resume_async ~options ~log ~objective ~budget:6 () with
   | _ -> Alcotest.fail "divergent log must be rejected"
   | exception Failure msg ->
       check Alcotest.bool "divergence message" true
-        (String.length msg > 0
-        && String.sub msg 0 (min 12 (String.length msg)) = "Tuner.resume")
+        (String.starts_with ~prefix:"Campaign.of_log" msg)
 
 let suite =
   let tc = Alcotest.test_case in

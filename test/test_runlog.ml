@@ -134,7 +134,7 @@ let test_recorder_with_tuner () =
   in
   let result =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy
+      (Hiperbot.Tuner.run_async
          ~options:{ Hiperbot.Tuner.default_options with n_init = 2 }
          ~on_outcome ~rng:(Prng.Rng.create 31) ~space
          ~objective:(fun ~attempt:_ c -> Resilience.Outcome.of_option (objective c))

@@ -284,6 +284,31 @@ let test_crash_recovery () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
+(* A reopened session whose log was reordered is refused, and the
+   refusal names the module that raised it: the campaign's replay, not
+   a driver the client never called. *)
+let test_diverged_reopen () =
+  let dir = Filename.temp_file "serve_test" "" in
+  Sys.remove dir;
+  let server1 = Hiperbot.Serve.create ~dir () in
+  ignore (Hiperbot.Serve.handle server1 (open_line ()));
+  ignore (drive_n_reports server1 "s1" Gen.hash_objective 8);
+  Hiperbot.Serve.close_all server1;
+  (* Rows 5 and 6 are guided (n_init = 4): swap their configurations. *)
+  let path = Filename.concat dir "s1.runlog" in
+  let log = Dataset.Runlog.load path in
+  let entries = Array.copy log.Dataset.Runlog.entries in
+  let row i j = { entries.(i) with Dataset.Runlog.config = log.Dataset.Runlog.entries.(j).config } in
+  entries.(5) <- row 5 6;
+  entries.(6) <- row 6 5;
+  Dataset.Runlog.save { log with Dataset.Runlog.entries } path;
+  let server2 = Hiperbot.Serve.create ~dir () in
+  let reply = Hiperbot.Serve.handle server2 (open_line ()) in
+  check Alcotest.bool ("diverged reopen names Campaign: " ^ reply) true
+    (has_prefix "err Campaign.of_log: run log diverges" reply);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* ---- shared pool accounting ---- *)
 
 let test_pool_sharing () =
@@ -339,6 +364,7 @@ let suite =
       Alcotest.test_case "two-client interleaving is deterministic" `Quick
         test_two_client_interleaving;
       Alcotest.test_case "crash-then-recover from runlog" `Quick test_crash_recovery;
+      Alcotest.test_case "diverged reopen names Campaign" `Quick test_diverged_reopen;
       Alcotest.test_case "pool sharing accounting" `Quick test_pool_sharing;
       Alcotest.test_case "concurrent clients across domains" `Quick test_concurrent_clients;
     ] )

@@ -170,7 +170,7 @@ let objective2 = Gen.cat_ord_objective
 
 let run_once telemetry seed =
   Gen.ok
-    (Hiperbot.Tuner.run_with_policy ?telemetry
+    (Hiperbot.Tuner.run_async ?telemetry
        ~options:{ Hiperbot.Tuner.default_options with n_init = 5 } ~rng:(Prng.Rng.create seed)
        ~space:space2 ~objective:(Gen.total objective2) ~budget:10 ())
 
@@ -204,7 +204,7 @@ let test_kripke_campaign_trace () =
   let telemetry = Telemetry.Trace.make [ Telemetry.Trace.jsonl_sink path ] in
   let result =
     match
-      Hiperbot.Tuner.run_with_policy ~telemetry
+      Hiperbot.Tuner.run_async ~telemetry
         ~options:{ Hiperbot.Tuner.default_options with n_init = 10 }
         ~policy:policy3 ~rng:(Prng.Rng.create 3) ~space ~objective ~budget ()
     with
@@ -301,7 +301,7 @@ let test_resume_with_trace_parity () =
   let recorded = ref [] in
   let full =
     match
-      Hiperbot.Tuner.run_with_policy ~options ~policy:policy3
+      Hiperbot.Tuner.run_async ~options ~policy:policy3
         ~on_outcome:(fun i c v -> recorded := (i, c, v) :: !recorded)
         ~rng:(Prng.Rng.create 5) ~space ~objective ~budget ()
     with
@@ -317,7 +317,9 @@ let test_resume_with_trace_parity () =
   let sink, collected = Telemetry.Trace.memory_sink () in
   let telemetry = Telemetry.Trace.make [ sink ] in
   let resumed =
-    match Hiperbot.Tuner.resume ~telemetry ~options ~policy:policy3 ~log ~objective ~budget () with
+    match
+      Hiperbot.Tuner.resume_async ~telemetry ~options ~policy:policy3 ~log ~objective ~budget ()
+    with
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail "resumed campaign failed outright"
   in

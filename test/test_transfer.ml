@@ -26,7 +26,7 @@ let test_multi_single_source_parity () =
   let budget = 24 and weight = 2.5 in
   let run options =
     Gen.ok
-      (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create 11) ~space
+      (Hiperbot.Tuner.run_async ~options ~rng:(Prng.Rng.create 11) ~space
          ~objective:(Gen.total objective) ~budget ())
   in
   let single = run (Hiperbot.Transfer.options ~options ~space [ (source, weight) ]) in
@@ -78,12 +78,12 @@ let prop_zero_prior_equals_no_prior =
       let budget = 10 in
       let bare =
         Gen.ok
-          (Hiperbot.Tuner.run_with_policy ~options ~rng:(Prng.Rng.create seed) ~space
+          (Hiperbot.Tuner.run_async ~options ~rng:(Prng.Rng.create seed) ~space
              ~objective:(Gen.total Gen.hash_objective) ~budget ())
       in
       let with_prior ?schedule weight =
         Gen.ok
-          (Hiperbot.Tuner.run_with_policy
+          (Hiperbot.Tuner.run_async
              ~options:(Hiperbot.Transfer.options ~options ?schedule ~space [ (source, weight) ])
              ~rng:(Prng.Rng.create seed) ~space ~objective:(Gen.total Gen.hash_objective)
              ~budget ())
@@ -126,7 +126,7 @@ let test_decay_schedules () =
     (Invalid_argument "Campaign.suggest: prior decay multiplier must be finite and non-negative")
     (fun () ->
       ignore
-        (Hiperbot.Tuner.run_with_policy
+        (Hiperbot.Tuner.run_async
            ~options:
              (Hiperbot.Transfer.options
                 ~options:{ Hiperbot.Tuner.default_options with n_init = 4 }
@@ -158,7 +158,7 @@ let test_transfer_resume_parity () =
   let recorded = ref [] in
   let full =
     match
-      Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3
+      Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3
         ~on_outcome:(fun i c v -> recorded := (i, c, v) :: !recorded)
         ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
     with
@@ -173,7 +173,7 @@ let test_transfer_resume_parity () =
   let log = Dataset.Runlog.create ~name:"kripke_trgt" ~seed ~space entries in
   let resumed =
     match
-      Hiperbot.Tuner.resume ~options ~policy:Gen.policy3 ~log ~objective ~budget ()
+      Hiperbot.Tuner.resume_async ~options ~policy:Gen.policy3 ~log ~objective ~budget ()
     with
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail "resumed transfer campaign failed outright"
@@ -262,7 +262,7 @@ let test_refit_provenance () =
     let telemetry = Telemetry.Trace.make [ sink ] in
     let options = { Hiperbot.Tuner.default_options with n_init = 6 } in
     ignore
-      (Hiperbot.Tuner.run_with_policy ~telemetry
+      (Hiperbot.Tuner.run_async ~telemetry
          ~options:(Hiperbot.Transfer.options ~options ~schedule ~space sources)
          ~rng:(Prng.Rng.create 3) ~space ~objective:(Gen.total objective) ~budget:16 ());
     Telemetry.Trace.close telemetry;
