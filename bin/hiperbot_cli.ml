@@ -84,50 +84,6 @@ let resolve_gate thresh no_gate =
         Ok (Some { Hiperbot.Gate.default_options with Hiperbot.Gate.threshold = t })
       else Error "--transfer-gate THRESH must lie strictly between 0 and 1"
 
-let weighting_arg =
-  let doc =
-    "Prior weighting mode: $(b,constant) uses the given weights as-is; $(b,js) scales each \
-     source's weight by its Jensen-Shannon agreement with the pooled-source consensus."
-  in
-  Arg.(
-    value
-    & opt
-        (enum [ ("constant", Hiperbot.Transfer.Constant_weights); ("js", Hiperbot.Transfer.Js_guided) ])
-        Hiperbot.Transfer.Constant_weights
-    & info [ "transfer-weighting" ] ~docv:"MODE" ~doc)
-
-let decay_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "constant" -> Ok Hiperbot.Transfer.Constant
-    | spec -> (
-        match String.index_opt spec ':' with
-        | Some i -> (
-            let kind = String.sub spec 0 i in
-            let num = float_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1)) in
-            match (kind, num) with
-            | "exp", Some h when Float.is_finite h && h > 0. ->
-                Ok (Hiperbot.Transfer.Exponential { half_life = h })
-            | "recip", Some n0 when Float.is_finite n0 && n0 > 0. ->
-                Ok (Hiperbot.Transfer.Reciprocal { n0 })
-            | _ -> Error (`Msg (Printf.sprintf "invalid decay spec %S" s)))
-        | None -> Error (`Msg (Printf.sprintf "invalid decay spec %S (try constant, exp:H, recip:N)" s)))
-  in
-  let print ppf = function
-    | Hiperbot.Transfer.Constant -> Format.pp_print_string ppf "constant"
-    | Hiperbot.Transfer.Exponential { half_life } -> Format.fprintf ppf "exp:%g" half_life
-    | Hiperbot.Transfer.Reciprocal { n0 } -> Format.fprintf ppf "recip:%g" n0
-    | Hiperbot.Transfer.Custom _ -> Format.pp_print_string ppf "<custom>"
-  in
-  Arg.conv (parse, print)
-
-let decay_arg =
-  let doc =
-    "Prior decay schedule: $(b,constant) keeps the prior at full strength; $(b,exp:H) halves the \
-     prior weight every H target observations; $(b,recip:N) scales it by N/(N+n)."
-  in
-  Arg.(value & opt decay_conv Hiperbot.Transfer.Constant & info [ "transfer-decay" ] ~docv:"SPEC" ~doc)
-
 (* Load `--transfer-from FILE[:WEIGHT]` run logs into transfer sources
    for [space]; every failure becomes a clean CLI error. *)
 let load_transfer_sources ~space files =
@@ -331,7 +287,7 @@ let tune_cmd =
   in
   let run dataset seed budget method_ alpha n_init proposal verbose trace_file
       trace_summary save resume faults fault_seed retries timeout async transfer_from
-      transfer_weighting transfer_decay transfer_gate no_transfer_gate fidelity brackets eta =
+      transfer_gate no_transfer_gate fidelity brackets eta =
     match find_table dataset with
     | Error e -> `Error (false, e)
     | Ok table ->
@@ -367,9 +323,7 @@ let tune_cmd =
                   | Ok sources -> (
                       try
                         Ok
-                          (Hiperbot.Transfer.options ~options:base_options
-                             ~weighting:transfer_weighting ~schedule:transfer_decay ~gate ~space
-                             sources)
+                          (Hiperbot.Transfer.options ~options:base_options ~gate ~space sources)
                       with Invalid_argument msg -> Error msg)))
         in
         if (save <> None || resume || faults > 0. || async <> None) && method_ <> `Hiperbot then
@@ -633,8 +587,8 @@ let tune_cmd =
         (const run $ dataset_arg $ seed_arg $ budget_arg 150 $ method_arg $ alpha_arg $ n_init_arg
        $ proposal_arg $ verbose_arg $ trace_file_arg $ trace_summary_arg $ save_arg
        $ resume_arg $ faults_arg $ fault_seed_arg $ retries_arg $ timeout_arg
-       $ async_arg $ transfer_from_arg $ weighting_arg $ decay_arg $ gate_thresh_arg
-       $ no_gate_arg $ fidelity_arg $ brackets_arg $ eta_arg))
+       $ async_arg $ transfer_from_arg $ gate_thresh_arg $ no_gate_arg $ fidelity_arg
+       $ brackets_arg $ eta_arg))
 
 (* ---- transfer ---- *)
 
@@ -654,7 +608,7 @@ let transfer_cmd =
     let doc = "Default prior weight w (paper eqs. 9-10) for sources without their own :WEIGHT." in
     Arg.(value & opt float 1.0 & info [ "w"; "weight" ] ~docv:"W" ~doc)
   in
-  let run sources target seed budget weight weighting decay transfer_gate no_transfer_gate =
+  let run sources target seed budget weight transfer_gate no_transfer_gate =
     let named =
       List.map
         (fun s ->
@@ -706,9 +660,7 @@ let transfer_cmd =
                 names.(g.Dataset.Runlog.g_source)
                 g.Dataset.Runlog.g_refit g.Dataset.Runlog.g_trust
           in
-          let options =
-            Hiperbot.Transfer.options ~weighting ~schedule:decay ~gate ~space source_obs
-          in
+          let options = Hiperbot.Transfer.options ~gate ~space source_obs in
           let result =
             tune_total ~options ~on_gate ~rng ~space ~objective:(Dataset.Table.objective_fn trgt)
               ~budget ()
@@ -730,7 +682,7 @@ let transfer_cmd =
     Term.(
       ret
         (const run $ source_arg $ target_arg $ seed_arg $ budget_arg 278 $ weight_arg
-       $ weighting_arg $ decay_arg $ gate_thresh_arg $ no_gate_arg))
+       $ gate_thresh_arg $ no_gate_arg))
 
 (* ---- tune-csv ---- *)
 

@@ -20,8 +20,6 @@ type options = {
           rows, far more than the regressor needs *)
 }
 
-val default_options : options
-
 val run :
   ?options:options ->
   rng:Prng.Rng.t ->
@@ -31,5 +29,6 @@ val run :
   budget:int ->
   unit ->
   Outcome.t
-(** Requires a finite space (predictions are ranked over its
-    enumeration) and non-empty source data. *)
+(** [options] defaults to the field defaults above. Requires a finite
+    space (predictions are ranked over its enumeration) and non-empty
+    source data. *)

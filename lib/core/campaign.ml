@@ -9,17 +9,11 @@
    emission, callback calls) exactly — that order is what the
    bit-exact resume and k=1 parity guarantees rest on. *)
 
-type prior = {
-  sources : (Surrogate.t * float) array;
-  decay : int -> float;
-  gate : Gate.options option;
-}
+type prior = { sources : (Surrogate.t * float) array; gate : Gate.options option }
 
-let constant_decay _ = 1.
-
-let prior_of ?(decay = constant_decay) ?gate sources =
+let prior_of ?gate sources =
   (match gate with Some g -> Gate.validate_options g | None -> ());
-  { sources = Array.of_list sources; decay; gate }
+  { sources = Array.of_list sources; gate }
 
 type options = {
   n_init : int;
@@ -57,18 +51,9 @@ type run_error = {
 
 let max_init_redraws = 50
 
-(* Effective prior list for a refit over [n_obs] target observations:
-   each source's base weight scaled by the decay schedule's multiplier.
-   The constant schedule multiplies by 1., which is bit-exact, so a
-   constant-decay prior reproduces an undecayed campaign exactly. *)
-let priors_at ~options n_obs =
-  match options.prior with
-  | None -> []
-  | Some { sources; decay; _ } ->
-      let m = decay n_obs in
-      if not (Float.is_finite m) || m < 0. then
-        invalid_arg "Campaign.suggest: prior decay multiplier must be finite and non-negative";
-      Array.to_list (Array.map (fun (p, w) -> (p, w *. m)) sources)
+(* The prior list every refit starts from: each source at its base
+   weight. *)
+let priors ~options = match options.prior with None -> [] | Some p -> Array.to_list p.sources
 
 (* ---- safeguarded transfer: gate plumbing ---- *)
 
@@ -80,7 +65,7 @@ let gate_state_of ~options =
 
 let gate_divergence_msg =
   "Campaign.of_log: recorded gate decisions diverge from the recomputed ones (were the gate \
-   options, sources, or schedule changed?)"
+   options or sources changed?)"
 
 let runlog_gate_of (d : Gate.decision) =
   {
@@ -123,10 +108,10 @@ let gate_emitter ?on_gate ?gate ~recorded () =
    on. *)
 let fit_gated ~telemetry ~options ~gate ~emit_gate ~anchor ~n_obs refit_with =
   match gate with
-  | None -> refit_with (priors_at ~options n_obs)
+  | None -> refit_with (priors ~options)
   | Some state when Gate.all_dropped state -> refit_with []
   | Some state ->
-      let step = Gate.apply state ~anchor:(anchor ()) ~n_obs (priors_at ~options n_obs) in
+      let step = Gate.apply state ~anchor:(anchor ()) ~n_obs (priors ~options) in
       if Telemetry.Trace.enabled telemetry then begin
         List.iter
           (fun (s : Gate.snapshot) ->

@@ -29,16 +29,9 @@
     These types are the one source of truth; {!Tuner} re-exports
     them under their historical names. *)
 
-type prior = {
-  sources : (Surrogate.t * float) array;
-  decay : int -> float;
-  gate : Gate.options option;
-}
+type prior = { sources : (Surrogate.t * float) array; gate : Gate.options option }
 
-val constant_decay : int -> float
-
-val prior_of :
-  ?decay:(int -> float) -> ?gate:Gate.options -> (Surrogate.t * float) list -> prior
+val prior_of : ?gate:Gate.options -> (Surrogate.t * float) list -> prior
 
 type options = {
   n_init : int;

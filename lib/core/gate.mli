@@ -120,7 +120,7 @@ type step = {
 
 val apply :
   t -> anchor:(Param.Config.t * float) array -> n_obs:int -> (Surrogate.t * float) list -> step
-(** One trust update. [priors] are the decayed per-source priors of
+(** One trust update. [priors] are the per-source priors of
     this refit (same length and order as the gate's sources); [anchor]
     is the campaign's unbiased evidence — warm-start data followed by
     the random-init observations, {e never} prior-guided evaluations.

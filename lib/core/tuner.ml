@@ -4,13 +4,8 @@
    bookkeeping, telemetry, the simulated clock); the driver only
    produces verdicts, inline under the retry policy. *)
 
-type prior = Campaign.prior = {
-  sources : (Surrogate.t * float) array;
-  decay : int -> float;
-  gate : Gate.options option;
-}
+type prior = Campaign.prior = { sources : (Surrogate.t * float) array; gate : Gate.options option }
 
-let constant_decay = Campaign.constant_decay
 let prior_of = Campaign.prior_of
 
 type options = Campaign.options = {

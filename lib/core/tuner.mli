@@ -9,8 +9,7 @@
 
     The [prior] option turns the same loop into the transfer-learning
     variant (§III-E): surrogates fitted on source-domain data are
-    mixed into every refit, each with its own weight, optionally
-    annealed by a decay schedule as target evidence accumulates
+    mixed into every refit, each with its own fixed weight
     ({!Transfer.options} builds it). [early_stop] implements the
     paper's sample-quality termination condition.
 
@@ -33,11 +32,6 @@ type prior = Campaign.prior = {
   sources : (Surrogate.t * float) array;
       (** source-domain surrogates with their base weights, merged
           into every refit in array order (paper eqs. 9-10) *)
-  decay : int -> float;
-      (** weight multiplier as a function of the refit's target
-          observation count (warm-start included); must return finite
-          non-negative values. {!constant_decay} keeps priors at full
-          strength forever. *)
   gate : Gate.options option;
       (** safeguarded transfer: when set, every refit scores each
           source's agreement with the target evidence and attenuates /
@@ -45,21 +39,16 @@ type prior = Campaign.prior = {
           reproduces ungated transfer bit-exactly. *)
 }
 
-val constant_decay : int -> float
-(** [fun _ -> 1.] — the undecayed schedule. Its multiplier is exact
-    ([w *. 1. = w] bit-for-bit), so a constant-decay prior reproduces
-    a fixed-weight campaign bit-identically. *)
-
-val prior_of : ?decay:(int -> float) -> ?gate:Gate.options -> (Surrogate.t * float) list -> prior
-(** Build a prior from source surrogates and weights (decay defaults
-    to {!constant_decay}; gate defaults to none — ungated). Raises
-    [Invalid_argument] on out-of-range gate options. *)
+val prior_of : ?gate:Gate.options -> (Surrogate.t * float) list -> prior
+(** Build a prior from source surrogates and weights (gate defaults
+    to none — ungated). Raises [Invalid_argument] on out-of-range gate
+    options. *)
 
 type options = Campaign.options = {
   n_init : int;  (** random initial samples (paper: 20) *)
   surrogate : Surrogate.options;
   strategy : Strategy.t;
-  prior : prior option;  (** transfer prior sources and decay schedule *)
+  prior : prior option;  (** transfer prior sources and gate *)
   early_stop : int option;
       (** stop after this many consecutive guided evaluations without
           improving the best observed objective (default [None]:

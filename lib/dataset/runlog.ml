@@ -127,20 +127,6 @@ let create ?(gates = []) ?(fids = []) ?(rungs = []) ?(objs = []) ~name ~seed ~sp
     objs;
   { name; seed; space; entries; gates; fids; rungs; objs }
 
-type recorder = { r_name : string; r_seed : int; r_space : Param.Space.t; mutable acc : entry list }
-
-let recorder ~name ~seed ~space = { r_name = name; r_seed = seed; r_space = space; acc = [] }
-
-let record_entry r entry = r.acc <- entry :: r.acc
-
-let record_evaluation r index config value =
-  record_entry r { index; config; status = Ok value; attempts = 1 }
-
-let record_failure ?(kind = Crash) ?(attempts = 1) r index config =
-  record_entry r { index; config; status = Failed kind; attempts }
-
-let finish r = create ~name:r.r_name ~seed:r.r_seed ~space:r.r_space r.acc
-
 let history t =
   Array.of_list
     (List.filter_map

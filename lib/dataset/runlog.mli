@@ -136,23 +136,6 @@ val create :
     non-negative indices, non-empty finite vectors of uniform
     arity). *)
 
-type recorder
-
-val recorder : name:string -> seed:int -> space:Param.Space.t -> recorder
-(** An in-memory recorder for the entries a tuner driver reports
-    through its [on_outcome] callback. For crash-safe persistence
-    prefer the {!writer} API. *)
-
-val record_evaluation : recorder -> int -> Param.Config.t -> float -> unit
-
-val record_failure : ?kind:failure_kind -> ?attempts:int -> recorder -> int -> Param.Config.t -> unit
-(** [kind] defaults to [Crash], [attempts] to 1. *)
-
-val record_entry : recorder -> entry -> unit
-
-val finish : recorder -> t
-(** Snapshot the recorded entries (the recorder stays usable). *)
-
 val history : t -> (Param.Config.t * float) array
 (** Successful evaluations in order — the shape the metrics layer and
     the tuner drivers' [warm_start] expect. *)

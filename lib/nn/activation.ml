@@ -10,5 +10,3 @@ let derivative t x =
       let th = tanh x in
       1. -. (th *. th)
   | Identity -> 1.
-
-let name = function Relu -> "relu" | Tanh -> "tanh" | Identity -> "identity"

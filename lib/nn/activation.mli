@@ -5,5 +5,3 @@ type t = Relu | Tanh | Identity
 val apply : t -> float -> float
 val derivative : t -> float -> float
 (** Derivative as a function of the pre-activation input. *)
-
-val name : t -> string

@@ -32,14 +32,6 @@ let hash = function
   | Continuous f -> Hashtbl.hash (2, f)
   | Permutation p -> Hashtbl.hash (3, Array.to_list p)
 
-let pp fmt = function
-  | Categorical i -> Format.fprintf fmt "cat:%d" i
-  | Ordinal i -> Format.fprintf fmt "ord:%d" i
-  | Continuous f -> Format.fprintf fmt "%g" f
-  | Permutation p ->
-      Format.fprintf fmt "perm:%s"
-        (String.concat ">" (Array.to_list (Array.map string_of_int p)))
-
 (* Lehmer rank: digit i counts the later entries smaller than p.(i),
    accumulated in the factorial number system. The rank is a pure
    function of the array — no spec required — which is what lets the

@@ -16,7 +16,6 @@ type t =
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
-val pp : Format.formatter -> t -> unit
 
 val to_index : t -> int
 (** Index of a discrete value. A [Permutation] maps to its Lehmer

@@ -25,7 +25,4 @@ val run : t -> float
     simulation time. Event counts are bounded by what handlers
     schedule. *)
 
-val step : t -> bool
-(** Process one event; [false] when the queue was empty. *)
-
 val events_processed : t -> int

@@ -34,7 +34,7 @@ type t =
       threshold : float;  (** the α-quantile objective value (eq. 5 split) *)
       n_priors : int;  (** transfer prior sources merged into this fit *)
       prior_weight : float;
-          (** total effective prior weight (post-decay sum across
+          (** total effective prior weight (post-gate sum across
               sources); 0 for a prior-free fit *)
       dur_ms : float;
     }

@@ -59,6 +59,82 @@ let results_identical (a : Hiperbot.Tuner.result) (b : Hiperbot.Tuner.result) =
   && a.Hiperbot.Tuner.n_attempts = b.Hiperbot.Tuner.n_attempts
   && Float.equal a.Hiperbot.Tuner.retry_cost b.Hiperbot.Tuner.retry_cost
 
+(* Compare the two possible outcomes of a resilient run. *)
+let run_outcomes_identical a b =
+  match (a, b) with
+  | Stdlib.Ok a, Stdlib.Ok b -> results_identical a b
+  | Stdlib.Error a, Stdlib.Error b ->
+      let failure_eq (c1, o1) (c2, o2) =
+        Param.Config.equal c1 c2 && Resilience.Outcome.kind o1 = Resilience.Outcome.kind o2
+      in
+      a.Hiperbot.Tuner.error_attempts = b.Hiperbot.Tuner.error_attempts
+      && Array.length a.Hiperbot.Tuner.error_failures
+         = Array.length b.Hiperbot.Tuner.error_failures
+      && Array.for_all2 failure_eq a.Hiperbot.Tuner.error_failures
+           b.Hiperbot.Tuner.error_failures
+  | _ -> false
+
+(* ---- step drivers (independent re-implementations of the engines'
+   driving discipline, so parity is checked against the machine's
+   public API rather than against Tuner's own plumbing) ---- *)
+
+(* Synchronous: evaluate and report each suggestion immediately. *)
+let drive_sync campaign eval =
+  let rec loop () =
+    match Hiperbot.Campaign.suggest campaign with
+    | Hiperbot.Campaign.Finished -> Hiperbot.Campaign.result campaign
+    | Hiperbot.Campaign.Wait ->
+        Alcotest.fail "sync campaign returned Wait with nothing pending"
+    | Hiperbot.Campaign.Suggest s ->
+        Hiperbot.Campaign.report campaign ~id:s.Hiperbot.Campaign.id
+          (eval s.Hiperbot.Campaign.config);
+        loop ()
+  in
+  loop ()
+
+(* Asynchronous: keep the in-flight set full and complete suggestions
+   in simulated-clock order (earliest completion first, ties to the
+   lower submission id) — the same discipline [Tuner.run_async]
+   implements, rebuilt from scratch on the step API. *)
+let drive_async campaign ~eval ~duration =
+  let in_flight = ref [] and sim_time = ref 0. in
+  let fill at =
+    let filling = ref true in
+    while !filling do
+      match Hiperbot.Campaign.suggest ~at campaign with
+      | Hiperbot.Campaign.Suggest s ->
+          in_flight := (s, at, eval s.Hiperbot.Campaign.config) :: !in_flight
+      | Hiperbot.Campaign.Wait | Hiperbot.Campaign.Finished -> filling := false
+    done
+  in
+  fill !sim_time;
+  while !in_flight <> [] do
+    let timed =
+      List.rev_map
+        (fun ((s, submitted, v) as slot) ->
+          (slot, submitted +. duration s.Hiperbot.Campaign.config v))
+        !in_flight
+    in
+    let (s, _, v), at =
+      List.fold_left
+        (fun (((bs, _, _), bt) as acc) (((cs, _, _), ct) as cand) ->
+          if
+            ct < bt
+            || (ct = bt && cs.Hiperbot.Campaign.id < bs.Hiperbot.Campaign.id)
+          then cand
+          else acc)
+        (List.hd timed) (List.tl timed)
+    in
+    in_flight :=
+      List.filter
+        (fun (s', _, _) -> s'.Hiperbot.Campaign.id <> s.Hiperbot.Campaign.id)
+        !in_flight;
+    sim_time := at;
+    Hiperbot.Campaign.report ~at campaign ~id:s.Hiperbot.Campaign.id v;
+    fill !sim_time
+  done;
+  Hiperbot.Campaign.result campaign
+
 (* A deterministic async duration that scrambles completion order per
    salt (and charges retry cost, like the engine's default). *)
 let salted_duration salt config (v : Resilience.Evaluator.verdict) =

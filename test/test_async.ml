@@ -9,21 +9,6 @@ let check = Alcotest.check
 
 let table name = (Hpcsim.Registry.find name).Hpcsim.Registry.table ()
 
-(* Compare the two possible outcomes of a resilient run. *)
-let run_outcomes_identical a b =
-  match (a, b) with
-  | Stdlib.Ok a, Stdlib.Ok b -> Gen.results_identical a b
-  | Stdlib.Error a, Stdlib.Error b ->
-      let failure_eq (c1, o1) (c2, o2) =
-        Param.Config.equal c1 c2 && Resilience.Outcome.kind o1 = Resilience.Outcome.kind o2
-      in
-      a.Hiperbot.Tuner.error_attempts = b.Hiperbot.Tuner.error_attempts
-      && Array.length a.Hiperbot.Tuner.error_failures
-         = Array.length b.Hiperbot.Tuner.error_failures
-      && Array.for_all2 failure_eq a.Hiperbot.Tuner.error_failures
-           b.Hiperbot.Tuner.error_failures
-  | _ -> false
-
 (* Every completed configuration with its outcome, as a sorted list of
    strings — the order-insensitive view used by the permutation
    property. *)
@@ -58,8 +43,11 @@ let completion_count outcome =
   | Stdlib.Error (e : Hiperbot.Tuner.run_error) ->
       Array.length e.Hiperbot.Tuner.error_failures
 
-(* ---- property: k=1 degrades exactly to run_with_policy ----
+(* ---- property: k=1 degrades exactly to the synchronous loop ----
 
+   The reference is [Gen.drive_sync], the independent step driver that
+   evaluates and reports each suggestion in turn, so the property
+   checks [Tuner]'s driver from outside rather than against itself.
    The coarse objective (four distinct values) makes non-improving
    completions common, so the early-stop counter actually reaches its
    patience; the warm start gives guided selection observations before
@@ -110,14 +98,16 @@ let prop_k1_bit_identical =
       let objective = Hpcsim.Faults.inject faults coarse_objective in
       let options = { Hiperbot.Tuner.default_options with n_init; early_stop } in
       let sync =
-        Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3 ?warm_start
-          ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
+        Gen.drive_sync
+          (Hiperbot.Campaign.create ~options ?warm_start ~mode:(Hiperbot.Campaign.Async 1)
+             ~rng:(Prng.Rng.create seed) ~space ~budget ())
+          (Resilience.Evaluator.evaluate ~policy:Gen.policy3 ~objective)
       in
       let asynchronous =
         Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3 ?warm_start ~k:1
           ~rng:(Prng.Rng.create seed) ~space ~objective ~budget ()
       in
-      run_outcomes_identical sync asynchronous && stopped_early_identical sync asynchronous)
+      Gen.run_outcomes_identical sync asynchronous && stopped_early_identical sync asynchronous)
 
 (* ---- property: async history is a permutation of the sync one ----
 
@@ -210,9 +200,9 @@ let prop_budget_never_exceeded =
 
 (* ---- k=1 equivalence over the simulator datasets ---- *)
 
-(* The acceptance criterion: over >= 2 datasets x 2 seeds, a faulty
-   async campaign at k=1 retraces run_with_policy bit-for-bit, and at
-   k>1 the engine is deterministic (same seed => same history). *)
+(* Over 2 datasets x 2 seeds, a faulty async campaign at k=1 retraces
+   the independent synchronous step driver bit-for-bit, and at k>1 the
+   engine is deterministic (same seed => same history). *)
 let check_dataset_k1 ~dataset ~seed =
   let t = table dataset in
   let space = Dataset.Table.space t in
@@ -221,17 +211,19 @@ let check_dataset_k1 ~dataset ~seed =
   let options = { Hiperbot.Tuner.default_options with n_init = 8 } in
   let budget = 24 in
   let sync =
-    Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3 ~rng:(Prng.Rng.create seed)
-      ~space ~objective ~budget ()
+    Gen.drive_sync
+      (Hiperbot.Campaign.create ~options ~mode:(Hiperbot.Campaign.Async 1)
+         ~rng:(Prng.Rng.create seed) ~space ~budget ())
+      (Resilience.Evaluator.evaluate ~policy:Gen.policy3 ~objective)
   in
   let asynchronous =
     Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3 ~k:1 ~rng:(Prng.Rng.create seed)
       ~space ~objective ~budget ()
   in
   check Alcotest.bool
-    (Printf.sprintf "%s seed %d: async k=1 = run_with_policy" dataset seed)
+    (Printf.sprintf "%s seed %d: async k=1 = step-driven sync" dataset seed)
     true
-    (run_outcomes_identical sync asynchronous);
+    (Gen.run_outcomes_identical sync asynchronous);
   List.iter
     (fun k ->
       let run () =
@@ -241,7 +233,7 @@ let check_dataset_k1 ~dataset ~seed =
       check Alcotest.bool
         (Printf.sprintf "%s seed %d k=%d: two runs agree" dataset seed k)
         true
-        (run_outcomes_identical (run ()) (run ())))
+        (Gen.run_outcomes_identical (run ()) (run ())))
     [ 2; 4 ]
 
 let test_dataset_k1_equivalence () =
@@ -376,7 +368,7 @@ let prop_resume_every_cut =
             ~on_gate:(fun g -> new_gates := g :: !new_gates)
             ~log ~objective ~budget ()
         in
-        run_outcomes_identical full resumed
+        Gen.run_outcomes_identical full resumed
         && List.equal gate_equal (List.rev !new_gates) (List.map snd later)
       in
       List.for_all resumed_at (List.init (List.length recorded + 1) Fun.id))

@@ -10,82 +10,6 @@
 let check = Alcotest.check
 let policy3 = Gen.policy3
 
-(* Compare the two possible outcomes of a resilient run. *)
-let run_outcomes_identical a b =
-  match (a, b) with
-  | Stdlib.Ok a, Stdlib.Ok b -> Gen.results_identical a b
-  | Stdlib.Error a, Stdlib.Error b ->
-      let failure_eq (c1, o1) (c2, o2) =
-        Param.Config.equal c1 c2 && Resilience.Outcome.kind o1 = Resilience.Outcome.kind o2
-      in
-      a.Hiperbot.Tuner.error_attempts = b.Hiperbot.Tuner.error_attempts
-      && Array.length a.Hiperbot.Tuner.error_failures
-         = Array.length b.Hiperbot.Tuner.error_failures
-      && Array.for_all2 failure_eq a.Hiperbot.Tuner.error_failures
-           b.Hiperbot.Tuner.error_failures
-  | _ -> false
-
-(* ---- step drivers (independent re-implementations of the engines'
-   driving discipline, so parity is checked against the machine's
-   public API rather than against Tuner's own plumbing) ---- *)
-
-(* Synchronous: evaluate and report each suggestion immediately. *)
-let drive_sync campaign eval =
-  let rec loop () =
-    match Hiperbot.Campaign.suggest campaign with
-    | Hiperbot.Campaign.Finished -> Hiperbot.Campaign.result campaign
-    | Hiperbot.Campaign.Wait ->
-        Alcotest.fail "sync campaign returned Wait with nothing pending"
-    | Hiperbot.Campaign.Suggest s ->
-        Hiperbot.Campaign.report campaign ~id:s.Hiperbot.Campaign.id
-          (eval s.Hiperbot.Campaign.config);
-        loop ()
-  in
-  loop ()
-
-(* Asynchronous: keep the in-flight set full and complete suggestions
-   in simulated-clock order (earliest completion first, ties to the
-   lower submission id) — the same discipline [Tuner.run_async]
-   implements, rebuilt from scratch on the step API. *)
-let drive_async campaign ~eval ~duration =
-  let in_flight = ref [] and sim_time = ref 0. in
-  let fill at =
-    let filling = ref true in
-    while !filling do
-      match Hiperbot.Campaign.suggest ~at campaign with
-      | Hiperbot.Campaign.Suggest s ->
-          in_flight := (s, at, eval s.Hiperbot.Campaign.config) :: !in_flight
-      | Hiperbot.Campaign.Wait | Hiperbot.Campaign.Finished -> filling := false
-    done
-  in
-  fill !sim_time;
-  while !in_flight <> [] do
-    let timed =
-      List.rev_map
-        (fun ((s, submitted, v) as slot) ->
-          (slot, submitted +. duration s.Hiperbot.Campaign.config v))
-        !in_flight
-    in
-    let (s, _, v), at =
-      List.fold_left
-        (fun (((bs, _, _), bt) as acc) (((cs, _, _), ct) as cand) ->
-          if
-            ct < bt
-            || (ct = bt && cs.Hiperbot.Campaign.id < bs.Hiperbot.Campaign.id)
-          then cand
-          else acc)
-        (List.hd timed) (List.tl timed)
-    in
-    in_flight :=
-      List.filter
-        (fun (s', _, _) -> s'.Hiperbot.Campaign.id <> s.Hiperbot.Campaign.id)
-        !in_flight;
-    sim_time := at;
-    Hiperbot.Campaign.report ~at campaign ~id:s.Hiperbot.Campaign.id v;
-    fill !sim_time
-  done;
-  Hiperbot.Campaign.result campaign
-
 (* ---- property: step-driven k=1 machine = run_with_policy ---- *)
 
 let campaign_gen =
@@ -116,9 +40,9 @@ let prop_sync_conformance =
           ~rng:(Prng.Rng.create seed) ~space ~budget ()
       in
       let stepped =
-        drive_sync campaign (Resilience.Evaluator.evaluate ~policy:policy3 ~objective)
+        Gen.drive_sync campaign (Resilience.Evaluator.evaluate ~policy:policy3 ~objective)
       in
-      run_outcomes_identical engine stepped)
+      Gen.run_outcomes_identical engine stepped)
 
 (* ---- property: step-driven Async machine = run_async, k in {1,4},
    under scrambled completion orders ---- *)
@@ -154,11 +78,11 @@ let prop_async_conformance k =
           ~rng:(Prng.Rng.create seed) ~space ~budget ()
       in
       let stepped =
-        drive_async campaign
+        Gen.drive_async campaign
           ~eval:(Resilience.Evaluator.evaluate ~policy:policy3 ~objective)
           ~duration
       in
-      run_outcomes_identical engine stepped)
+      Gen.run_outcomes_identical engine stepped)
 
 (* ---- property: of_log resume from any cut point lands on the
    uninterrupted result ---- *)
@@ -223,7 +147,7 @@ let prop_resume_any_cut =
         in
         let resumed =
           if Hiperbot.Campaign.is_finished campaign then Hiperbot.Campaign.result campaign
-          else drive_sync campaign (Resilience.Evaluator.evaluate ~policy:policy3 ~objective)
+          else Gen.drive_sync campaign (Resilience.Evaluator.evaluate ~policy:policy3 ~objective)
         in
         let new_gates = ref 0 in
         let tuner_resumed =
@@ -231,8 +155,8 @@ let prop_resume_any_cut =
             ~on_gate:(fun _ -> incr new_gates)
             ~log ~objective ~budget ()
         in
-        run_outcomes_identical full resumed
-        && run_outcomes_identical full tuner_resumed
+        Gen.run_outcomes_identical full resumed
+        && Gen.run_outcomes_identical full tuner_resumed
         && !new_gates = List.length gates - List.length cut_gates
       in
       List.for_all resumed_at (List.init (List.length recorded + 1) Fun.id))
@@ -469,7 +393,7 @@ let test_warm_start_aliasing () =
       Hiperbot.Campaign.create ~options ~warm_start:(ws ()) ~mode:(Hiperbot.Campaign.Async 1)
         ~rng:(Prng.Rng.create 5) ~space ~budget:8 ()
     in
-    drive_sync campaign eval
+    Gen.drive_sync campaign eval
   in
   let mutated =
     let arr = ws () in
@@ -481,10 +405,10 @@ let test_warm_start_aliasing () =
        see it. *)
     arr.(0) <- (fst arr.(0), Float.neg_infinity);
     arr.(1) <- (fst arr.(1), Float.nan);
-    drive_sync campaign eval
+    Gen.drive_sync campaign eval
   in
   check Alcotest.bool "mutating warm_start after create has no effect" true
-    (run_outcomes_identical control mutated)
+    (Gen.run_outcomes_identical control mutated)
 
 let test_candidates_aliasing () =
   let space = Gen.cat_ord_space in
@@ -500,7 +424,7 @@ let test_candidates_aliasing () =
       Hiperbot.Campaign.create ~options ~candidates:(candidates ())
         ~mode:(Hiperbot.Campaign.Async 1) ~rng:(Prng.Rng.create 9) ~space ~budget:8 ()
     in
-    drive_sync campaign eval
+    Gen.drive_sync campaign eval
   in
   let mutated =
     let arr = candidates () in
@@ -510,10 +434,10 @@ let test_candidates_aliasing () =
     in
     let swap = arr.(Array.length arr - 1) in
     Array.fill arr 0 (Array.length arr) swap;
-    drive_sync campaign eval
+    Gen.drive_sync campaign eval
   in
   check Alcotest.bool "mutating candidates after create has no effect" true
-    (run_outcomes_identical control mutated)
+    (Gen.run_outcomes_identical control mutated)
 
 (* ---- regression: interleaved campaigns = isolated campaigns ----
 
@@ -530,7 +454,7 @@ let test_interleaved_campaigns () =
     Hiperbot.Campaign.create ~options ~mode:(Hiperbot.Campaign.Async 1)
       ~rng:(Prng.Rng.create seed) ~space ~budget:10 ()
   in
-  let isolated seed = drive_sync (mk seed) eval in
+  let isolated seed = Gen.drive_sync (mk seed) eval in
   let iso1 = isolated 21 and iso2 = isolated 22 in
   let c1 = mk 21 and c2 = mk 22 in
   let step c =
@@ -548,9 +472,9 @@ let test_interleaved_campaigns () =
     if !live2 then live2 := step c2
   done;
   check Alcotest.bool "interleaved campaign 1 = isolated" true
-    (run_outcomes_identical iso1 (Hiperbot.Campaign.result c1));
+    (Gen.run_outcomes_identical iso1 (Hiperbot.Campaign.result c1));
   check Alcotest.bool "interleaved campaign 2 = isolated" true
-    (run_outcomes_identical iso2 (Hiperbot.Campaign.result c2))
+    (Gen.run_outcomes_identical iso2 (Hiperbot.Campaign.result c2))
 
 (* ---- shared encoded pool: concurrent campaigns on one pool =
    isolated campaigns with private pools ---- *)
@@ -566,14 +490,14 @@ let test_shared_pool_concurrent () =
       Hiperbot.Campaign.create ~options ~shared_pool:pool ~mode:(Hiperbot.Campaign.Async 1)
         ~rng:(Prng.Rng.create seed) ~space ~budget:12 ()
     in
-    drive_sync campaign eval
+    Gen.drive_sync campaign eval
   in
   let isolated seed =
     let campaign =
       Hiperbot.Campaign.create ~options ~mode:(Hiperbot.Campaign.Async 1)
         ~rng:(Prng.Rng.create seed) ~space ~budget:12 ()
     in
-    drive_sync campaign eval
+    Gen.drive_sync campaign eval
   in
   let pool = Hiperbot.Surrogate.Pool.of_space space in
   let seeds = [| 31; 32; 33; 34 |] in
@@ -586,7 +510,7 @@ let test_shared_pool_concurrent () =
       check Alcotest.bool
         (Printf.sprintf "seed %d: shared-pool campaign = isolated campaign" seed)
         true
-        (run_outcomes_identical (isolated seed) shared.(i)))
+        (Gen.run_outcomes_identical (isolated seed) shared.(i)))
     seeds
 
 let suite =

@@ -333,7 +333,7 @@ let test_gate_resume_parity () =
   Alcotest.check_raises "diverging recorded gate decision rejected"
     (Failure
        "Campaign.of_log: recorded gate decisions diverge from the recomputed ones (were the gate \
-        options, sources, or schedule changed?)") (fun () ->
+        options or sources changed?)") (fun () ->
       ignore
         (Hiperbot.Tuner.resume_async ~options ~policy:Gen.policy3 ~log:tampered ~objective
            ~budget ()));
@@ -351,6 +351,10 @@ let test_gate_resume_parity () =
            ~policy:Gen.policy3 ~log ~objective ~budget ()))
 
 (* ---- async: k=1 parity and k>1 determinism, gate active ---- *)
+
+let same_gates a b =
+  List.length a = List.length b
+  && List.for_all2 (fun a b -> Dataset.Runlog.equal (Gate a) (Gate b)) a b
 
 let test_gate_async () =
   let space, objective, sources = gated_faulty_campaign () in
@@ -370,22 +374,29 @@ let test_gate_async () =
     in
     (r, List.rev !gates)
   in
+  (* The k=1 reference is the independent step driver, so the check
+     covers Tuner's driver from outside. *)
+  let sync_gates = ref [] in
   let sync =
-    unwrap "run_with_policy"
-      (Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3 ~rng:(Prng.Rng.create seed)
-         ~space ~objective ~budget ())
+    unwrap "step-driven sync"
+      (Gen.drive_sync
+         (Hiperbot.Campaign.create ~options
+            ~on_gate:(fun g -> sync_gates := g :: !sync_gates)
+            ~mode:(Hiperbot.Campaign.Async 1) ~rng:(Prng.Rng.create seed) ~space ~budget ())
+         (Resilience.Evaluator.evaluate ~policy:Gen.policy3 ~objective))
   in
   let async1, gates1 = gates_of 1 in
   check Alcotest.bool "gated async k=1 = sync, bit-for-bit" true
     (Gen.results_identical sync async1);
+  check Alcotest.bool "gated async k=1 = sync gate decisions" true
+    (same_gates (List.rev !sync_gates) gates1);
   check Alcotest.bool "gate fired under async" true (gates1 <> []);
   let async3a, gates3a = gates_of 3 in
   let async3b, gates3b = gates_of 3 in
   check Alcotest.bool "gated async k=3 is deterministic across runs" true
     (Gen.results_identical async3a async3b);
   check Alcotest.bool "gate decision stream deterministic at k=3" true
-    (List.length gates3a = List.length gates3b
-    && List.for_all2 (fun a b -> Dataset.Runlog.equal (Gate a) (Gate b)) gates3a gates3b)
+    (same_gates gates3a gates3b)
 
 let suite =
   let tc = Alcotest.test_case in

@@ -121,17 +121,16 @@ let test_runlog_warm_start_continuation () =
   let t = table "lulesh" in
   let space = Dataset.Table.space t in
   let objective = Dataset.Table.objective_fn t in
-  let rec_ = Dataset.Runlog.recorder ~name:"phase1" ~seed:80 ~space in
-  let on_outcome index config (v : Resilience.Evaluator.verdict) =
-    Dataset.Runlog.record_entry rec_
-      (Hiperbot.Campaign.entry_of_verdict index config v)
+  let entries = ref [] in
+  let on_outcome index config v =
+    entries := Hiperbot.Campaign.entry_of_verdict index config v :: !entries
   in
   let phase1 =
     Gen.ok
       (Hiperbot.Tuner.run_async ~on_outcome ~rng:(Prng.Rng.create 80) ~space
          ~objective:(Gen.total objective) ~budget:40 ())
   in
-  let log = Dataset.Runlog.finish rec_ in
+  let log = Dataset.Runlog.create ~name:"phase1" ~seed:80 ~space !entries in
   let warm = Dataset.Runlog.history log in
   let phase2 =
     Gen.ok

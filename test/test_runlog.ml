@@ -123,15 +123,11 @@ let test_file_roundtrip () =
       check Alcotest.bool "entries survive the file" true (logs_equal log loaded))
 
 let test_recorder_with_tuner () =
-  (* Wire a recorder into a resilient tuning run and check it captures
-     every evaluation and failure. *)
-  let rec_ = Dataset.Runlog.recorder ~name:"wired" ~seed:7 ~space in
+  (* Record a resilient tuning run's outcomes into a log and check it
+     captures every evaluation and failure. *)
+  let entries = ref [] in
   let objective c = if Param.Value.to_index c.(1) = 2 then None else Some 1.5 in
-  let on_outcome i c (v : Resilience.Evaluator.verdict) =
-    match v.Resilience.Evaluator.outcome with
-    | Resilience.Outcome.Value y -> Dataset.Runlog.record_evaluation rec_ i c y
-    | _ -> Dataset.Runlog.record_failure rec_ i c
-  in
+  let on_outcome i c v = entries := Hiperbot.Campaign.entry_of_verdict i c v :: !entries in
   let result =
     Gen.ok
       (Hiperbot.Tuner.run_async
@@ -140,7 +136,7 @@ let test_recorder_with_tuner () =
          ~objective:(fun ~attempt:_ c -> Resilience.Outcome.of_option (objective c))
          ~budget:6 ())
   in
-  let log = Dataset.Runlog.finish rec_ in
+  let log = Dataset.Runlog.create ~name:"wired" ~seed:7 ~space !entries in
   check Alcotest.int "log captures every attempt"
     (Array.length result.Hiperbot.Tuner.history + Array.length result.Hiperbot.Tuner.failures)
     (Array.length log.Dataset.Runlog.entries);

@@ -1,9 +1,8 @@
 (* Transfer-learning engine tests: single/multi-source parity, the
-   w = 0 no-prior property, decay-schedule validation and values,
-   engine composition (fault policy, interrupt/resume, async),
-   JS-guided weighting, telemetry prior provenance, the source/target
-   overlap sanity check behind the transfer experiments, and the
-   smoothing = 0 density-floor regression. *)
+   w = 0 no-prior property, engine composition (fault policy,
+   interrupt/resume, async), telemetry prior provenance, the
+   source/target overlap sanity check behind the transfer experiments,
+   and the smoothing = 0 density-floor regression. *)
 
 let check = Alcotest.check
 let table name = (Hpcsim.Registry.find name).Hpcsim.Registry.table ()
@@ -31,7 +30,7 @@ let test_multi_single_source_parity () =
   in
   let single = run (Hiperbot.Transfer.options ~options ~space [ (source, weight) ]) in
   (* The same prior built by hand: the source fitted with the target's
-     surrogate options, constant decay, default gate. *)
+     surrogate options, default gate. *)
   let by_hand =
     run
       {
@@ -44,19 +43,9 @@ let test_multi_single_source_parity () =
       }
   in
   check Alcotest.bool "Transfer.options with one source = hand-built prior, bit-for-bit" true
-    (Gen.results_identical single by_hand);
-  (* Js_guided with a single source sees a pooled fit on exactly the
-     source data, so every JS term is exactly 0 and the multiplier is
-     exactly 1: bit-identical to Constant_weights. *)
-  let js =
-    run
-      (Hiperbot.Transfer.options ~options ~weighting:Hiperbot.Transfer.Js_guided ~space
-         [ (source, weight) ])
-  in
-  check Alcotest.bool "Js_guided single source = Constant_weights, bit-for-bit" true
-    (Gen.results_identical single js)
+    (Gen.results_identical single by_hand)
 
-(* ---- w = 0 and decay-to-zero equal the no-prior loop ---- *)
+(* ---- w = 0 equals the no-prior loop ---- *)
 
 let prop_zero_prior_equals_no_prior =
   let gen =
@@ -67,7 +56,7 @@ let prop_zero_prior_equals_no_prior =
     (space, source, seed)
   in
   QCheck2.Test.make
-    ~name:"transfer: weight 0 and decay-to-zero reproduce the no-prior loop bit-for-bit"
+    ~name:"transfer: zero weight = no prior"
     ~count:30
     ~print:(fun (space, source, seed) ->
       Printf.sprintf "%s source=%d seed=%d" (Gen.space_to_string space) (Array.length source)
@@ -81,60 +70,14 @@ let prop_zero_prior_equals_no_prior =
           (Hiperbot.Tuner.run_async ~options ~rng:(Prng.Rng.create seed) ~space
              ~objective:(Gen.total Gen.hash_objective) ~budget ())
       in
-      let with_prior ?schedule weight =
+      let zero_weight =
         Gen.ok
           (Hiperbot.Tuner.run_async
-             ~options:(Hiperbot.Transfer.options ~options ?schedule ~space [ (source, weight) ])
+             ~options:(Hiperbot.Transfer.options ~options ~space [ (source, 0.) ])
              ~rng:(Prng.Rng.create seed) ~space ~objective:(Gen.total Gen.hash_objective)
              ~budget ())
       in
-      let zero_weight = with_prior 0. in
-      let zero_decay = with_prior ~schedule:(Hiperbot.Transfer.Custom (fun _ -> 0.)) 1. in
-      Gen.results_identical bare zero_weight && Gen.results_identical bare zero_decay)
-
-(* ---- decay schedules: values and validation ---- *)
-
-let test_decay_schedules () =
-  let exp10 = Hiperbot.Transfer.(decay_of_schedule (Exponential { half_life = 10. })) in
-  check (Alcotest.float 1e-12) "exponential half-life point" 0.5 (exp10 10);
-  check (Alcotest.float 1e-12) "exponential at 0" 1. (exp10 0);
-  let recip5 = Hiperbot.Transfer.(decay_of_schedule (Reciprocal { n0 = 5. })) in
-  check (Alcotest.float 1e-12) "reciprocal half point" 0.5 (recip5 5);
-  check (Alcotest.float 1e-12) "constant is exactly 1"
-    1.
-    (Hiperbot.Transfer.decay_of_schedule Hiperbot.Transfer.Constant 1000);
-  List.iter
-    (fun (label, schedule) ->
-      Alcotest.check_raises label
-        (Invalid_argument
-           (if label.[0] = 'e' then "Transfer: half_life must be finite and positive"
-            else "Transfer: n0 must be finite and positive"))
-        (fun () -> ignore (Hiperbot.Transfer.decay_of_schedule schedule 0)))
-    [
-      ("exp: zero half-life", Hiperbot.Transfer.Exponential { half_life = 0. });
-      ("exp: nan half-life", Hiperbot.Transfer.Exponential { half_life = Float.nan });
-      ("exp: infinite half-life", Hiperbot.Transfer.Exponential { half_life = Float.infinity });
-      ("recip: negative n0", Hiperbot.Transfer.Reciprocal { n0 = -1. });
-      ("recip: nan n0", Hiperbot.Transfer.Reciprocal { n0 = Float.nan });
-    ];
-  (* A Custom schedule producing a bad multiplier is caught at refit
-     time, not silently folded into the densities. *)
-  let trgt = table "kripke_trgt" in
-  let space = Dataset.Table.space trgt in
-  let source = source_rows (table "kripke_src") ~n:50 in
-  Alcotest.check_raises "custom: negative multiplier rejected"
-    (Invalid_argument "Campaign.suggest: prior decay multiplier must be finite and non-negative")
-    (fun () ->
-      ignore
-        (Hiperbot.Tuner.run_async
-           ~options:
-             (Hiperbot.Transfer.options
-                ~options:{ Hiperbot.Tuner.default_options with n_init = 4 }
-                ~schedule:(Hiperbot.Transfer.Custom (fun _ -> -1.))
-                ~space [ (source, 1.) ])
-           ~rng:(Prng.Rng.create 1) ~space
-           ~objective:(Gen.total (Dataset.Table.objective_fn trgt))
-           ~budget:8 ()))
+      Gen.results_identical bare zero_weight)
 
 (* ---- engine composition: fault policy, interrupt/resume, async ---- *)
 
@@ -151,7 +94,6 @@ let test_transfer_resume_parity () =
   let options =
     Hiperbot.Transfer.options
       ~options:{ Hiperbot.Tuner.default_options with n_init = 8 }
-      ~schedule:(Hiperbot.Transfer.Reciprocal { n0 = 8. })
       ~space sources
   in
   let budget = 24 and interrupt_after = 10 and seed = 6 in
@@ -188,49 +130,35 @@ let test_transfer_async_k1_parity () =
       ~options:{ Hiperbot.Tuner.default_options with n_init = 8 }
       ~space sources
   in
-  let budget = 24 and seed = 9 in
+  let budget = 24 in
   let unwrap label = function
     | Stdlib.Ok r -> r
     | Stdlib.Error _ -> Alcotest.fail (label ^ " failed outright")
   in
-  let sync =
-    unwrap "run_with_policy"
-      (Hiperbot.Tuner.run_with_policy ~options ~policy:Gen.policy3 ~rng:(Prng.Rng.create seed)
-         ~space ~objective ~budget ())
+  let retried seed =
+    let sync =
+      unwrap "step-driven sync"
+        (Gen.drive_sync
+           (Hiperbot.Campaign.create ~options ~mode:(Hiperbot.Campaign.Async 1)
+              ~rng:(Prng.Rng.create seed) ~space ~budget ())
+           (Resilience.Evaluator.evaluate ~policy:Gen.policy3 ~objective))
+    in
+    let async =
+      unwrap "run_async"
+        (Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3 ~k:1 ~rng:(Prng.Rng.create seed)
+           ~space ~objective ~budget ())
+    in
+    check Alcotest.bool
+      (Printf.sprintf "seed %d: transfer async k=1 = step-driven sync, bit-for-bit" seed)
+      true
+      (Gen.results_identical sync async);
+    sync.Hiperbot.Tuner.n_attempts
+    > Array.length sync.Hiperbot.Tuner.history + Array.length sync.Hiperbot.Tuner.failures
   in
-  let async =
-    unwrap "run_async"
-      (Hiperbot.Tuner.run_async ~options ~policy:Gen.policy3 ~k:1 ~rng:(Prng.Rng.create seed)
-         ~space ~objective ~budget ())
-  in
-  check Alcotest.bool "transfer async k=1 = run_with_policy, bit-for-bit" true
-    (Gen.results_identical sync async)
-
-(* ---- JS-guided weighting ---- *)
-
-let test_js_guided_weights () =
-  let src = table "kripke_src" in
-  let space = Dataset.Table.space src in
-  let a = source_rows src ~n:300 ~seed:1 in
-  let b = source_rows src ~n:300 ~seed:2 in
-  let base = [ (a, 2.0); (b, 0.5) ] in
-  let constant = Hiperbot.Transfer.prior_of_sources space base in
-  let guided =
-    Hiperbot.Transfer.prior_of_sources ~weighting:Hiperbot.Transfer.Js_guided space base
-  in
-  List.iter2
-    (fun (_, w) (_, gw) ->
-      check Alcotest.bool "guided weight is attenuated, never amplified" true (gw <= w);
-      check Alcotest.bool "guided weight stays non-negative and finite" true
-        (Float.is_finite gw && gw >= 0.))
-    constant guided;
-  (* Single source: multiplier is exactly 1 (JS of a density with
-     itself is exactly 0), so the weight comes back bit-identical. *)
-  match Hiperbot.Transfer.prior_of_sources ~weighting:Hiperbot.Transfer.Js_guided space
-          [ (a, 2.0) ]
-  with
-  | [ (_, w) ] -> check Alcotest.bool "single-source Js multiplier is exactly 1" true (w = 2.0)
-  | _ -> Alcotest.fail "single-source prior list must have one element"
+  (* Seed 9 draws no transient fault; seed 1 does, so the retry policy
+     is on the compared path. *)
+  let retries = List.map retried [ 9; 1 ] in
+  check Alcotest.bool "some campaign retried a transient fault" true (List.mem true retries)
 
 (* ---- source validation ---- *)
 
@@ -257,13 +185,13 @@ let test_refit_provenance () =
     [ (source_rows (table "kripke_src") ~n:100 ~seed:1, 2.0);
       (source_rows (table "kripke_src") ~n:100 ~seed:2, 0.5) ]
   in
-  let refits schedule =
+  let refits =
     let sink, collected = Telemetry.Trace.memory_sink () in
     let telemetry = Telemetry.Trace.make [ sink ] in
     let options = { Hiperbot.Tuner.default_options with n_init = 6 } in
     ignore
       (Hiperbot.Tuner.run_async ~telemetry
-         ~options:(Hiperbot.Transfer.options ~options ~schedule ~space sources)
+         ~options:(Hiperbot.Transfer.options ~options ~space sources)
          ~rng:(Prng.Rng.create 3) ~space ~objective:(Gen.total objective) ~budget:16 ());
     Telemetry.Trace.close telemetry;
     List.filter_map
@@ -273,21 +201,12 @@ let test_refit_provenance () =
         | _ -> None)
       (collected ())
   in
-  let constant = refits Hiperbot.Transfer.Constant in
-  check Alcotest.bool "at least one refit traced" true (List.length constant > 0);
+  check Alcotest.bool "at least one refit traced" true (List.length refits > 0);
   List.iter
     (fun (n, w) ->
-      check Alcotest.int "constant schedule: two prior sources" 2 n;
-      (* 1.0 multiplier must be bit-exact: w *. 1. = w. *)
-      check (Alcotest.float 0.) "constant schedule: total effective weight" 2.5 w)
-    constant;
-  let annealed = List.map snd (refits (Hiperbot.Transfer.Reciprocal { n0 = 4. })) in
-  let rec strictly_decreasing = function
-    | a :: (b :: _ as rest) -> a > b && strictly_decreasing rest
-    | _ -> true
-  in
-  check Alcotest.bool "reciprocal schedule: effective weight anneals across refits" true
-    (strictly_decreasing annealed)
+      check Alcotest.int "two prior sources" 2 n;
+      check (Alcotest.float 0.) "total effective weight" 2.5 w)
+    refits
 
 (* ---- source/target overlap sanity ---- *)
 
@@ -400,10 +319,8 @@ let suite =
     [
       tc "multi/single source parity" `Quick test_multi_single_source_parity;
       QCheck_alcotest.to_alcotest prop_zero_prior_equals_no_prior;
-      tc "decay schedules: values and validation" `Quick test_decay_schedules;
       tc "interrupt/resume parity" `Slow test_transfer_resume_parity;
       tc "async k=1 parity" `Slow test_transfer_async_k1_parity;
-      tc "JS-guided weights" `Quick test_js_guided_weights;
       tc "source validation" `Quick test_source_validation;
       tc "refit prior provenance" `Quick test_refit_provenance;
       tc "source/target overlap sanity" `Quick test_overlap_sanity;
