@@ -4,7 +4,8 @@
    stdout for humans and BENCH_async.json for tooling.
 
    Two invariants are asserted, not just reported:
-   - k=1 reproduces the synchronous engine bit-for-bit, every rep;
+   - k=1 reproduces a plain suggest/evaluate/report step loop over
+     the campaign bit-for-bit, every rep;
    - for k in {2,4,8} the async recall stays within noise of sync
      (pending-aware selection trades per-step information for
      parallelism, but must not collapse quality).
@@ -33,6 +34,25 @@ let results_identical (a : Hiperbot.Tuner.result) (b : Hiperbot.Tuner.result) =
        (fun (c1, y1) (c2, y2) -> Param.Config.equal c1 c2 && Float.equal y1 y2)
        a.Hiperbot.Tuner.history b.Hiperbot.Tuner.history
   && Float.equal a.Hiperbot.Tuner.best_value b.Hiperbot.Tuner.best_value
+  && a.Hiperbot.Tuner.n_attempts = b.Hiperbot.Tuner.n_attempts
+  && Float.equal a.Hiperbot.Tuner.retry_cost b.Hiperbot.Tuner.retry_cost
+  && Array.length a.Hiperbot.Tuner.failures = Array.length b.Hiperbot.Tuner.failures
+
+(* The paper's sequential loop written on the step API alone: suggest,
+   evaluate, report, until the campaign finishes. The k=1 row runs
+   [Tuner.drive], so comparing the two checks the driver from outside. *)
+let step_loop campaign ~objective =
+  let rec loop () =
+    match Hiperbot.Campaign.suggest campaign with
+    | Hiperbot.Campaign.Finished -> Hiperbot.Campaign.result campaign
+    | Hiperbot.Campaign.Wait -> failwith "BENCH async: the step loop was told to wait"
+    | Hiperbot.Campaign.Suggest s ->
+        Hiperbot.Campaign.report campaign ~id:s.Hiperbot.Campaign.id
+          (Resilience.Evaluator.evaluate ~policy:Resilience.Policy.default ~objective
+             s.Hiperbot.Campaign.config);
+        loop ()
+  in
+  loop ()
 
 let run ~reps () =
   Harness.section "Async campaign engine: sync vs k in-flight evaluations";
@@ -72,8 +92,9 @@ let run ~reps () =
     let t0 = Unix.gettimeofday () in
     let sync =
       unwrap
-        (Hiperbot.Tuner.run_async ~options ~rng:(Prng.Rng.create seed) ~space ~objective
-           ~budget ())
+        (step_loop ~objective
+           (Hiperbot.Campaign.create ~options ~mode:(Hiperbot.Campaign.Async 1)
+              ~rng:(Prng.Rng.create seed) ~space ~budget ()))
     in
     let sync_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
     Stats.Running.add sync_row.best sync.Hiperbot.Tuner.best_value;

@@ -93,7 +93,7 @@ let load_transfer_sources ~space files =
          (fun spec ->
            let path, w = split_weight spec in
            let log = Dataset.Runlog.load ~recover:true path in
-           if Param.Space.specs log.Dataset.Runlog.space <> Param.Space.specs space then
+           if not (Param.Space.equal log.Dataset.Runlog.space space) then
              failwith (Printf.sprintf "transfer source %s: space does not match the target" path);
            let hist = Dataset.Runlog.history log in
            if Array.length hist = 0 then
@@ -223,46 +223,6 @@ let eta_arg =
      (requires --fidelity; default 3)."
   in
   Arg.(value & opt (some float) None & info [ "eta" ] ~docv:"F" ~doc)
-
-(* The run-log plumbing every tuning engine shares. With [resume],
-   load the log at [save] (dropping a torn final line) and check it
-   against the dataset's space; open the writer; print the resume
-   lines; run the engine; then close the writer and finish the trace
-   whatever happened. A malformed or divergent log ([Failure]), options
-   the engine rejects before its first evaluation ([Invalid_argument])
-   and an unwritable path ([Sys_error]) come back as [Error]. *)
-let with_run_log ~save ~resume ~name ~seed ~space ~finish_trace run =
-  let writer = ref None in
-  let result =
-    try
-      let log =
-        match save with
-        | Some path when resume && Sys.file_exists path ->
-            Some (Dataset.Runlog.load ~recover:true path)
-        | Some _ | None -> None
-      in
-      match log with
-      | Some log when Param.Space.specs log.Dataset.Runlog.space <> Param.Space.specs space ->
-          Error "run log space does not match the dataset"
-      | _ ->
-          writer :=
-            (match (save, log) with
-            | Some path, Some log -> Some (Dataset.Runlog.writer_resume ~path log)
-            | Some path, None -> Some (Dataset.Runlog.writer_create ~path ~name ~seed ~space)
-            | None, _ -> None);
-          Option.iter
-            (fun (log : Dataset.Runlog.t) ->
-              if log.seed <> seed then
-                Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n" log.seed
-                  seed;
-              Printf.printf "resuming after %d recorded evaluations\n" (Array.length log.entries))
-            log;
-          Ok (run ~log ~writer:!writer)
-    with Failure msg | Invalid_argument msg | Sys_error msg -> Error msg
-  in
-  Option.iter Dataset.Runlog.writer_close !writer;
-  finish_trace ();
-  result
 
 (* Tune a dataset objective, a table lookup that never fails, with one
    evaluation in flight. *)
@@ -415,8 +375,32 @@ let tune_cmd =
             Baselines.Outcome.of_tuner_result result
           in
           let options = Result.get_ok hiperbot_options in
-          let with_run_log run =
-            with_run_log ~save ~resume ~name:("tune:" ^ dataset) ~seed ~space ~finish_trace run
+          (* Run the engine over the --save log (recovered with
+             --resume); every refusal comes back as [Error]. *)
+          let with_session_log run =
+            let session = ref None in
+            let result =
+              try
+                let log =
+                  Hiperbot.Session.open_log ~resume ?path:save ~name:("tune:" ^ dataset) ~seed
+                    ~space ()
+                in
+                session := Some log;
+                Option.iter
+                  (fun (r : Dataset.Runlog.t) ->
+                    if r.seed <> seed then
+                      Printf.printf "resuming with the log's seed %d (ignoring --seed %d)\n" r.seed
+                        seed;
+                    Printf.printf "resuming after %d recorded evaluations\n" (Array.length r.entries))
+                  (Hiperbot.Session.recovered log);
+                Ok (run log)
+              with
+              | Hiperbot.Session.Space_mismatch -> Error "run log space does not match the dataset"
+              | Failure msg | Invalid_argument msg | Sys_error msg -> Error msg
+            in
+            Option.iter Hiperbot.Session.close !session;
+            finish_trace ();
+            result
           in
           let report_best (outcome : Baselines.Outcome.t) =
             Printf.printf "best after %d evaluations: %.4g\n"
@@ -454,17 +438,14 @@ let tune_cmd =
             in
             let k = Option.value async ~default:1 in
             let fid_result =
-              with_run_log @@ fun ~log ~writer ->
+              with_session_log @@ fun log ->
               let on_eval i config y =
-                Option.iter
-                  (fun w ->
-                    Dataset.Runlog.writer_record w
-                      { Dataset.Runlog.index = i; config; status = Ok y; attempts = 1 })
-                  writer;
+                Hiperbot.Session.record log
+                  { Dataset.Runlog.index = i; config; status = Ok y; attempts = 1 };
                 print_evaluation i config y
               in
               let on_record (record : Dataset.Runlog.record) =
-                Option.iter (fun w -> Dataset.Runlog.writer_append w record) writer;
+                Hiperbot.Session.append log record;
                 match record with
                 | Fid f ->
                     if verbose then
@@ -476,7 +457,7 @@ let tune_cmd =
                       rg.r_bracket rg.r_rung rg.r_evaluated rg.r_promoted rg.r_best
                 | Gate _ | Obj _ -> ()
               in
-              match log with
+              match Hiperbot.Session.recovered log with
               | Some log ->
                   Hiperbot.Fidelity.resume ~telemetry ~options ~on_eval ~on_record ~plan ~k ~log
                     ~objective:fid_objective ~budget ()
@@ -525,12 +506,8 @@ let tune_cmd =
               | None -> Resilience.Outcome.Value (objective c)
             in
             let tuner_result =
-              with_run_log @@ fun ~log ~writer ->
+              with_session_log @@ fun log ->
               let on_outcome i config (v : Resilience.Evaluator.verdict) =
-                Option.iter
-                  (fun w ->
-                    Dataset.Runlog.writer_record w (Hiperbot.Campaign.entry_of_verdict i config v))
-                  writer;
                 match v.Resilience.Evaluator.outcome with
                 | Resilience.Outcome.Value y -> print_evaluation i config y
                 | failure ->
@@ -539,19 +516,9 @@ let tune_cmd =
                         (Resilience.Outcome.kind failure)
                         (Param.Space.to_string space config)
               in
-              (* Gate decisions join the run log as #gate lines, so an
-                 interrupted gated campaign resumes with its trust
-                 verdicts verified against the record. *)
-              let on_gate g =
-                Option.iter (fun w -> Dataset.Runlog.writer_append w (Gate g)) writer
-              in
-              match log with
-              | Some log ->
-                  Hiperbot.Tuner.resume_async ~telemetry ~options ~policy ~on_outcome ~on_gate
-                    ?k:async ~log ~objective:outcome_objective ~budget ()
-              | None ->
-                  Hiperbot.Tuner.run_async ~telemetry ~options ~policy ~on_outcome ~on_gate
-                    ?k:async ~rng ~space ~objective:outcome_objective ~budget ()
+              Hiperbot.Tuner.drive ~telemetry ~policy ~objective:outcome_objective
+                (Hiperbot.Session.start ~telemetry ~options ~policy
+                   ~duration:Hiperbot.Tuner.default_duration ~on_outcome ?k:async ~budget log)
             in
             match tuner_result with
             | Error msg -> `Error (false, msg)
@@ -636,7 +603,7 @@ let transfer_cmd =
         let space = Dataset.Table.space trgt in
         if
           List.exists
-            (fun (src, _) -> Param.Space.specs (Dataset.Table.space src) <> Param.Space.specs space)
+            (fun (src, _) -> not (Param.Space.equal (Dataset.Table.space src) space))
             src_tables
         then `Error (false, "source and target datasets have different parameter spaces")
         else begin
@@ -835,7 +802,7 @@ let replay_cmd =
             match find_table name with
             | Error e -> `Error (false, e)
             | Ok table ->
-                if Param.Space.specs (Dataset.Table.space table) <> Param.Space.specs space then
+                if not (Param.Space.equal (Dataset.Table.space table) space) then
                   `Error (false, "run log space does not match the dataset")
                 else begin
                   let good = Metrics.Recall.percentile_good_set table 0.05 in

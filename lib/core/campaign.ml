@@ -178,15 +178,8 @@ let campaign_setup ~options ~candidates ~shared_pool ~space ~budget =
           invalid_arg "Campaign.create: shared_pool requires the Ranking strategy");
       if Option.is_some candidates then
         invalid_arg "Campaign.create: shared_pool and candidates are mutually exclusive";
-      let ps = Param.Space.specs (Surrogate.Pool.space p) in
-      let cs = Param.Space.specs space in
-      let same_spec a b =
-        Param.Spec.name a = Param.Spec.name b && Param.Spec.domain a = Param.Spec.domain b
-      in
-      if
-        Array.length ps <> Array.length cs
-        || not (Array.for_all2 same_spec ps cs)
-      then invalid_arg "Campaign.create: shared_pool space does not match the campaign space");
+      if not (Param.Space.equal (Surrogate.Pool.space p) space) then
+        invalid_arg "Campaign.create: shared_pool space does not match the campaign space");
   (* A boxed shared pool restricts init draws to its rows, exactly
      like an explicit candidate set (its configurations were already
      validated when the pool was encoded). *)

@@ -210,10 +210,8 @@ val entry_of_verdict :
   int -> Param.Config.t -> Resilience.Evaluator.verdict -> Dataset.Runlog.entry
 (** [entry_of_verdict index config verdict] is the run-log entry that
     records a verdict — the inverse of how {!of_log} reads entries
-    back, in the shape of an [on_outcome] callback, so a driver
-    persists outcomes with
-    [fun i c v -> Dataset.Runlog.writer_record w (entry_of_verdict i c v)].
-    Every failure keeps its kind ([Crash] is only ever read from v1
+    back, in the shape of an [on_outcome] callback ({!Session} persists
+    every verdict through it). Every failure keeps its kind ([Crash] is only ever read from v1
     logs). *)
 
 val of_log :

@@ -85,6 +85,21 @@ let archive_vector t config v =
   t.m_archive <- (config, v) :: t.m_archive;
   ignore (Pareto.add t.m_front v)
 
+(* The scalar outcome a measurement reports, and the vector to archive. *)
+let outcome_of opts = function
+  | Vector v ->
+      validate_vector opts v;
+      (Resilience.Outcome.Value (scalarise opts v), Some (Array.copy v))
+  | Failure (Resilience.Outcome.Value _) ->
+      invalid_arg "Moo.report: a successful measurement must be a Vector"
+  | Failure o -> (o, None)
+
+let archive t idx config = function
+  | None -> ()
+  | Some v ->
+      archive_vector t config v;
+      (match t.m_on_vector with Some f -> f idx v | None -> ())
+
 let report ?at ?eval_ms ?(attempts = 1) ?(retry_cost = 0.) t ~id measurement =
   (* Grab the suggestion's config before [Campaign.report] consumes
      the pending slot — the archive pairs vectors with configs. *)
@@ -95,25 +110,13 @@ let report ?at ?eval_ms ?(attempts = 1) ?(retry_cost = 0.) t ~id measurement =
     | Some s -> s.Campaign.config
     | None -> invalid_arg "Moo.report: suggestion is not pending"
   in
-  let outcome, vector =
-    match measurement with
-    | Vector v ->
-        validate_vector t.m_opts v;
-        (Resilience.Outcome.Value (scalarise t.m_opts v), Some (Array.copy v))
-    | Failure (Resilience.Outcome.Value _) ->
-        invalid_arg "Moo.report: a successful measurement must be a Vector"
-    | Failure o -> (o, None)
-  in
+  let outcome, vector = outcome_of t.m_opts measurement in
   (* Entry indices are assigned in completion order by both drivers,
      so the index this report gets is the completed count right now. *)
   let idx = Campaign.n_evaluated t.m_campaign in
   Campaign.report ?at ?eval_ms t.m_campaign ~id
     { Resilience.Evaluator.outcome; attempts; retry_cost };
-  match vector with
-  | None -> ()
-  | Some v ->
-      archive_vector t config v;
-      (match t.m_on_vector with Some f -> f idx v | None -> ())
+  archive t idx config vector
 
 let front t = Pareto.points t.m_front
 
@@ -176,19 +179,27 @@ let of_log ?telemetry ?options ?policy ?on_outcome ?on_gate ?on_vector ~moo ~mod
 
 (* ---- synchronous convenience driver ---- *)
 
+(* One evaluation in flight: the objective's scalar outcome and vector
+   (or its exception) wait in [last] for the report, which archives the
+   vector or re-raises outside the evaluator's exception guard, as
+   {!report} does. *)
 let run ?telemetry ?options ?on_outcome ?on_gate ?on_vector ~moo ~rng ~space ~budget ~objective ()
     =
+  let last = ref (Error Exit) and self = ref None in
+  let measured () = Result.fold ~ok:Fun.id ~error:raise !last in
+  let on_outcome idx config verdict =
+    let vector = snd (measured ()) in
+    Option.iter (fun f -> f idx config verdict) on_outcome;
+    Option.iter (fun t -> archive t idx config vector) !self
+  in
   let t =
-    create ?telemetry ?options ?on_outcome ?on_gate ?on_vector ~moo ~mode:(Campaign.Async 1) ~rng
+    create ?telemetry ?options ~on_outcome ?on_gate ?on_vector ~moo ~mode:(Campaign.Async 1) ~rng
       ~space ~budget ()
   in
-  let rec loop () =
-    match suggest t with
-    | Campaign.Finished -> ()
-    | Campaign.Wait -> assert false (* sync driving always reports before re-suggesting *)
-    | Campaign.Suggest s ->
-        report t ~id:s.Campaign.id (objective s.Campaign.config);
-        loop ()
+  self := Some t;
+  let objective ~attempt:_ config =
+    last := (try Ok (outcome_of moo (objective config)) with e -> Error e);
+    fst (measured ())
   in
-  loop ();
+  ignore (Tuner.drive ?telemetry ~policy:Resilience.Policy.no_retry ~objective t.m_campaign);
   t

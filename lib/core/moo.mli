@@ -138,6 +138,9 @@ val run :
   objective:(Param.Config.t -> measurement) ->
   unit ->
   t
-(** Synchronous convenience driver: create, then suggest/evaluate/
-    report until finished. Returns the finished campaign for front /
+(** Synchronous convenience driver: create, then run the campaign
+    with {!Tuner.drive} at one evaluation in flight, each objective
+    called once ({!Resilience.Policy.no_retry}), so its trace carries
+    the driver's simulated clock. An invalid measurement raises as
+    {!report} does. Returns the finished campaign for front /
     hypervolume / result queries. *)

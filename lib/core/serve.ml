@@ -1,17 +1,17 @@
 (* The multi-tenant campaign server: a thin, mutex-guarded registry
-   of [Campaign] machines plus the line protocol that drives them.
-   All tuning logic lives in the machine; this module only parses
-   requests, routes them to the right session under its lock, and
-   renders responses. Nothing here may raise across [handle]: every
-   failure — malformed input, unknown session, campaign rejection,
-   resume divergence — is rendered as an [err] line so one bad
-   client request can never take the server loop down. *)
+   of [Session]s plus the line protocol that drives their campaigns.
+   All tuning logic lives in the machine and all persistence in
+   [Session]; this module only parses requests, routes them to the
+   right session under its lock, and renders responses. Nothing here
+   may raise across [handle]: every failure — malformed input, unknown
+   session, campaign rejection, resume divergence — is rendered as an
+   [err] line so one bad client request can never take the server
+   loop down. *)
 
 type session = {
-  s_name : string;
   s_lock : Mutex.t;
+  s_log : Session.t;
   s_campaign : Campaign.t;
-  s_writer : Dataset.Runlog.writer option;
   s_specs : Param.Spec.t array;
   mutable s_undelivered : Campaign.suggestion list;
       (* refilled in-flight suggestions recovered from a crashed
@@ -118,13 +118,6 @@ let float_to_wire = Printf.sprintf "%.17g"
 
 let best_to_wire = function None -> "none" | Some (_, v) -> float_to_wire v
 
-let same_space a b =
-  let sa = Param.Space.specs a and sb = Param.Space.specs b in
-  Array.length sa = Array.length sb
-  && Array.for_all2
-       (fun x y -> Param.Spec.name x = Param.Spec.name y && Param.Spec.domain x = Param.Spec.domain y)
-       sa sb
-
 (* ---- sessions ---- *)
 
 let session_options base args =
@@ -160,57 +153,21 @@ let open_session t name args =
   let options = session_options t.options args in
   let shared_pool = shared_pool_for t space in
   let path = Option.map (fun d -> Filename.concat d (name ^ ".runlog")) t.dir in
-  let recovered =
-    match path with
-    | Some p when Sys.file_exists p -> Some (Dataset.Runlog.load ~recover:true p)
-    | Some _ | None -> None
+  let log =
+    try Session.open_log ~strict_seed:true ?path ~name ~seed ~space () with
+    | Session.Seed_mismatch recorded ->
+        failwith
+          (Printf.sprintf "Serve: session %S resumes with seed %d, not %d" name recorded seed)
+    | Session.Space_mismatch ->
+        failwith
+          (Printf.sprintf "Serve: session %S's recorded space does not match the request" name)
   in
-  let writer = ref None in
-  let on_outcome idx config verdict =
-    match !writer with
-    | Some w -> Dataset.Runlog.writer_record w (Campaign.entry_of_verdict idx config verdict)
-    | None -> ()
-  in
-  let on_gate g =
-    match !writer with Some w -> Dataset.Runlog.writer_append w (Gate g) | None -> ()
-  in
-  let campaign =
-    match recovered with
-    | Some log ->
-        if log.Dataset.Runlog.seed <> seed then
-          failwith
-            (Printf.sprintf "Serve: session %S resumes with seed %d, not %d" name
-               log.Dataset.Runlog.seed seed);
-        if not (same_space log.Dataset.Runlog.space space) then
-          failwith
-            (Printf.sprintf "Serve: session %S's recorded space does not match the request"
-               name);
-        (* The writer is opened only after the log parses and the
-           campaign fast-forwards without divergence, so a rejected
-           open never touches the file. *)
-        let c =
-          Campaign.of_log ~options ~shared_pool ~on_outcome ~on_gate
-            ~mode:(Campaign.Async k) ~log ~budget ()
-        in
-        writer := Some (Dataset.Runlog.writer_resume ~path:(Option.get path) log);
-        c
-    | None ->
-        let c =
-          Campaign.create ~options ~shared_pool ~on_outcome ~on_gate
-            ~mode:(Campaign.Async k) ~rng:(Prng.Rng.create seed) ~space ~budget ()
-        in
-        (match path with
-        | Some p ->
-            writer := Some (Dataset.Runlog.writer_create ~path:p ~name ~seed ~space)
-        | None -> ());
-        c
-  in
+  let campaign = Session.start ~options ~shared_pool ~k ~budget log in
   let session =
     {
-      s_name = name;
       s_lock = Mutex.create ();
+      s_log = log;
       s_campaign = campaign;
-      s_writer = !writer;
       s_specs = Param.Space.specs space;
       s_undelivered = Campaign.pending campaign;
       s_closed = false;
@@ -306,29 +263,20 @@ let status_session t name =
         (Campaign.n_pending s.s_campaign)
         (best_to_wire (Campaign.best s.s_campaign)))
 
-let close_session t name =
-  let s = find_session t name in
+let close t name s =
   with_lock t.lock (fun () -> Hashtbl.remove t.sessions name);
   with_lock s.s_lock (fun () ->
       s.s_closed <- true;
-      match s.s_writer with Some w -> Dataset.Runlog.writer_close w | None -> ());
+      Session.close s.s_log)
+
+let close_session t name =
+  close t name (find_session t name);
   Printf.sprintf "ok closed %s" name
 
 let close_all t =
-  let all =
-    with_lock t.lock (fun () ->
-        let names = Hashtbl.fold (fun n _ acc -> n :: acc) t.sessions [] in
-        List.filter_map (Hashtbl.find_opt t.sessions) names)
-  in
   List.iter
-    (fun s ->
-      with_lock t.lock (fun () -> Hashtbl.remove t.sessions s.s_name);
-      with_lock s.s_lock (fun () ->
-          if not s.s_closed then begin
-            s.s_closed <- true;
-            match s.s_writer with Some w -> Dataset.Runlog.writer_close w | None -> ()
-          end))
-    all
+    (fun (name, s) -> close t name s)
+    (with_lock t.lock (fun () -> Hashtbl.fold (fun n s l -> (n, s) :: l) t.sessions []))
 
 (* One line in, one line out. Responses are single-line by
    construction; error text is flattened to keep the framing. *)

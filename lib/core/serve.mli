@@ -16,13 +16,14 @@
     is safe across sessions and domains, while every refit engine
     and compiled table stays session-local — no cross-tenant state.
 
-    {b Persistence.} With [dir], every session appends to
-    [<dir>/<name>.runlog] through the crash-safe {!Dataset.Runlog}
-    writer (one flushed line per evaluation). Re-[open]ing an
-    existing session after a crash rebuilds the campaign from its
-    log via the bit-exact resume path; the in-flight suggestions the
-    dead server had handed out are refilled deterministically and
-    re-delivered on the next [suggest] calls.
+    {b Persistence.} With [dir], every session is a {!Session} over
+    [<dir>/<name>.runlog], the layer CLI [tune --save/--resume] opens
+    too: one flushed line per evaluation. Re-[open]ing an existing session after a
+    crash rebuilds the campaign from its log via the bit-exact resume
+    path, provided the request names the recorded seed and space; a
+    refused re-open leaves the file byte-identical. The in-flight
+    suggestions the dead server had handed out are refilled
+    deterministically and re-delivered on the next [suggest] calls.
 
     {b Concurrency.} {!handle} is safe to call from any number of
     domains: the session registry and pool cache take a global

@@ -29,7 +29,7 @@ let fit ?(telemetry = Telemetry.Trace.disabled) ?(options = default_options) ?(p
     observations;
   List.iter
     (fun (p, w) ->
-      if p.space != space && Param.Space.specs p.space <> Param.Space.specs space then
+      if not (Param.Space.equal p.space space) then
         invalid_arg "Surrogate.fit: prior fitted on a different space";
       (* [w < 0.] alone waves NaN through (every comparison with NaN
          is false) and accepts infinity, which later poisons the
@@ -444,8 +444,8 @@ module Compiled = struct
 end
 
 let check_pool_space t pool =
-  if pool.Pool.space != t.space && Param.Space.specs pool.Pool.space <> Param.Space.specs t.space
-  then invalid_arg "Surrogate.compile: pool encoded over a different space"
+  if not (Param.Space.equal pool.Pool.space t.space) then
+    invalid_arg "Surrogate.compile: pool encoded over a different space"
 
 (* Per parameter, the values its table slots stand for. *)
 let slot_grids space slots =

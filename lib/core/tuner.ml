@@ -58,7 +58,8 @@ type slot = {
    over the slots it had in flight at the cut ({!Campaign.pending})
    and its clock position ({!Campaign.last_completion}). Slots complete
    in simulated-clock order, never by wall time. *)
-let drive ~telemetry ~policy ~objective ~duration campaign =
+let drive ?(telemetry = Telemetry.Trace.disabled) ?(policy = Resilience.Policy.default)
+    ?(duration = default_duration) ~objective campaign =
   let start (s : Campaign.suggestion) =
     let attempts = ref [] in
     let probe =
@@ -110,10 +111,9 @@ let drive ~telemetry ~policy ~objective ~duration campaign =
   done;
   Campaign.result campaign
 
-let run_async ?(telemetry = Telemetry.Trace.disabled) ?options
-    ?(policy = Resilience.Policy.default) ?warm_start ?candidates ?on_outcome ?on_gate
-    ?(duration = default_duration) ?(k = 1) ~rng ~space ~objective ~budget () =
-  drive ~telemetry ~policy ~objective ~duration
+let run_async ?(telemetry = Telemetry.Trace.disabled) ?options ?policy ?warm_start ?candidates
+    ?on_outcome ?on_gate ?duration ?(k = 1) ~rng ~space ~objective ~budget () =
+  drive ~telemetry ?policy ?duration ~objective
     (Campaign.create ~telemetry ?options ?warm_start ?candidates ?on_outcome ?on_gate
        ~mode:(Campaign.Async k) ~rng ~space ~budget ())
 

@@ -13,9 +13,9 @@
     ({!Transfer.options} builds it). [early_stop] implements the
     paper's sample-quality termination condition.
 
-    There is one driver: {!run_async}, with up to [k] evaluations in
-    flight (default 1, the paper's sequential loop), and its resume
-    counterpart {!resume_async}. It absorbs evaluation failures into
+    There is one driver, {!drive}, behind {!run_async} (up to [k]
+    evaluations in flight, default 1: the paper's sequential loop) and
+    {!resume_async}. It absorbs evaluation failures into
     the surrogate's bad density instead of dying on them: every failed
     configuration is classified by the {!Resilience.Outcome} taxonomy,
     retried according to a {!Resilience.Policy} (transients and
@@ -91,6 +91,30 @@ type run_error = Campaign.run_error = {
 (** Every evaluation of the run failed — there is no best
     configuration to report. *)
 
+val default_duration : Param.Config.t -> Resilience.Evaluator.verdict -> float
+(** The measured objective value when it is finite and positive (an
+    HPC runtime objective is its own natural duration), 1.0 otherwise,
+    plus the verdict's accumulated retry backoff cost. *)
+
+val drive :
+  ?telemetry:Telemetry.Trace.t ->
+  ?policy:Resilience.Policy.t ->
+  ?duration:(Param.Config.t -> Resilience.Evaluator.verdict -> float) ->
+  objective:(attempt:int -> Param.Config.t -> Resilience.Outcome.t) ->
+  Campaign.t ->
+  (result, run_error) Stdlib.result
+(** Run a campaign to its end, keeping its in-flight set full. Each
+    configuration is evaluated at submission under [policy] (default
+    {!Resilience.Policy.default}: 3 attempts, simulated exponential
+    backoff, no timeout); an exception from [objective] is a
+    [Transient] failure. Completions land in simulated-clock order
+    ({!Campaign.completes_at}), never wall time: at submission time
+    plus [duration config verdict] (default {!default_duration}), ties
+    toward the earlier submission. So a seed and a duration give a
+    bit-identical result, in completion order. A campaign rebuilt by
+    {!Campaign.of_log} first re-evaluates the suggestions in flight at
+    the cut; pass the [policy] and [duration] it was rebuilt with. *)
+
 val run_async :
   ?telemetry:Telemetry.Trace.t ->
   ?options:options ->
@@ -107,42 +131,20 @@ val run_async :
   budget:int ->
   unit ->
   (result, run_error) Stdlib.result
-(** [run_async ~rng ~space ~objective ~budget ()] tunes with up to [k]
-    evaluations in flight (default 1) and refits the surrogate whenever
-    a slot frees. It performs at most [budget] evaluations whatever [k]
-    (warm-start observations do not count against the budget;
-    duplicate random initial draws are evaluated once). Requires
-    [budget >= 1] and [k >= 1].
+(** [run_async ~rng ~space ~objective ~budget ()] is {!drive} over a
+    fresh campaign with up to [k] evaluations in flight (default 1). It
+    performs at most [budget] evaluations whatever [k] (warm-start
+    observations are free; duplicate random initial draws are
+    evaluated once). Requires [budget >= 1] and [k >= 1].
 
-    {b Submission.} Slots are kept full: random-init draws while they
-    last (duplicates burn an init slot without submitting), then one
-    refit + top-1 selection per submission. In-flight configurations
-    join the surrogate's bad density as constant liars, exactly like
-    failed configurations, so the ranker steers away from
-    near-duplicates of pending points; exact duplicates are never
-    issued. Each configuration is evaluated at submission through
-    {!Resilience.Evaluator.evaluate} under [policy] (default
-    {!Resilience.Policy.default} — 3 attempts, exponential simulated
-    backoff, no timeout); an exception raised by [objective] is a
-    [Transient] failure. The final verdict consumes one unit of
-    budget whatever its attempt count. A failed configuration joins
-    the bad density of every later fit and appears in [failures], not
-    [history]; a [Timeout] verdict is a failure like any other. When
-    every evaluation failed the run returns [Error] with the
-    structured failure report.
-
-    {b Determinism.} Completion order is decided by a simulated clock
-    ({!Campaign.completes_at}), never by wall time: a submission
-    completes at its submission time plus [duration config verdict]
-    (finite and non-negative; ties break toward the earlier
-    submission). The default duration is the measured objective value
-    when it is finite and positive (an HPC runtime objective is its
-    own natural duration), 1.0 otherwise, plus the verdict's
-    accumulated retry backoff cost. The same seed and duration
-    function give a bit-identical history, trajectory and best
-    configuration. [history], [trajectory], [on_outcome i config
-    verdict] (once per consumed budget unit, 0-based) and run-log
-    entries written from it are all in completion order.
+    Slots are kept full: random-init draws while they last, then one
+    refit + top-1 selection per submission. In-flight and failed
+    configurations join the surrogate's bad density (constant liars),
+    and exact duplicates are never issued. Each verdict consumes one
+    unit of budget whatever its attempt count ([on_outcome i config
+    verdict] fires once per unit, 0-based); failures appear in
+    [failures], not [history], and a run whose every evaluation failed
+    returns [Error] with the structured failure report.
 
     [candidates] restricts initialization and selection to an
     explicit configuration set — e.g. the measured rows of a study
@@ -153,19 +155,15 @@ val run_async :
     memory is O(1) in the pool size; the run stops early once every
     configuration has been issued.
 
-    [on_gate] fires once per transfer-gate decision in the shape
-    {!Dataset.Runlog.gate} expects, so run-log writers can persist the
-    decisions as they happen.
+    [on_gate] fires once per transfer-gate decision, as a
+    {!Dataset.Runlog.gate} line.
 
-    [telemetry] streams the campaign's structured events
-    ([Campaign_start] with [k] in its [batch_size] field, [Init_draw],
-    [Refit]/[Compile]/[Rank] spans, [Submit], [Attempt], [Eval] timed
-    around the evaluation, [Complete] with the in-flight depth and
-    simulated time, [Campaign_end]) to the given
-    {!Telemetry.Trace.t}. Tracing performs no rng draws and never
-    influences selection, so a traced campaign is bit-identical to an
-    untraced one; the default {!Telemetry.Trace.disabled} costs one
-    pointer comparison per site.
+    [telemetry] streams the campaign's structured events (see
+    {!Telemetry.Event}; [Campaign_start] carries [k] as its
+    [batch_size]). Tracing draws no rng and never influences
+    selection, so a traced campaign is bit-identical to an untraced
+    one; the default {!Telemetry.Trace.disabled} costs one pointer
+    comparison per site.
 
     Raises [Invalid_argument] before the first evaluation on invalid
     options (see {!Campaign.create}). *)
@@ -204,19 +202,9 @@ val resume_async :
   unit ->
   (result, run_error) Stdlib.result
 (** [resume_async ~log ~objective ~budget ()] continues an interrupted
-    {!run_async} campaign up to [budget] total evaluations.
-    {!Campaign.of_log} rebuilds it — rng from [log.seed], recorded
-    verdicts reported in place of evaluations without re-firing
-    [on_outcome], the recorded prefix retraced on the simulated clock
-    of [duration] — then the driver evaluates the slots in flight at
-    the cut and continues. Given the same [k], [options], [policy],
-    [duration] and objective, the interrupted and resumed runs agree
-    bit-for-bit. Gate state is not stored: replay recomputes it, the
-    log's [#gate] decisions are verified as a prefix of the recomputed
-    stream, and [on_gate] fires only past it.
-
-    Raises [Invalid_argument] if the log holds more than [budget]
-    entries, and [Failure] if its entries are not dense from index 0,
-    diverge from the replayed trajectory, or complete out of clock
-    order (a completion that orders before the one recorded last, as
-    a log written at another [k] does). *)
+    {!run_async} campaign up to [budget] total evaluations: {!drive}
+    over {!Campaign.of_log}, which raises if the log holds more than
+    [budget] entries or diverges from the replay. With the same [k],
+    [options], [policy], [duration] and objective, the interrupted and
+    resumed runs agree bit-for-bit; [on_outcome] and [on_gate] fire
+    only past the recorded prefix. *)

@@ -12,6 +12,7 @@ let make spec_list =
   { specs }
 
 let specs t = t.specs
+let equal a b = a == b || a.specs = b.specs
 let n_params t = Array.length t.specs
 
 let spec t i =

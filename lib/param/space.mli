@@ -13,6 +13,10 @@ val make : Spec.t list -> t
     otherwise. *)
 
 val specs : t -> Spec.t array
+
+val equal : t -> t -> bool
+(** Same parameters (names and domains) in the same order; O(1) when physically equal. *)
+
 val n_params : t -> int
 val spec : t -> int -> Spec.t
 

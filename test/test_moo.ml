@@ -410,6 +410,23 @@ let test_tensor_compiled_parity () =
         (Param.Config.equal got pool.(expect))
   | _ -> Alcotest.fail "selection returned nothing on an unexhausted pool"
 
+(* [run] drives the campaign through the evaluator, which turns an
+   objective's exception into a failed verdict; an invalid measurement
+   or the objective's own exception must still leave [run] unchanged. *)
+let test_moo_run_raises () =
+  let run objective =
+    Hiperbot.Moo.run ~moo:tensor_moo ~rng:(Prng.Rng.create 3) ~space:tensor_space ~budget:8
+      ~objective ()
+  in
+  Alcotest.check_raises "wrong arity"
+    (Invalid_argument "Moo: objective vector has arity 1, expected 2") (fun () ->
+      ignore (run (fun _ -> Hiperbot.Moo.Vector [| 1. |])));
+  Alcotest.check_raises "value outside a vector"
+    (Invalid_argument "Moo.report: a successful measurement must be a Vector") (fun () ->
+      ignore (run (fun _ -> Hiperbot.Moo.Failure (Resilience.Outcome.Value 1.))));
+  Alcotest.check_raises "objective exception" (Failure "probe") (fun () ->
+      ignore (run (fun _ -> failwith "probe")))
+
 let suite =
   ( "moo",
     [
@@ -423,6 +440,7 @@ let suite =
       Alcotest.test_case "moo: scalarisation" `Quick test_scalarise;
       Alcotest.test_case "moo: constrained campaign on tensor" `Quick test_moo_campaign_on_tensor;
       Alcotest.test_case "moo: resume bit-identical" `Quick test_moo_resume_bit_identical;
+      Alcotest.test_case "moo: run raises on a bad measurement" `Quick test_moo_run_raises;
       Alcotest.test_case "moo: resume verifies scalarisation" `Quick test_moo_resume_verifies_scalarisation;
       Alcotest.test_case "tensor: compiled scoring parity" `Quick test_tensor_compiled_parity;
     ] )

@@ -309,6 +309,49 @@ let test_diverged_reopen () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
+(* A refused reopen leaves the session's log byte-identical: the
+   recovered log is rewritten only once its replay is accepted. *)
+let test_refused_reopen_untouched () =
+  let dir = Filename.temp_file "serve_test" "" in
+  Sys.remove dir;
+  let path = Filename.concat dir "s1.runlog" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let server1 = Hiperbot.Serve.create ~dir () in
+  ignore (Hiperbot.Serve.handle server1 (open_line ~k:2 ()));
+  ignore (drive_n_reports server1 "s1" Gen.hash_objective 8);
+  (* The server dies with the session open: its log is the crash state. *)
+  let refused what ~log line expect =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc log);
+    let reply = Hiperbot.Serve.handle (Hiperbot.Serve.create ~dir ()) line in
+    check Alcotest.bool (what ^ ": " ^ reply) true (has_prefix expect reply);
+    check Alcotest.bool (what ^ ": log byte-identical") true (String.equal log (read ()))
+  in
+  let crashed = read () in
+  let seed_err = "err Serve: session \"s1\" resumes with seed 42, not 43" in
+  let other_space seed =
+    Printf.sprintf "open s1 seed=%d budget=12 k=2 n_init=4 space=a=ord:1,2" seed
+  in
+  refused "seed mismatch" ~log:crashed (open_line ~seed:43 ~k:2 ()) seed_err;
+  refused "space mismatch" ~log:crashed (other_space 42)
+    "err Serve: session \"s1\"'s recorded space does not match the request";
+  refused "seed and space mismatch" ~log:crashed (other_space 43) seed_err;
+  (* Entry 5 (guided, n_init = 4) takes entry 6's configuration, and
+     a torn final line follows. *)
+  let log = Dataset.Runlog.load ~recover:true path in
+  let entries = Array.copy log.Dataset.Runlog.entries in
+  entries.(5) <- { entries.(5) with Dataset.Runlog.config = entries.(6).Dataset.Runlog.config };
+  let diverged = Dataset.Runlog.to_string { log with Dataset.Runlog.entries } ^ "11,ZG" in
+  refused "divergent cut with a torn tail" ~log:diverged (open_line ~k:2 ())
+    "err Campaign.of_log: run log diverges";
+  (* An accepted reopen still resumes the crashed log. *)
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc crashed);
+  let server2 = Hiperbot.Serve.create ~dir () in
+  check Alcotest.string "reopened" "ok open s1 evaluated=8 pending=1"
+    (Hiperbot.Serve.handle server2 (open_line ~k:2 ()));
+  Hiperbot.Serve.close_all server2;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* ---- shared pool accounting ---- *)
 
 let test_pool_sharing () =
@@ -365,6 +408,8 @@ let suite =
         test_two_client_interleaving;
       Alcotest.test_case "crash-then-recover from runlog" `Quick test_crash_recovery;
       Alcotest.test_case "diverged reopen names Campaign" `Quick test_diverged_reopen;
+      Alcotest.test_case "refused reopen leaves the log byte-identical" `Quick
+        test_refused_reopen_untouched;
       Alcotest.test_case "pool sharing accounting" `Quick test_pool_sharing;
       Alcotest.test_case "concurrent clients across domains" `Quick test_concurrent_clients;
     ] )
